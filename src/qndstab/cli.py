@@ -294,7 +294,12 @@ def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
         updates["dt"] = args.dt
     if getattr(args, "trajectories", None) is not None:
         updates["trajectories"] = args.trajectories
-    return replace(cfg, **updates) if updates else cfg
+    if not updates:
+        return cfg
+    try:
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        raise ConfigError(f"invalid command-line override: {exc}") from exc
 
 
 def _cmd_certify(args) -> int:
@@ -328,7 +333,10 @@ def _cmd_certify(args) -> int:
     except CertificationImpossibleError as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 2
-    report = certify_decay(meas, ctrl, weights, samples=doc["samples"], seed=doc["seed"])
+    try:
+        report = certify_decay(meas, ctrl, weights, samples=doc["samples"], seed=doc["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid certification config: {exc}") from exc
     cert_path = os.path.join(out_dir, "certificate.csv")
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))

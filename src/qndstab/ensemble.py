@@ -3,16 +3,24 @@
 The integrator here is a vectorized implementation of the same splitting
 scheme as the public one-step functions (Euler-Maruyama measurement
 update, exact control conjugation, physicality projection), specialized
-to measurement operators that are diagonal in the working basis so the
-measurement superoperators reduce to elementwise array products.  A batch
-of trajectories is advanced in lockstep; the only per-trajectory work is
-noise generation.
+to measurement operators that are diagonal in the working basis, so the
+measurement superoperators reduce to elementwise array products, and to
+purely imaginary control Hamiltonians H = iA (A = Im H real
+antisymmetric), so every control rotation exp(-iH x) = exp(A x) is a
+real orthogonal matrix.  From a real initial state the state therefore
+stays real symmetric, and the engine carries every state as a float64
+(m, n, n) array.  A batch of trajectories is advanced in lockstep; the
+only per-trajectory work is noise generation.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
-W and (base_seed, 4*index + 1) for the control noise B.  Batching, worker
-count and recording stride therefore never change the bits of any
-trajectory, and ensembles aggregate in index order.
+W and (base_seed, 4*index + 1) for the control noise B, and every
+reduction over a state index is an einsum or a per-matrix product, so a
+trajectory's bits do not depend on which rows share its batch.
+run_ensemble cuts the ensemble into contiguous chunks, at least one per
+worker; worker count, chunk layout and recording stride therefore never
+change the bits of any trajectory, and ensembles aggregate in index
+order.
 
 The physicality projection is applied after every step.  To keep its cost
 off the hot path it screens states with a shifted batched Cholesky
@@ -58,9 +66,10 @@ __all__ = [
 DEFAULT_SEED = 20260814
 ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 
-# Fixed batching constants. These are part of the reproducibility contract:
-# results must not depend on worker count, so the trajectory-to-chunk
-# assignment is a pure function of the trajectory index.
+# Most trajectories one chunk advances in lockstep; it bounds a chunk's memory.
+# run_ensemble cuts [0, trajectories) into max(workers, ceil(trajectories /
+# CHUNK)) contiguous, near-equal chunks, so every worker gets a chunk; no
+# layout changes the bits of any trajectory.
 CHUNK = 1000
 NOISE_BLOCK = 2048
 
@@ -191,43 +200,45 @@ class DelayedGainBuffer:
 def _cholesky_screen(mat: np.ndarray, shift: float = _PSD_SHIFT) -> np.ndarray:
     """True per batch row iff mat + shift*I admits a Cholesky factorization.
 
-    Success certifies the smallest eigenvalue of the (Hermitian) row is
-    >= -shift up to factorization rounding; failure sends the row to the
-    exact eigenvalue clip.
+    Success certifies the smallest eigenvalue of the (real symmetric) row
+    is >= -shift up to factorization rounding; failure sends the row to
+    the exact eigenvalue clip.  The factorization runs entry by entry on
+    contiguous vectors over the batch, which for small n costs less than
+    batched row slices.
     """
-    m, n = mat.shape[0], mat.shape[-1]
-    ok = np.ones(m, dtype=bool)
-    low = np.zeros_like(mat)
+    n = mat.shape[-1]
+    a = np.moveaxis(mat, 0, -1).copy()
+    low = np.empty_like(a)
+    ok = np.ones(mat.shape[0], dtype=bool)
     for k in range(n):
-        pivot = mat[:, k, k].real + shift - np.einsum("mj,mj->m", low[:, k, :k], low[:, k, :k].conj()).real
+        pivot = a[k, k] + shift
+        for j in range(k):
+            pivot -= low[k, j] * low[k, j]
         ok &= pivot > 0.0
         root = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
-        low[:, k, k] = root
-        if k + 1 < n:
-            cross = np.einsum("mij,mj->mi", low[:, k + 1 :, :k], low[:, k, :k].conj())
-            low[:, k + 1 :, k] = (mat[:, k + 1 :, k] - cross) / root[:, None]
+        for i in range(k + 1, n):
+            acc = a[i, k].copy()
+            for j in range(k):
+                acc -= low[i, j] * low[k, j]
+            low[i, k] = acc / root
     return ok
 
 
 def _project_batch(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Screened physicality projection; returns (states, newly_dead_mask).
+    """Screened physicality projection of real states; returns (states, newly_dead_mask).
 
     Rows whose clipped trace falls below the floor are reported dead and
     replaced by the maximally mixed state as an inert placeholder (the
     caller stops recording them).
     """
     m, n = rho.shape[0], rho.shape[-1]
-    sym = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
-    tr = np.einsum("mii->m", sym).real
+    sym = 0.5 * (rho + np.swapaxes(rho, -1, -2))
+    tr = np.einsum("mii->m", sym)
     dead = np.zeros(m, dtype=bool)
     good = tr > _TRACE_FLOOR
-    out = np.empty_like(sym)
-    out[good] = sym[good] / tr[good, None, None]
-    suspect = ~good
-    screened = np.zeros(m, dtype=bool)
-    screened[good] = ~_cholesky_screen(out[good])
-    suspect |= screened
-    idx = np.flatnonzero(suspect)
+    # rows below the trace floor are divided by 1 and go to the clip regardless of the screen
+    out = sym / np.where(good, tr, 1.0)[:, None, None]
+    idx = np.flatnonzero(~good | ~_cholesky_screen(out))
     if idx.size:
         w, v = np.linalg.eigh(sym[idx])
         w = np.clip(w, 0.0, None)
@@ -235,8 +246,8 @@ def _project_batch(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bad = total <= _TRACE_FLOOR
         total = np.where(bad, 1.0, total)
         w = w / total[:, None]
-        rec = (v * w[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-        rec = 0.5 * (rec + np.conj(np.swapaxes(rec, -1, -2)))
+        rec = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
+        rec = 0.5 * (rec + np.swapaxes(rec, -1, -2))
         rec[bad] = np.eye(n) / n
         out[idx] = rec
         dead[idx[bad]] = True
@@ -274,13 +285,15 @@ class EnsembleResult:
 
 
 def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
-    """Advance trajectories start..stop-1 in lockstep; see module docstring."""
+    """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring."""
     meas, ctrl = resolve_setups(cfg)
     dec = meas.dec
     n, d = dec.n, dec.d
     lvec = np.diagonal(meas.L).real
     if np.max(np.abs(meas.L - np.diag(lvec))) != 0.0:
         raise ValueError("campaign integrator requires a measurement operator diagonal in the working basis")
+    if np.any(ctrl.H.real != 0.0):
+        raise ValueError("campaign integrator requires a purely imaginary control Hamiltonian (real rotations)")
     # membership matrix: populations are index-group sums of the state diagonal
     members = (np.abs(lvec[None, :] - dec.eigenvalues[:, None]) < 1e-8).astype(float)
     lam = dec.eigenvalues
@@ -289,18 +302,21 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     sqeta = np.sqrt(eta)
     kmat = -0.5 * (lvec[:, None] - lvec[None, :]) ** 2 * dt
     smat = lvec[:, None] + lvec[None, :]
+    # exp(-iH x) = sum_k e^{-i w_k x} v_k v_k^dagger is real for H = iA, so it is
+    # the real part sum_k cos(w_k x) Re(v_k v_k^dagger) + sin(w_k x) Im(v_k v_k^dagger)
     hw, hv = np.linalg.eigh(ctrl.H)
-    hvd = np.conj(hv.T)
+    outer = hv.T[:, :, None] * np.conj(hv.T)[:, None, :]
+    rot_basis = np.concatenate([outer.real, outer.imag])
     need_b = ctrl.sigma_bar > 0.0
     estimator = cfg.estimator
 
     m = stop - start
     if cfg.initial == "target":
-        rho0 = dec.projectors[target].astype(complex) / dec.multiplicities[target]
+        rho0 = dec.projectors[target].real / dec.multiplicities[target]
         p0 = np.zeros(d)
         p0[target] = 1.0
     else:
-        rho0 = np.eye(n, dtype=complex) / n
+        rho0 = np.eye(n) / n
         p0 = np.full(d, 1.0 / d)
     rho = np.broadcast_to(rho0, (m, n, n)).copy()
     rho_hat = rho.copy() if estimator in ("full_observer", "reduced_filter") else None
@@ -308,7 +324,9 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     if estimator == "population_filter":
         delta = laplacian_matrix(ctrl.H, dec)
     if estimator == "reduced_filter":
-        h2 = ctrl.H @ ctrl.H
+        # H rho H = -A rho A and H^2 = -A^2 for A = Im H
+        gen = ctrl.H.imag
+        gen2 = gen @ gen
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -330,7 +348,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     # reductions over the state index use einsum, not 2D matmul: BLAS gemm
     # results depend on the batch width at the last ulp, which would break
     # the bit-identity of a trajectory across chunk layouts
-    diag = np.einsum("mii->mi", rho).real
+    diag = np.einsum("mii->mi", rho)
     p_true = np.einsum("mi,ki->mk", diag, members)
     _record(0, p_true)
 
@@ -338,10 +356,9 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
         active = np.flatnonzero(dv)
         if active.size == 0:
             return
-        sub = hvd @ states[active] @ hv
-        phase = np.exp(-1j * dv[active, None] * hw)
-        sub *= phase[:, :, None] * np.conj(phase)[:, None, :]
-        states[active] = hv @ sub @ hvd
+        angle = dv[active, None] * hw
+        rot = np.einsum("mk,kij->mij", np.concatenate([np.cos(angle), np.sin(angle)], axis=1), rot_basis)
+        states[active] = rot @ states[active] @ np.swapaxes(rot, -1, -2)
 
     step = 0
     while step < n_steps:
@@ -357,14 +374,14 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             db_block *= sqdt
         for j in range(blen):
             dw = dw_block[:, j]
-            diag = np.einsum("mii->mi", rho).real
+            diag = np.einsum("mii->mi", rho)
             p_true = np.einsum("mi,ki->mk", diag, members)
             if estimator == "truth":
                 p_est = p_true
             elif estimator == "population_filter":
                 p_est = p_hat
             else:
-                p_est = np.einsum("mi,ki->mk", np.einsum("mii->mi", rho_hat).real, members)
+                p_est = np.einsum("mi,ki->mk", np.einsum("mii->mi", rho_hat), members)
             sigma_sig = np.asarray(feedback_gain(p_est, ctrl))
             sigma_app = buffer.push(sigma_sig)
             dv = sigma_app * db_block[:, j] if need_b else np.zeros(m)
@@ -381,7 +398,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 alive &= ~newly_dead
 
             if estimator == "full_observer":
-                diag_h = np.einsum("mii->mi", rho_hat).real
+                diag_h = np.einsum("mii->mi", rho_hat)
                 exp_h = np.einsum("mi,i->m", diag_h, lvec)
                 innov = dy - 2.0 * sqeta * exp_h * dt
                 hfac = 1.0 + kmat + sqeta * (smat - 2.0 * exp_h[:, None, None]) * innov[:, None, None]
@@ -389,11 +406,11 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 _conjugate_rows(rho_hat, dv)
                 rho_hat, _ = _project_batch(rho_hat)
             elif estimator == "reduced_filter":
-                diag_h = np.einsum("mii->mi", rho_hat).real
+                diag_h = np.einsum("mii->mi", rho_hat)
                 exp_h = np.einsum("mi,i->m", diag_h, lvec)
                 innov = dy - 2.0 * sqeta * exp_h * dt
                 hfac = 1.0 + kmat + sqeta * (smat - 2.0 * exp_h[:, None, None]) * innov[:, None, None]
-                dh = ctrl.H @ rho_hat @ ctrl.H - 0.5 * (h2 @ rho_hat + rho_hat @ h2)
+                dh = 0.5 * (gen2 @ rho_hat + rho_hat @ gen2) - gen @ rho_hat @ gen
                 rho_hat = rho_hat * hfac + (sigma_app * sigma_app)[:, None, None] * dh * dt
                 rho_hat, _ = _project_batch(rho_hat)
             elif estimator == "population_filter":
@@ -406,10 +423,10 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
             step += 1
             if step % stride == 0:
-                diag = np.einsum("mii->mi", rho).real
+                diag = np.einsum("mii->mi", rho)
                 _record(step // stride, np.einsum("mi,ki->mk", diag, members))
 
-    diag = np.einsum("mii->mi", rho).real
+    diag = np.einsum("mii->mi", rho)
     final_p = np.einsum("mi,ki->mk", diag, members)
     final_p[~alive] = np.nan
     return err, vop, final_p, aborted
@@ -435,11 +452,17 @@ def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     return TrajectoryTrace(times=times, error=err[0], v_open=vop[0], final_populations=final_p[0])
 
 
+def _chunk_bounds(trajectories: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal (start, stop) chunks: max(workers, ceil(trajectories / CHUNK)) of them."""
+    k = min(trajectories, max(workers, -(-trajectories // CHUNK)))
+    return [(trajectories * i // k, trajectories * (i + 1) // k) for i in range(k)]
+
+
 def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     """Run all trajectories of a campaign and aggregate statistics in index order."""
-    bounds = [(s, min(s + CHUNK, cfg.trajectories)) for s in range(0, cfg.trajectories, CHUNK)]
+    bounds = _chunk_bounds(cfg.trajectories, cfg.workers)
     if cfg.workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(bounds))) as pool:
             parts = list(pool.map(_chunk_task, [(cfg, a, b) for a, b in bounds]))
     else:
         parts = [_integrate_chunk(cfg, a, b) for a, b in bounds]

@@ -189,6 +189,23 @@ def test_cmd_run_bad_config_exits_2(tmp_path, capsys):
     assert "p_min" in capsys.readouterr().err
 
 
+def test_cmd_run_bad_override_exits_2(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, dict(SMALL_CAMPAIGN, t_final=1.0, fit_window=[0.2, 0.8]))
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--dt", "0.003"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "multiple of dt" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cmd_reproduce_bad_override_exits_2(tmp_path, capsys):
+    assert main(["reproduce", "fig2", "--trajectories", "0", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reproduce: ") and "trajectories" in err
+    assert err.count("\n") == 1
+
+
 def test_cmd_reproduce_smoke(tmp_path, capsys):
     out = tmp_path / "repro"
     code = main(["reproduce", "fig2", "--trajectories", "4", "--out", str(out)])
@@ -242,6 +259,16 @@ def test_cmd_certify_broken_link_exits_2(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, {"p_min": 0.6, "samples": 60, "broken_link": 2})
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 2
     assert "disconnected" in capsys.readouterr().err
+    assert not (out / "certificate.csv").exists()
+
+
+def test_cmd_certify_too_few_samples_exits_2(tmp_path, capsys):
+    out = tmp_path / "cert_few"
+    cfg_path = _write_config(tmp_path, {"p_min": 0.9})
+    assert main(["certify", "--config", cfg_path, "--out", str(out), "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("certify: ") and "samples=2" in err
+    assert err.count("\n") == 1
     assert not (out / "certificate.csv").exists()
 
 

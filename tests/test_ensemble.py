@@ -1,12 +1,16 @@
 """Campaign engine: noise layout, delay buffer, integrator, rate fits, CSV I/O."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import populations
-from qndstab.dynamics import StepInput, closed_loop_step
+from qndstab.core import populations, project_to_physical, unitary_conjugate
+from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain, open_loop_step
+from qndstab.filters import reduced_filter_step
 from qndstab.ensemble import (
+    ESTIMATORS,
     CampaignConfig,
     DelayedGainBuffer,
     EnsembleResult,
@@ -163,6 +167,37 @@ def test_engine_matches_public_step_composition():
     assert np.max(np.abs(trace.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
+def test_engine_reduced_filter_matches_public_filter_step():
+    """The engine's real reduced filter agrees with the public complex reduced_filter_step.
+
+    The plant's gain is read from the filter, so any difference in the
+    filter moves the recorded errors of the true state.
+    """
+    cfg = _small_cfg(estimator="reduced_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
+    result = run_ensemble(cfg)
+    meas, ctrl = resolve_setups(cfg)
+    m, steps = cfg.trajectories, cfg.n_steps
+    dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
+    db = np.stack([noise_generator(SEED, i, 1).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
+    rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (m, 5, 5)).copy()
+    rho_hat = rho.copy()
+    errs = [np.sqrt(1.0 - populations(rho, meas.dec)[:, ctrl.target])]
+    engaged = 0
+    for j in range(steps):
+        dv = feedback_gain(populations(rho_hat, meas.dec), ctrl) * db[:, j]
+        out = open_loop_step(rho, meas, StepInput(cfg.dt, dw[:, j]))
+        rho = out.rho_next
+        active = np.flatnonzero(dv)
+        engaged += active.size
+        if active.size:
+            rho[active] = project_to_physical(unitary_conjugate(ctrl.H, dv[active], rho[active]))
+        rho_hat = reduced_filter_step(rho_hat, meas, ctrl, out.dY, cfg.dt)
+        errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
+    assert engaged > steps  # the filter drives the plant on many steps
+    assert np.max(np.abs(result.error_traces - np.stack(errs, axis=1))) < 1e-9
+    assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
+
+
 def test_engine_target_start_is_exact_fixed_point():
     cfg = _small_cfg(initial="target", sigma_bar=0.0, trajectories=3)
     result = run_ensemble(cfg)
@@ -212,17 +247,42 @@ def test_delayed_loop_runs_open_prefix():
 
 def test_ensemble_chunked_workers_deterministic(monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK", 3)
-    cfg1 = _small_cfg(trajectories=7, workers=1)
-    cfg2 = _small_cfg(trajectories=7, workers=2)
-    r1 = run_ensemble(cfg1)
-    r2 = run_ensemble(cfg2)
-    assert np.array_equal(r1.error_traces, r2.error_traces)
-    assert np.array_equal(r1.final_populations, r2.final_populations)
-    assert r1.fitted_rate == r2.fitted_rate
+    for estimator in ESTIMATORS:
+        cfg = _small_cfg(trajectories=7, p_min=0.51, p_max=0.56, estimator=estimator)
+        r1 = run_ensemble(cfg)
+        # workers 1-3 give chunks of 2, 2, 3 rows; workers 4 gives 1, 2, 2, 2
+        for workers in (2, 3, 4):
+            rw = run_ensemble(replace(cfg, workers=workers))
+            assert rw.error_traces.tobytes() == r1.error_traces.tobytes(), (estimator, workers)
+            assert rw.final_populations.tobytes() == r1.final_populations.tobytes(), (estimator, workers)
+            assert rw.fitted_rate == r1.fitted_rate
+        # a lone twin of a row in the last chunk
+        twin = run_trajectory(cfg, 6)
+        assert twin.error.tobytes() == r1.error_traces[6].tobytes(), estimator
+        assert twin.final_populations.tobytes() == r1.final_populations[6].tobytes(), estimator
     # chunk layout itself must not matter either
+    r1 = run_ensemble(_small_cfg(trajectories=7))
     monkeypatch.setattr(ensemble, "CHUNK", 4)
     r3 = run_ensemble(_small_cfg(trajectories=7, workers=1))
     assert np.array_equal(r1.error_traces, r3.error_traces)
+
+
+def test_chunk_layout_follows_workers():
+    assert ensemble._chunk_bounds(1000, 1) == [(0, 1000)]
+    assert ensemble._chunk_bounds(1000, 2) == [(0, 500), (500, 1000)]
+    assert ensemble._chunk_bounds(2500, 2) == [(0, 833), (833, 1666), (1666, 2500)]
+    assert ensemble._chunk_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_engine_rejects_control_hamiltonian_with_real_part(monkeypatch):
+    meas, ctrl = resolve_setups(_small_cfg())
+    h = ctrl.H.copy()
+    h[0, 1] += 0.3
+    h[1, 0] += 0.3
+    ctrl_real = control_setup(h, meas.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
+    monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg: (meas, ctrl_real))
+    with pytest.raises(ValueError, match="purely imaginary"):
+        run_trajectory(_small_cfg(), 0)
 
 
 def test_ensemble_aggregates_are_consistent():

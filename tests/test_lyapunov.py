@@ -231,8 +231,9 @@ def test_generator_raises_at_target(spin2_tight, spin2_weights):
 # ------------------------------------------------------------ certification
 
 
-def test_certify_decay_report_structure(spin2_loose, spin2_weights):
-    meas, ctrl = spin2_loose
+def test_certify_decay_report_structure(spin2_tight, spin2_weights):
+    # the weights depend only on H and the target, which both thresholds share
+    meas, ctrl = spin2_tight
     report = certify_decay(meas, ctrl, spin2_weights, samples=300)
     assert report.certified
     assert report.nu_hat > 0.0
@@ -242,6 +243,24 @@ def test_certify_decay_report_structure(spin2_loose, spin2_weights):
     assert report.nu_hat == min(s.min_ratio for s in report.strata)
     assert report.worst_populations.shape == (5,)
     assert (report.c_low, report.c_high) == equivalence_constants(spin2_weights)
+
+
+def test_certify_decay_refuses_fig2_threshold(spin2_loose, spin2_delta, spin2_weights):
+    """At p_min = 0.6 V_alpha grows on some diagonal states; enough samples find one."""
+    meas, ctrl = spin2_loose
+    report = certify_decay(meas, ctrl, spin2_weights, samples=20000)
+    assert not report.certified
+    assert report.nu_hat < 0.0
+    # witness: the diagonal closed form -A V_alpha / V_alpha at the worst populations,
+    # A V_alpha = (sigma^2/2) sum_s a_s.Delta p / sqrt(a_s.p) - (eta/2) sum_s (a_s.((lam - w) p))^2 / (a_s.p)^(3/2)
+    p = report.worst_populations
+    alpha, lam = spin2_weights.alpha, meas.dec.eigenvalues
+    ap = alpha @ p
+    sigma = feedback_gain(p, ctrl)
+    f = np.sum((alpha @ (spin2_delta @ p)) / np.sqrt(ap))
+    g = np.sum((alpha @ ((lam - lam @ p) * p)) ** 2 / ap**1.5)
+    av = 0.5 * sigma * sigma * f - 0.5 * meas.eta * g
+    assert -av / np.sum(np.sqrt(ap)) < 0.0
 
 
 def test_certify_decay_is_deterministic(spin2_loose, spin2_weights):
