@@ -1,11 +1,11 @@
 """Exponential stabilization of QND measurement eigenstates by noise-assisted feedback.
 
 Simulation and verification toolkit for continuous quantum measurement with
-a Brownian-modulated control Hamiltonian: trajectory integration (open loop,
-noise-assisted closed loop, Markovian feedback baseline), state estimators
-(full observer, reduced filter, population filter), Lyapunov machinery
-(graph-Laplacian alpha weights, generator decomposition, sampled decay
-certification), and ensemble campaigns with deterministic seeding.
+a Brownian-modulated control Hamiltonian: trajectory integration (open loop
+and noise-assisted closed loop), state estimators (full observer, reduced
+filter, population filter), Lyapunov machinery (graph-Laplacian alpha
+weights, generator decomposition, sampled decay certification), and
+ensemble campaigns with deterministic seeding.
 """
 
 from .core import (
@@ -34,7 +34,6 @@ from .dynamics import (
     closed_loop_step,
     control_setup,
     feedback_gain,
-    markovian_feedback_step,
     measurement_setup,
     open_loop_step,
 )
@@ -42,7 +41,6 @@ from .ensemble import (
     DEFAULT_SEED,
     ESTIMATORS,
     CampaignConfig,
-    CampaignError,
     DelayedGainBuffer,
     EnsembleResult,
     FitDomainError,
@@ -114,7 +112,6 @@ __all__ = [
     "closed_loop_step",
     "control_setup",
     "feedback_gain",
-    "markovian_feedback_step",
     "measurement_setup",
     "open_loop_step",
     # filters
@@ -150,7 +147,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ESTIMATORS",
     "CampaignConfig",
-    "CampaignError",
     "DelayedGainBuffer",
     "EnsembleResult",
     "FitDomainError",

@@ -13,11 +13,9 @@ simulation step is therefore Euler-Maruyama for the measurement part
 followed by the exact unitary conjugation, followed by projection back
 onto the physical state space.  The splitting keeps eigenstates of L
 exactly invariant under the measurement update and keeps the control
-rotation exactly unitary.
-
-A Markovian proportional-feedback step (control dv = f dt + s dY) is
-provided as a baseline; it is a plain Euler-Maruyama discretization of
-the corresponding closed-loop SDE.
+rotation exactly unitary.  These steppers are the Euler reference; the
+campaign engine in ensemble integrates the same model with a
+positivity-preserving Kraus step instead.
 
 All steppers accept batched states (leading axes) with matching batched
 noise increments, and evaluate the gain at the pre-step state (Ito
@@ -51,7 +49,6 @@ __all__ = [
     "feedback_gain",
     "open_loop_step",
     "closed_loop_step",
-    "markovian_feedback_step",
 ]
 
 SATURATIONS = ("piecewise_linear", "smoothstep")
@@ -218,45 +215,4 @@ def closed_loop_step(rho: np.ndarray, meas: MeasurementSetup, ctrl: ControlSetup
         dY=dY if np.ndim(dY) else float(dY),
         dv=dv if np.ndim(dv) else float(dv),
         sigma_used=sigma,
-    )
-
-
-def markovian_feedback_step(
-    rho: np.ndarray,
-    meas: MeasurementSetup,
-    H: np.ndarray,
-    f: float,
-    s: float,
-    step: StepInput,
-) -> StepOutput:
-    """Baseline proportional Markovian feedback, control increment dv = f dt + s dY.
-
-    Euler-Maruyama step of
-
-        drho = [-i f [H, rho] - i s sqrt(eta) [H, L rho + rho L] + D_L(rho) + s^2 D_H(rho)] dt
-               + [sqrt(eta) M_L(rho) - i s [H, rho]] dW,
-
-    followed by the physicality projection.  f and s are constants, not
-    state-dependent gains.
-    """
-    H = validate_hermitian(np.asarray(H, dtype=complex), name="control Hamiltonian")
-    dW = np.asarray(step.dW, dtype=float)
-    sqeta = np.sqrt(meas.eta)
-    ex = np.einsum("ij,...ji->...", meas.L, rho).real
-    dY = 2.0 * sqeta * ex * step.dt + dW
-    anticomm = meas.L @ rho + rho @ meas.L
-    com_h_rho = H @ rho - rho @ H
-    drift = (
-        -1j * (f * com_h_rho + sqeta * s * (H @ anticomm - anticomm @ H))
-        + dissipator(meas.L, rho)
-        + s * s * dissipator(H, rho)
-    )
-    diffusion = sqeta * innovation_superop(meas.L, rho) - 1j * s * com_h_rho
-    moved = rho + drift * step.dt + diffusion * dW[..., None, None]
-    dv = f * step.dt + s * dY
-    return StepOutput(
-        rho_next=project_to_physical(moved),
-        dY=dY if np.ndim(dY) else float(dY),
-        dv=dv if np.ndim(dv) else float(dv),
-        sigma_used=s,
     )

@@ -1,16 +1,34 @@
 """Seeded Monte Carlo campaigns, feedback delay, rate fitting, CSV reports.
 
-The integrator here is a vectorized implementation of the same splitting
-scheme as the public one-step functions (Euler-Maruyama measurement
-update, exact control conjugation, physicality projection), specialized
-to measurement operators that are diagonal in the working basis, so the
-measurement superoperators reduce to elementwise array products, and to
-purely imaginary control Hamiltonians H = iA (A = Im H real
-antisymmetric), so every control rotation exp(-iH x) = exp(A x) is a
-real orthogonal matrix.  From a real initial state the state therefore
-stays real symmetric, and the engine carries every state as a float64
-(m, n, n) array.  A batch of trajectories is advanced in lockstep; the
-only per-trajectory work is noise generation.
+The campaign engine advances a batch of trajectories in lockstep with the
+positivity-preserving Kraus step of Rouchon and Ralph (Phys. Rev. A 91,
+012118, 2015) followed by the exact control rotation.  With the record
+increment dy = 2 sqrt(eta) tr(L rho) dt + dW, one step is
+
+    rho <- M rho M + (1 - eta) dt L rho L,
+    M    = I - L^2 dt / 2 + sqrt(eta) L dy + (eta / 2) L^2 (dy^2 - dt),
+
+then rho <- U rho U^T with U = exp(-i H sigma dB), then rho <- rho / tr(rho).
+The engine is specialized to measurement operators that are diagonal in the
+working basis, L = diag(l): M = diag(m), and the measurement update is the
+elementwise product of rho with m m^T + (1 - eta) dt l l^T.  That factor is
+positive semidefinite, so by the Schur product theorem the state stays
+positive semidefinite with no repair, and every eigenstate of L is an exact
+fixed point (the update only rescales its one nonzero entry, and the trace
+division restores it).  A nonpositive or non-finite trace raises
+UnrecoverableStateError.  The engine is also specialized to purely
+imaginary control Hamiltonians H = iA (A = Im H real antisymmetric), so
+every control rotation exp(-iH x) = exp(A x) is a real orthogonal matrix;
+from a real initial state the state stays real symmetric, and the engine
+carries every state as a float64 (m, n, n) array.
+
+The full observer takes the same step with the same dy and dB, so started at
+the true state it stays on it.  The reduced filter adds the averaged control
+channel sigma^2 D_H as Kraus terms: M gains (sigma^2 dt / 2) A^2 and the sum
+gains sigma^2 dt A rho A^T.  The population filter is the Euler update of
+filters.population_filter_step.  The public one-step functions in dynamics
+and filters keep Euler-Maruyama with the physicality projection as the
+reference scheme; both schemes are first order in dt.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
@@ -21,13 +39,6 @@ run_ensemble cuts the ensemble into contiguous chunks, at least one per
 worker; worker count, chunk layout and recording stride therefore never
 change the bits of any trajectory, and ensembles aggregate in index
 order.
-
-The physicality projection is applied after every step.  To keep its cost
-off the hot path it screens states with a shifted batched Cholesky
-factorization (success of chol(rho + 1e-12 I) certifies the smallest
-eigenvalue is above -1e-12) and runs the eigenvalue clip only on the rows
-that fail the screen.  The screened projection agrees with the public
-project_to_physical within 1e-12 by construction.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ __all__ = [
     "CampaignConfig",
     "TrajectoryTrace",
     "EnsembleResult",
-    "CampaignError",
     "FitDomainError",
     "DelayedGainBuffer",
     "noise_generator",
@@ -72,13 +82,6 @@ ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 # layout changes the bits of any trajectory.
 CHUNK = 1000
 NOISE_BLOCK = 2048
-
-_PSD_SHIFT = 1e-12
-_TRACE_FLOOR = 1e-12
-
-
-class CampaignError(RuntimeError):
-    """Campaign-level failure (too many aborted trajectories)."""
 
 
 class FitDomainError(ValueError):
@@ -197,61 +200,27 @@ class DelayedGainBuffer:
         return out
 
 
-def _cholesky_screen(mat: np.ndarray, shift: float = _PSD_SHIFT) -> np.ndarray:
-    """True per batch row iff mat + shift*I admits a Cholesky factorization.
+def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus measurement step for L = diag(lvec), one row per record increment in dy.
 
-    Success certifies the smallest eigenvalue of the (real symmetric) row
-    is >= -shift up to factorization rounding; failure sends the row to
-    the exact eigenvalue clip.  The factorization runs entry by entry on
-    contiguous vectors over the batch, which for small n costs less than
-    batched row slices.
+    Returns the diagonal m of M and the Schur factor m m^T + (1 - eta) dt l l^T,
+    so that M rho M + (1 - eta) dt L rho L = rho * factor.
     """
-    n = mat.shape[-1]
-    a = np.moveaxis(mat, 0, -1).copy()
-    low = np.empty_like(a)
-    ok = np.ones(mat.shape[0], dtype=bool)
-    for k in range(n):
-        pivot = a[k, k] + shift
-        for j in range(k):
-            pivot -= low[k, j] * low[k, j]
-        ok &= pivot > 0.0
-        root = np.sqrt(np.where(pivot > 0.0, pivot, 1.0))
-        for i in range(k + 1, n):
-            acc = a[i, k].copy()
-            for j in range(k):
-                acc -= low[i, j] * low[k, j]
-            low[i, k] = acc / root
-    return ok
+    x = np.sqrt(eta) * dy
+    l2 = lvec * lvec
+    mvec = 1.0 - 0.5 * dt * l2 + x[:, None] * lvec + 0.5 * (x * x - eta * dt)[:, None] * l2
+    factor = mvec[:, :, None] * mvec[:, None, :]
+    factor += (1.0 - eta) * dt * np.outer(lvec, lvec)
+    return mvec, factor
 
 
-def _project_batch(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Screened physicality projection of real states; returns (states, newly_dead_mask).
-
-    Rows whose clipped trace falls below the floor are reported dead and
-    replaced by the maximally mixed state as an inert placeholder (the
-    caller stops recording them).
-    """
-    m, n = rho.shape[0], rho.shape[-1]
-    sym = 0.5 * (rho + np.swapaxes(rho, -1, -2))
-    tr = np.einsum("mii->m", sym)
-    dead = np.zeros(m, dtype=bool)
-    good = tr > _TRACE_FLOOR
-    # rows below the trace floor are divided by 1 and go to the clip regardless of the screen
-    out = sym / np.where(good, tr, 1.0)[:, None, None]
-    idx = np.flatnonzero(~good | ~_cholesky_screen(out))
-    if idx.size:
-        w, v = np.linalg.eigh(sym[idx])
-        w = np.clip(w, 0.0, None)
-        total = np.sum(w, axis=-1)
-        bad = total <= _TRACE_FLOOR
-        total = np.where(bad, 1.0, total)
-        w = w / total[:, None]
-        rec = (v * w[:, None, :]) @ np.swapaxes(v, -1, -2)
-        rec = 0.5 * (rec + np.swapaxes(rec, -1, -2))
-        rec[bad] = np.eye(n) / n
-        out[idx] = rec
-        dead[idx[bad]] = True
-    return out, dead
+def _normalize(rho: np.ndarray, start: int, step: int) -> None:
+    """Divide every row by its trace in place; a nonpositive or non-finite trace is unrecoverable."""
+    tr = np.einsum("mii->m", rho)
+    bad = np.flatnonzero(~(tr > 0.0) | ~np.isfinite(tr))
+    if bad.size:
+        raise UnrecoverableStateError(f"trajectory {start + int(bad[0])} has trace {tr[bad[0]]!r} after step {step}")
+    rho /= tr[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -279,7 +248,6 @@ class EnsembleResult:
     error_traces: np.ndarray
     v_open_traces: np.ndarray
     final_populations: np.ndarray
-    aborted: tuple[tuple[int, int], ...]
     fitted_rate: float
     fit_ci: tuple[float, float]
 
@@ -300,8 +268,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     target = ctrl.target
     eta, dt = meas.eta, cfg.dt
     sqeta = np.sqrt(eta)
-    kmat = -0.5 * (lvec[:, None] - lvec[None, :]) ** 2 * dt
-    smat = lvec[:, None] + lvec[None, :]
     # exp(-iH x) = sum_k e^{-i w_k x} v_k v_k^dagger is real for H = iA, so it is
     # the real part sum_k cos(w_k x) Re(v_k v_k^dagger) + sin(w_k x) Im(v_k v_k^dagger)
     hw, hv = np.linalg.eigh(ctrl.H)
@@ -324,7 +290,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     if estimator == "population_filter":
         delta = laplacian_matrix(ctrl.H, dec)
     if estimator == "reduced_filter":
-        # H rho H = -A rho A and H^2 = -A^2 for A = Im H
+        # H rho H = A rho A^T and H^2 = -A^2 for A = Im H
         gen = ctrl.H.imag
         gen2 = gen @ gen
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
@@ -334,16 +300,13 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     n_steps = cfg.n_steps
     stride = cfg.record_stride
     n_rec = n_steps // stride + 1
-    err = np.full((m, n_rec), np.nan)
-    vop = np.full((m, n_rec), np.nan)
-    alive = np.ones(m, dtype=bool)
-    aborted: list[tuple[int, int]] = []
+    err = np.empty((m, n_rec))
+    vop = np.empty((m, n_rec))
     sqdt = np.sqrt(dt)
 
     def _record(slot: int, p: np.ndarray):
-        e = np.sqrt(np.clip(1.0 - p[:, target], 0.0, 1.0))
-        err[alive, slot] = e[alive]
-        vop[alive, slot] = v_open(p)[alive]
+        err[:, slot] = np.sqrt(np.clip(1.0 - p[:, target], 0.0, 1.0))
+        vop[:, slot] = v_open(p)
 
     # reductions over the state index use einsum, not 2D matmul: BLAS gemm
     # results depend on the batch width at the last ulp, which would break
@@ -358,7 +321,8 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             return
         angle = dv[active, None] * hw
         rot = np.einsum("mk,kij->mij", np.concatenate([np.cos(angle), np.sin(angle)], axis=1), rot_basis)
-        states[active] = rot @ states[active] @ np.swapaxes(rot, -1, -2)
+        out = rot @ states[active] @ np.swapaxes(rot, -1, -2)
+        states[active] = 0.5 * (out + np.swapaxes(out, -1, -2))
 
     step = 0
     while step < n_steps:
@@ -373,7 +337,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 db_block[i] = g.standard_normal(blen)
             db_block *= sqdt
         for j in range(blen):
-            dw = dw_block[:, j]
             diag = np.einsum("mii->mi", rho)
             p_true = np.einsum("mi,ki->mk", diag, members)
             if estimator == "truth":
@@ -386,33 +349,23 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             sigma_app = buffer.push(sigma_sig)
             dv = sigma_app * db_block[:, j] if need_b else np.zeros(m)
 
-            exp_l = np.einsum("mi,i->m", diag, lvec)
-            factor = 1.0 + kmat + sqeta * (smat - 2.0 * exp_l[:, None, None]) * dw[:, None, None]
-            dy = 2.0 * sqeta * exp_l * dt + dw
-            rho = rho * factor
+            dy = 2.0 * sqeta * dt * np.einsum("mi,i->m", diag, lvec) + dw_block[:, j]
+            mvec, factor = _kraus_factor(lvec, eta, dt, dy)
+            rho *= factor
             _conjugate_rows(rho, dv)
-            rho, newly_dead = _project_batch(rho)
-            if newly_dead.any():
-                for i in np.flatnonzero(newly_dead & alive):
-                    aborted.append((start + int(i), step + 1))
-                alive &= ~newly_dead
+            _normalize(rho, start, step + 1)
 
             if estimator == "full_observer":
-                diag_h = np.einsum("mii->mi", rho_hat)
-                exp_h = np.einsum("mi,i->m", diag_h, lvec)
-                innov = dy - 2.0 * sqeta * exp_h * dt
-                hfac = 1.0 + kmat + sqeta * (smat - 2.0 * exp_h[:, None, None]) * innov[:, None, None]
-                rho_hat = rho_hat * hfac
+                rho_hat *= factor
                 _conjugate_rows(rho_hat, dv)
-                rho_hat, _ = _project_batch(rho_hat)
+                _normalize(rho_hat, start, step + 1)
             elif estimator == "reduced_filter":
-                diag_h = np.einsum("mii->mi", rho_hat)
-                exp_h = np.einsum("mi,i->m", diag_h, lvec)
-                innov = dy - 2.0 * sqeta * exp_h * dt
-                hfac = 1.0 + kmat + sqeta * (smat - 2.0 * exp_h[:, None, None]) * innov[:, None, None]
-                dh = 0.5 * (gen2 @ rho_hat + rho_hat @ gen2) - gen @ rho_hat @ gen
-                rho_hat = rho_hat * hfac + (sigma_app * sigma_app)[:, None, None] * dh * dt
-                rho_hat, _ = _project_batch(rho_hat)
+                s2dt = (sigma_app * sigma_app * dt)[:, None, None]
+                kraus = mvec[:, :, None] * np.eye(n) + 0.5 * s2dt * gen2
+                out = kraus @ rho_hat @ kraus + (1.0 - eta) * dt * (lvec[:, None] * rho_hat * lvec)
+                out += s2dt * (gen @ rho_hat @ gen.T)
+                rho_hat = 0.5 * (out + np.swapaxes(out, -1, -2))
+                _normalize(rho_hat, start, step + 1)
             elif estimator == "population_filter":
                 varpi = np.einsum("mi,i->m", p_hat, lam)
                 innov = dy - 2.0 * sqeta * varpi * dt
@@ -427,9 +380,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 _record(step // stride, np.einsum("mi,ki->mk", diag, members))
 
     diag = np.einsum("mii->mi", rho)
-    final_p = np.einsum("mi,ki->mk", diag, members)
-    final_p[~alive] = np.nan
-    return err, vop, final_p, aborted
+    return err, vop, np.einsum("mi,ki->mk", diag, members)
 
 
 def _chunk_task(args):
@@ -445,9 +396,7 @@ def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     """
     if not 0 <= index < cfg.trajectories:
         raise ValueError(f"trajectory index {index} outside 0..{cfg.trajectories - 1}")
-    err, vop, final_p, aborted = _integrate_chunk(cfg, index, index + 1)
-    if aborted:
-        raise UnrecoverableStateError(f"trajectory {index} aborted at step {aborted[0][1]}")
+    err, vop, final_p = _integrate_chunk(cfg, index, index + 1)
     times = np.arange(err.shape[-1]) * cfg.dt * cfg.record_stride
     return TrajectoryTrace(times=times, error=err[0], v_open=vop[0], final_populations=final_p[0])
 
@@ -469,11 +418,6 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     err = np.concatenate([p[0] for p in parts], axis=0)
     vop = np.concatenate([p[1] for p in parts], axis=0)
     final_p = np.concatenate([p[2] for p in parts], axis=0)
-    aborted = tuple(ab for p in parts for ab in p[3])
-    if len(aborted) > 0.01 * cfg.trajectories:
-        raise CampaignError(
-            f"{len(aborted)} of {cfg.trajectories} trajectories aborted with unrecoverable states"
-        )
     times = np.arange(err.shape[1]) * cfg.dt * cfg.record_stride
     n_alive = np.sum(~np.isnan(err), axis=0)
     mean_error = np.nanmean(err, axis=0)
@@ -491,7 +435,6 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         error_traces=err,
         v_open_traces=vop,
         final_populations=final_p,
-        aborted=aborted,
         fitted_rate=np.nan,
         fit_ci=(np.nan, np.nan),
     )
@@ -571,7 +514,6 @@ SUMMARY_FIELDS = (
     "ci_low",
     "ci_high",
     "trajectories",
-    "aborted",
     "t_final",
     "dt",
     "record_stride",
@@ -599,7 +541,6 @@ def write_summary_csv(result: EnsembleResult, path: str) -> None:
         "ci_low": _fmt(result.fit_ci[0]),
         "ci_high": _fmt(result.fit_ci[1]),
         "trajectories": str(cfg.trajectories),
-        "aborted": str(len(result.aborted)),
         "t_final": _fmt(cfg.t_final),
         "dt": _fmt(cfg.dt),
         "record_stride": str(cfg.record_stride),

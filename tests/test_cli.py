@@ -236,7 +236,7 @@ def test_figure_presets_cover_benchmark_campaigns():
 
 def test_cmd_certify_paths(tmp_path, capsys):
     out = tmp_path / "cert"
-    cfg_path = _write_config(tmp_path, {"p_min": 0.6, "samples": 60})
+    cfg_path = _write_config(tmp_path, {"p_min": 0.9, "samples": 60})
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
     line = capsys.readouterr().out
     assert line.startswith("certify: nu_hat=")
@@ -274,7 +274,7 @@ def test_cmd_certify_too_few_samples_exits_2(tmp_path, capsys):
 
 def test_cmd_certify_samples_override(tmp_path):
     out = tmp_path / "cert_s"
-    cfg_path = _write_config(tmp_path, {"p_min": 0.6})
+    cfg_path = _write_config(tmp_path, {"p_min": 0.9})
     assert main(["certify", "--config", cfg_path, "--out", str(out), "--samples", "33"]) == 0
     manifest = json.loads((out / "certificate_manifest.json").read_text())
     assert manifest["config"]["samples"] == 33

@@ -17,7 +17,6 @@ from qndstab.dynamics import (
     closed_loop_step,
     control_setup,
     feedback_gain,
-    markovian_feedback_step,
     measurement_setup,
     open_loop_step,
 )
@@ -247,55 +246,6 @@ def test_open_loop_populations_are_martingale(spin2_loose):
     for k in range(5):
         se = p[:, k].std(ddof=1) / np.sqrt(n_traj)
         assert abs(p[:, k].mean() - 0.2) <= 3.0 * se
-
-
-# -------------------------------------------------------- markovian baseline
-
-
-def test_markovian_step_matches_reference_composition(spin2_loose, rng):
-    meas, ctrl = spin2_loose
-    rho = random_density_matrix(5, rng)
-    h = ctrl.H
-    f, s, dt, dw = 0.3, 0.7, 1e-3, -0.15
-    out = markovian_feedback_step(rho, meas, h, f, s, StepInput(dt=dt, dW=dw))
-    sqeta = np.sqrt(meas.eta)
-    com = h @ rho - rho @ h
-    anti = meas.L @ rho + rho @ meas.L
-    drift = (
-        -1j * (f * com + sqeta * s * (h @ anti - anti @ h))
-        + _diss(meas.L, rho)
-        + s * s * _diss(h, rho)
-    )
-    diffusion = sqeta * _innov(meas.L, rho) - 1j * s * com
-    moved = rho + drift * dt + diffusion * dw
-    assert np.allclose(out.rho_next, project_to_physical(moved), atol=1e-14, rtol=0.0)
-    dy = 2.0 * sqeta * np.trace(meas.L @ rho).real * dt + dw
-    assert out.dY == pytest.approx(dy, rel=1e-12)
-    assert out.dv == pytest.approx(f * dt + s * dy, rel=1e-12)
-    assert out.sigma_used == s
-    # drift and diffusion are traceless, so the scheme preserves the trace
-    assert abs(np.trace(drift)) < 1e-12
-    assert abs(np.trace(diffusion)) < 1e-12
-
-
-def test_markovian_step_zero_gains_equals_open_loop(spin2_loose, rng):
-    meas, ctrl = spin2_loose
-    rho = random_density_matrix(5, rng)
-    step = StepInput(dt=1e-3, dW=0.23)
-    mk = markovian_feedback_step(rho, meas, ctrl.H, 0.0, 0.0, step)
-    op = open_loop_step(rho, meas, step)
-    assert np.allclose(mk.rho_next, op.rho_next, atol=2e-15, rtol=0.0)
-    assert mk.dY == op.dY
-    assert mk.dv == 0.0
-
-
-def test_markovian_step_disturbs_eigenprojectors(spin2_loose):
-    # proportional feedback keeps acting on measurement eigenstates; this is
-    # exactly the defect the noise-assisted gain law removes
-    meas, ctrl = spin2_loose
-    vertex = meas.dec.projectors[0].astype(complex)
-    out = markovian_feedback_step(vertex, meas, ctrl.H, 0.3, 0.5, StepInput(dt=1e-3, dW=0.0))
-    assert np.linalg.norm(out.rho_next - vertex) > 1e-4
 
 
 # ---------------------------------------------------------------- validation

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import populations, project_to_physical, unitary_conjugate
-from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain, open_loop_step
-from qndstab.filters import reduced_filter_step
+from qndstab.core import UnrecoverableStateError, populations, trace, unitary_conjugate
+from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
     CampaignConfig,
@@ -146,29 +145,64 @@ def _small_cfg(**over):
     return CampaignConfig(**base)
 
 
+def _kraus_step(rho, meas, dy, dt, h=None, sigma=None):
+    """Complex Rouchon-Ralph measurement step from core primitives, before the trace division.
+
+    M rho M^dag + (1 - eta) dt L rho L^dag with M = I - L^2 dt / 2 + sqrt(eta) L dy
+    + (eta / 2) L^2 (dy^2 - dt); with h and sigma given, the averaged control
+    channel adds -(sigma^2 dt / 2) H^2 to M and sigma^2 dt H rho H^dag to the sum.
+    """
+    L, eta = meas.L, meas.eta
+    dy = np.asarray(dy, dtype=float)[..., None, None]
+    l2 = L @ L
+    kraus = np.eye(5) - 0.5 * dt * l2 + np.sqrt(eta) * dy * L + 0.5 * eta * (dy * dy - dt) * l2
+    if h is not None:
+        s2dt = (np.asarray(sigma) ** 2 * dt)[..., None, None]
+        kraus = kraus - 0.5 * s2dt * (h @ h)
+    out = kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2)) + (1.0 - eta) * dt * (L @ rho @ L)
+    if h is not None:
+        out = out + s2dt * (h @ rho @ h)
+    return out
+
+
+def _record_increment(rho, meas, dw, dt):
+    return 2.0 * np.sqrt(meas.eta) * np.einsum("ij,...ji->...", meas.L, rho).real * dt + dw
+
+
 def test_engine_matches_public_step_composition():
-    """The lockstep integrator agrees with the per-step public API."""
-    cfg = _small_cfg()
-    trace = run_trajectory(cfg, 0)
+    """The lockstep integrator agrees with the Kraus step composed from core primitives.
+
+    At p_min 0.51 the control engages after about 550 of the 1000 steps, so
+    the rotation is pinned too.
+    """
+    cfg = _small_cfg(p_min=0.51, p_max=0.56, t_final=1.0)
+    steps = cfg.n_steps
+    trace_ = run_trajectory(cfg, 0)
     meas, ctrl = resolve_setups(cfg)
-    dw = noise_generator(SEED, 0, 0).standard_normal(500) * np.sqrt(cfg.dt)
-    db = noise_generator(SEED, 0, 1).standard_normal(500) * np.sqrt(cfg.dt)
+    dw = noise_generator(SEED, 0, 0).standard_normal(steps) * np.sqrt(cfg.dt)
+    db = noise_generator(SEED, 0, 1).standard_normal(steps) * np.sqrt(cfg.dt)
     rho = np.eye(5, dtype=complex) / 5.0
     errs = [np.sqrt(1.0 - populations(rho, meas.dec)[ctrl.target])]
     vops = [v_open(populations(rho, meas.dec))]
-    for j in range(500):
-        rho = closed_loop_step(rho, meas, ctrl, StepInput(cfg.dt, dw[j], db[j])).rho_next
+    engaged = 0
+    for j in range(steps):
+        dv = feedback_gain(populations(rho, meas.dec), ctrl) * db[j]
+        engaged += dv != 0.0
+        dy = _record_increment(rho, meas, dw[j], cfg.dt)
+        rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
+        rho = rho / trace(rho)
         p = populations(rho, meas.dec)
         errs.append(np.sqrt(max(1.0 - p[ctrl.target], 0.0)))
         vops.append(v_open(p))
-    assert trace.error.shape == (501,)
-    assert np.max(np.abs(trace.error - errs)) < 1e-9
-    assert np.max(np.abs(trace.v_open - vops)) < 1e-9
-    assert np.max(np.abs(trace.final_populations - populations(rho, meas.dec))) < 1e-9
+    assert engaged > 0  # the control rotation is part of the composition
+    assert trace_.error.shape == (steps + 1,)
+    assert np.max(np.abs(trace_.error - errs)) < 1e-9
+    assert np.max(np.abs(trace_.v_open - vops)) < 1e-9
+    assert np.max(np.abs(trace_.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
 def test_engine_reduced_filter_matches_public_filter_step():
-    """The engine's real reduced filter agrees with the public complex reduced_filter_step.
+    """The engine's real reduced filter agrees with its complex Kraus form built from core primitives.
 
     The plant's gain is read from the filter, so any difference in the
     filter moves the recorded errors of the true state.
@@ -184,28 +218,78 @@ def test_engine_reduced_filter_matches_public_filter_step():
     errs = [np.sqrt(1.0 - populations(rho, meas.dec)[:, ctrl.target])]
     engaged = 0
     for j in range(steps):
-        dv = feedback_gain(populations(rho_hat, meas.dec), ctrl) * db[:, j]
-        out = open_loop_step(rho, meas, StepInput(cfg.dt, dw[:, j]))
-        rho = out.rho_next
-        active = np.flatnonzero(dv)
-        engaged += active.size
-        if active.size:
-            rho[active] = project_to_physical(unitary_conjugate(ctrl.H, dv[active], rho[active]))
-        rho_hat = reduced_filter_step(rho_hat, meas, ctrl, out.dY, cfg.dt)
+        sigma = feedback_gain(populations(rho_hat, meas.dec), ctrl)
+        dv = sigma * db[:, j]
+        engaged += np.count_nonzero(dv)
+        dy = _record_increment(rho, meas, dw[:, j], cfg.dt)
+        rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
+        rho = rho / trace(rho)[:, None, None]
+        rho_hat = _kraus_step(rho_hat, meas, dy, cfg.dt, h=ctrl.H, sigma=sigma)
+        rho_hat = rho_hat / trace(rho_hat)[:, None, None]
         errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
     assert engaged > steps  # the filter drives the plant on many steps
     assert np.max(np.abs(result.error_traces - np.stack(errs, axis=1))) < 1e-9
     assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
-def test_engine_target_start_is_exact_fixed_point():
+def test_engine_target_start_is_exact_fixed_point(monkeypatch):
+    """Every eigenstate |k><k| of L, the target and each wrong one, is a bitwise fixed point in open loop.
+
+    A wrong eigenstate is started through a control setup that names it as
+    the target; with sigma_bar = 0 the loop is open.
+    """
+    meas, ctrl = resolve_setups(_small_cfg())
     cfg = _small_cfg(initial="target", sigma_bar=0.0, trajectories=3)
+    for level in range(5):
+        ctrl_k = control_setup(ctrl.H, meas.dec, level, 0.0, ctrl.p_min, ctrl.p_max)
+        monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg, ctrl_k=ctrl_k: (meas, ctrl_k))
+        result = run_ensemble(cfg)
+        assert np.all(result.error_traces == 0.0), level
+        assert np.all(result.v_open_traces == 0.0), level
+        expected = np.zeros(5)
+        expected[level] = 1.0
+        assert np.array_equal(result.final_populations, np.tile(expected, (3, 1))), level
+
+
+def test_kraus_step_stays_positive_where_euler_fails():
+    """One coarse step at eta = 1: the Euler factor leaves the state cone, the Kraus factor does not."""
+    meas, _ = resolve_setups(_small_cfg(eta=1.0))
+    lvec = np.diagonal(meas.L).real
+    dt, dw = 0.1, 0.8
+    psi = np.full(5, 1.0 / np.sqrt(5.0))
+    rho = np.outer(psi, psi)
+    ex = lvec @ np.diagonal(rho)
+    euler = rho * (1.0 - 0.5 * dt * np.subtract.outer(lvec, lvec) ** 2 + (np.add.outer(lvec, lvec) - 2.0 * ex) * dw)
+    assert np.min(np.linalg.eigvalsh(euler)) < -1e-12
+    dy = np.array([2.0 * ex * dt + dw])
+    _, factor = ensemble._kraus_factor(lvec, 1.0, dt, dy)
+    kraus = rho * factor
+    ensemble._normalize(kraus, 0, 1)
+    assert np.min(np.linalg.eigvalsh(kraus[0])) >= -1e-12
+    assert abs(np.trace(kraus[0]) - 1.0) <= 1e-12
+
+
+def test_normalize_rejects_lost_trace():
+    good = np.eye(2) / 2.0
+    for bad in (np.zeros((2, 2)), -good, np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
+        with pytest.raises(UnrecoverableStateError, match="trajectory 8 "):
+            ensemble._normalize(np.stack([good, bad]), 7, 3)
+    rho = np.stack([2.0 * good, 4.0 * good])
+    ensemble._normalize(rho, 0, 1)
+    assert np.array_equal(rho, np.stack([good, good]))
+
+
+def test_engine_survives_coarse_step_and_strong_control():
+    """dt = 0.02 at eta = 1 with a strong control: no exception, populations on the simplex."""
+    cfg = _small_cfg(
+        eta=1.0, sigma_bar=20.0, p_min=0.51, p_max=0.56, dt=0.02, t_final=4.0,
+        record_stride=10, trajectories=50, fit_window=(1.0, 4.0),
+    )
     result = run_ensemble(cfg)
-    assert np.all(result.error_traces == 0.0)
-    expected = np.zeros(5)
-    expected[2] = 1.0
-    assert np.array_equal(result.final_populations, np.tile(expected, (3, 1)))
-    assert result.aborted == ()
+    p = result.final_populations
+    assert np.all(np.isfinite(result.error_traces))
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_run_trajectory_equals_ensemble_member():
@@ -323,7 +407,6 @@ def _synthetic_result(traces, times, v_traces=None, base_seed=SEED):
         error_traces=traces,
         v_open_traces=v_traces,
         final_populations=np.full((traces.shape[0], 5), 0.2),
-        aborted=(),
         fitted_rate=np.nan,
         fit_ci=(np.nan, np.nan),
     )
@@ -420,7 +503,6 @@ def test_csv_round_trips(tmp_path):
     assert float(summary["ci_low"]) == result.fit_ci[0]
     assert float(summary["ci_high"]) == result.fit_ci[1]
     assert summary["trajectories"] == "16"
-    assert summary["aborted"] == "0"
     assert summary["estimator"] == "population_filter"
     assert summary["initial"] == "mixed"
     assert float(summary["p_max"]) == 0.65
