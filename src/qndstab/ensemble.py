@@ -9,18 +9,29 @@ increment dy = 2 sqrt(eta) tr(L rho) dt + dW, one step is
     M    = I - L^2 dt / 2 + sqrt(eta) L dy + (eta / 2) L^2 (dy^2 - dt),
 
 then rho <- U rho U^T with U = exp(-i H sigma dB), then rho <- rho / tr(rho).
-The engine is specialized to measurement operators that are diagonal in the
-working basis, L = diag(l): M = diag(m), and the measurement update is the
-elementwise product of rho with m m^T + (1 - eta) dt l l^T.  That factor is
-positive semidefinite, so by the Schur product theorem the state stays
-positive semidefinite with no repair, and every eigenstate of L is an exact
-fixed point (the update only rescales its one nonzero entry, and the trace
-division restores it).  A nonpositive or non-finite trace raises
-UnrecoverableStateError.  The engine is also specialized to purely
-imaginary control Hamiltonians H = iA (A = Im H real antisymmetric), so
-every control rotation exp(-iH x) = exp(A x) is a real orthogonal matrix;
-from a real initial state the state stays real symmetric, and the engine
-carries every state as a float64 (m, n, n) array.
+The engine is specialized to nondegenerate measurement operators that are
+diagonal in the working basis, L = diag(l); it sorts the basis by descending
+l, so the state diagonal lists the populations in eigenvalue order.  Then
+M = diag(m), and the measurement update is the elementwise product of rho
+with m m^T + (1 - eta) dt l l^T.  That factor is positive semidefinite, so
+by the Schur product theorem the state stays positive semidefinite with no
+repair, and every eigenstate of L is an exact fixed point (the update only
+rescales its one nonzero entry, and the trace division restores it).  A
+nonpositive or non-finite trace raises UnrecoverableStateError.  The engine
+is also specialized to purely imaginary control Hamiltonians H = iA (A = Im H
+real antisymmetric), so every control rotation exp(-iH x) = exp(A x) is a
+real orthogonal matrix; from a real initial state the state stays real
+symmetric.
+
+States are float64, packed and batch-last: a chunk of m trajectories
+carries its n x n states as one (n(n+1)/2, m) array, the n diagonal entries
+first, then the upper triangle row by row, one trajectory per column (the
+population filter's estimate is a (d, m) array).  The measurement update,
+the trace, the record increment and the population filter are row
+operations on contiguous rows of m; the populations are the view [:n].
+Only the columns whose control angle is nonzero are unpacked to (k, n, n)
+matrices for the rotation, as are the reduced filter's states for its
+matrix products, and repacked after.
 
 The full observer takes the same step with the same dy and dB, so started at
 the true state it stays on it.  The reduced filter adds the averaged control
@@ -33,8 +44,13 @@ reference scheme; both schemes are first order in dt.
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
 W and (base_seed, 4*index + 1) for the control noise B, and every
-reduction over a state index is an einsum or a per-matrix product, so a
-trajectory's bits do not depend on which rows share its batch.
+reduction over a state index takes a fixed order at every batch width: an
+explicit accumulation over rows, a per-matrix product, the per-row einsum
+that builds each rotation, a max, or v_open on an (m, n) C-order copy.
+numpy's own sums pick their order from the memory layout, and a width-1
+chunk is contiguous along the state axis, so they are not used over that
+axis.  A trajectory's bits therefore do not depend on which rows share its
+batch.
 run_ensemble cuts the ensemble into contiguous chunks, at least one per
 worker; worker count, chunk layout and recording stride therefore never
 change the bits of any trajectory, and ensembles aggregate in index
@@ -200,27 +216,77 @@ class DelayedGainBuffer:
         return out
 
 
-def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus measurement step for L = diag(lvec), one row per record increment in dy.
+class _Packed:
+    """Packed batch-last layout of real symmetric n x n matrices.
 
-    Returns the diagonal m of M and the Schur factor m m^T + (1 - eta) dt l l^T,
-    so that M rho M + (1 - eta) dt L rho L = rho * factor.
+    A (n(n+1)/2, m) array holds m matrices, one per column.  Row r holds
+    entry (i[r], j[r]) of each: the n diagonal entries first, in order, then
+    the upper triangle row by row, so the diagonals are the view [:n].
+    """
+
+    def __init__(self, n: int):
+        iu, ju = np.triu_indices(n, 1)
+        self.n = n
+        self.i = np.concatenate([np.arange(n), iu])
+        self.j = np.concatenate([np.arange(n), ju])
+        rows = np.empty((n, n), dtype=np.intp)
+        rows[self.i, self.j] = rows[self.j, self.i] = np.arange(self.i.size)
+        self._rows = rows.ravel()
+        self._upper = self.i * n + self.j
+        self._lower = self.j * n + self.i
+
+    def pack(self, mats: np.ndarray) -> np.ndarray:
+        """(k, n, n) -> (n(n+1)/2, k), symmetrized: entry (i, j) becomes (a_ij + a_ji) / 2."""
+        flat = mats.reshape(-1, self.n * self.n).T
+        return 0.5 * (flat[self._upper] + flat[self._lower])
+
+    def unpack(self, cols: np.ndarray) -> np.ndarray:
+        """(n(n+1)/2, k) -> (k, n, n)."""
+        return cols.T[:, self._rows].reshape(-1, self.n, self.n)
+
+
+def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
+    """sum_r weights[r] * rows[r] over the leading (state) axis, accumulated in row order.
+
+    numpy picks a reduction's summation order from the memory layout
+    (pairwise over a contiguous axis of 8 or more, SIMD kernels inside
+    einsum), and a width-1 batch-last array is contiguous along the state
+    axis; a fixed order keeps a trajectory's bits independent of the width.
+    """
+    if weights is None:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    total = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        total += w * row
+    return total
+
+
+def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus measurement step for L = diag(lvec), one column per record increment in dy.
+
+    Returns the diagonal m of M, shape (n, k), and the packed Schur factor
+    m m^T + (1 - eta) dt l l^T, shape (n(n+1)/2, k), so that
+    M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.
     """
     x = np.sqrt(eta) * dy
-    l2 = lvec * lvec
-    mvec = 1.0 - 0.5 * dt * l2 + x[:, None] * lvec + 0.5 * (x * x - eta * dt)[:, None] * l2
-    factor = mvec[:, :, None] * mvec[:, None, :]
-    factor += (1.0 - eta) * dt * np.outer(lvec, lvec)
+    l2 = (lvec * lvec)[:, None]
+    mvec = 1.0 - 0.5 * dt * l2 + lvec[:, None] * x + 0.5 * (x * x - eta * dt) * l2
+    factor = mvec[pk.i] * mvec[pk.j]
+    factor += ((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None]
     return mvec, factor
 
 
-def _normalize(rho: np.ndarray, start: int, step: int) -> None:
-    """Divide every row by its trace in place; a nonpositive or non-finite trace is unrecoverable."""
-    tr = np.einsum("mii->m", rho)
-    bad = np.flatnonzero(~(tr > 0.0) | ~np.isfinite(tr))
-    if bad.size:
-        raise UnrecoverableStateError(f"trajectory {start + int(bad[0])} has trace {tr[bad[0]]!r} after step {step}")
-    rho /= tr[:, None, None]
+def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
+    """Divide every packed column by its trace in place; a nonpositive or non-finite trace is unrecoverable."""
+    tr = _rowsum(rho[:n])
+    ok = (tr > 0.0) & (tr < np.inf)
+    if not ok.all():
+        bad = int(np.flatnonzero(~ok)[0])
+        raise UnrecoverableStateError(f"trajectory {start + bad} has trace {tr[bad]!r} after step {step}")
+    rho /= tr
 
 
 @dataclass(frozen=True)
@@ -256,21 +322,27 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring."""
     meas, ctrl = resolve_setups(cfg)
     dec = meas.dec
-    n, d = dec.n, dec.d
+    n = dec.n
     lvec = np.diagonal(meas.L).real
     if np.max(np.abs(meas.L - np.diag(lvec))) != 0.0:
         raise ValueError("campaign integrator requires a measurement operator diagonal in the working basis")
+    if dec.d != n:
+        raise ValueError("campaign integrator requires a nondegenerate measurement operator")
     if np.any(ctrl.H.real != 0.0):
         raise ValueError("campaign integrator requires a purely imaginary control Hamiltonian (real rotations)")
-    # membership matrix: populations are index-group sums of the state diagonal
-    members = (np.abs(lvec[None, :] - dec.eigenvalues[:, None]) < 1e-8).astype(float)
+    # reorder the basis by descending eigenvalue of L, so that the state
+    # diagonal lists the populations in the decomposition's order
+    order = np.argsort(-lvec, kind="stable")
+    lvec = lvec[order]
+    h = ctrl.H[np.ix_(order, order)]
     lam = dec.eigenvalues
     target = ctrl.target
     eta, dt = meas.eta, cfg.dt
     sqeta = np.sqrt(eta)
+    pk = _Packed(n)
     # exp(-iH x) = sum_k e^{-i w_k x} v_k v_k^dagger is real for H = iA, so it is
     # the real part sum_k cos(w_k x) Re(v_k v_k^dagger) + sin(w_k x) Im(v_k v_k^dagger)
-    hw, hv = np.linalg.eigh(ctrl.H)
+    hw, hv = np.linalg.eigh(h)
     outer = hv.T[:, :, None] * np.conj(hv.T)[:, None, :]
     rot_basis = np.concatenate([outer.real, outer.imag])
     need_b = ctrl.sigma_bar > 0.0
@@ -278,20 +350,19 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
     m = stop - start
     if cfg.initial == "target":
-        rho0 = dec.projectors[target].real / dec.multiplicities[target]
-        p0 = np.zeros(d)
+        p0 = np.zeros(n)
         p0[target] = 1.0
     else:
-        rho0 = np.eye(n) / n
-        p0 = np.full(d, 1.0 / d)
-    rho = np.broadcast_to(rho0, (m, n, n)).copy()
+        p0 = np.full(n, 1.0 / n)
+    rho = np.tile(pk.pack(np.diag(p0)[None]), (1, m))
     rho_hat = rho.copy() if estimator in ("full_observer", "reduced_filter") else None
-    p_hat = np.broadcast_to(p0, (m, d)).copy() if estimator == "population_filter" else None
+    p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
     if estimator == "population_filter":
-        delta = laplacian_matrix(ctrl.H, dec)
+        # column k' of Delta, as weights over the rows of p_hat
+        delta_cols = laplacian_matrix(ctrl.H, dec).T[:, :, None]
     if estimator == "reduced_filter":
         # H rho H = A rho A^T and H^2 = -A^2 for A = Im H
-        gen = ctrl.H.imag
+        gen = h.imag
         gen2 = gen @ gen
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
@@ -305,24 +376,25 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     sqdt = np.sqrt(dt)
 
     def _record(slot: int, p: np.ndarray):
-        err[:, slot] = np.sqrt(np.clip(1.0 - p[:, target], 0.0, 1.0))
-        vop[:, slot] = v_open(p)
+        err[:, slot] = np.sqrt(np.clip(1.0 - p[target], 0.0, 1.0))
+        # v_open sums over its last axis; an (m, n) C-order copy keeps that
+        # sum's order the same at every width
+        vop[:, slot] = v_open(np.ascontiguousarray(p.T))
 
-    # reductions over the state index use einsum, not 2D matmul: BLAS gemm
-    # results depend on the batch width at the last ulp, which would break
-    # the bit-identity of a trajectory across chunk layouts
-    diag = np.einsum("mii->mi", rho)
-    p_true = np.einsum("mi,ki->mk", diag, members)
-    _record(0, p_true)
+    _record(0, rho[:n])
 
+    # the rotation and the reduced filter's products run per matrix on
+    # unpacked (k, n, n) copies: a 2D BLAS gemm over the batch would round
+    # differently at different widths
     def _conjugate_rows(states: np.ndarray, dv: np.ndarray) -> None:
         active = np.flatnonzero(dv)
         if active.size == 0:
             return
         angle = dv[active, None] * hw
         rot = np.einsum("mk,kij->mij", np.concatenate([np.cos(angle), np.sin(angle)], axis=1), rot_basis)
-        out = rot @ states[active] @ np.swapaxes(rot, -1, -2)
-        states[active] = 0.5 * (out + np.swapaxes(out, -1, -2))
+        # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
+        rot_t = np.ascontiguousarray(np.swapaxes(rot, -1, -2))
+        states[:, active] = pk.pack(rot @ pk.unpack(states[:, active]) @ rot_t)
 
     step = 0
     while step < n_steps:
@@ -337,50 +409,48 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 db_block[i] = g.standard_normal(blen)
             db_block *= sqdt
         for j in range(blen):
-            diag = np.einsum("mii->mi", rho)
-            p_true = np.einsum("mi,ki->mk", diag, members)
+            p_true = rho[:n]
             if estimator == "truth":
                 p_est = p_true
             elif estimator == "population_filter":
                 p_est = p_hat
             else:
-                p_est = np.einsum("mi,ki->mk", np.einsum("mii->mi", rho_hat), members)
-            sigma_sig = np.asarray(feedback_gain(p_est, ctrl))
-            sigma_app = buffer.push(sigma_sig)
+                p_est = rho_hat[:n]
+            # the gain's only reduction is a max, exact in any order
+            sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
             dv = sigma_app * db_block[:, j] if need_b else np.zeros(m)
 
-            dy = 2.0 * sqeta * dt * np.einsum("mi,i->m", diag, lvec) + dw_block[:, j]
-            mvec, factor = _kraus_factor(lvec, eta, dt, dy)
+            dy = 2.0 * sqeta * dt * _rowsum(p_true, lvec) + dw_block[:, j]
+            mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
             rho *= factor
             _conjugate_rows(rho, dv)
-            _normalize(rho, start, step + 1)
+            _normalize(rho, n, start, step + 1)
 
             if estimator == "full_observer":
                 rho_hat *= factor
                 _conjugate_rows(rho_hat, dv)
-                _normalize(rho_hat, start, step + 1)
+                _normalize(rho_hat, n, start, step + 1)
             elif estimator == "reduced_filter":
+                mats = pk.unpack(rho_hat)
                 s2dt = (sigma_app * sigma_app * dt)[:, None, None]
-                kraus = mvec[:, :, None] * np.eye(n) + 0.5 * s2dt * gen2
-                out = kraus @ rho_hat @ kraus + (1.0 - eta) * dt * (lvec[:, None] * rho_hat * lvec)
-                out += s2dt * (gen @ rho_hat @ gen.T)
-                rho_hat = 0.5 * (out + np.swapaxes(out, -1, -2))
-                _normalize(rho_hat, start, step + 1)
+                kraus = mvec.T[:, :, None] * np.eye(n) + 0.5 * s2dt * gen2
+                out = kraus @ mats @ kraus + (1.0 - eta) * dt * (lvec[:, None] * mats * lvec)
+                out += s2dt * (gen @ mats @ gen.T)
+                rho_hat = pk.pack(out)
+                _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                varpi = np.einsum("mi,i->m", p_hat, lam)
+                varpi = _rowsum(p_hat, lam)
                 innov = dy - 2.0 * sqeta * varpi * dt
-                p_new = p_hat + 2.0 * sqeta * p_hat * (lam - varpi[:, None]) * innov[:, None]
-                p_new += (sigma_app * sigma_app)[:, None] * np.einsum("mi,ki->mk", p_hat, delta) * dt
-                p_new = np.clip(p_new, 0.0, None)
-                p_hat = p_new / np.sum(p_new, axis=-1, keepdims=True)
+                p_new = p_hat + 2.0 * sqeta * p_hat * (lam[:, None] - varpi) * innov
+                p_new += (sigma_app * sigma_app) * _rowsum(p_hat, delta_cols) * dt
+                np.clip(p_new, 0.0, None, out=p_new)
+                p_hat = p_new / _rowsum(p_new)
 
             step += 1
             if step % stride == 0:
-                diag = np.einsum("mii->mi", rho)
-                _record(step // stride, np.einsum("mi,ki->mk", diag, members))
+                _record(step // stride, rho[:n])
 
-    diag = np.einsum("mii->mi", rho)
-    return err, vop, np.einsum("mi,ki->mk", diag, members)
+    return err, vop, np.ascontiguousarray(rho[:n].T)
 
 
 def _chunk_task(args):
@@ -420,9 +490,9 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     final_p = np.concatenate([p[2] for p in parts], axis=0)
     times = np.arange(err.shape[1]) * cfg.dt * cfg.record_stride
     n_alive = np.sum(~np.isnan(err), axis=0)
-    mean_error = np.nanmean(err, axis=0)
-    q10, q50, q90 = np.nanpercentile(err, [10.0, 50.0, 90.0], axis=0)
-    mean_v_open = np.nanmean(vop, axis=0)
+    mean_error = np.mean(err, axis=0)
+    q10, q50, q90 = np.percentile(err, [10.0, 50.0, 90.0], axis=0)
+    mean_v_open = np.mean(vop, axis=0)
     result = EnsembleResult(
         cfg=cfg,
         times=times,
@@ -485,7 +555,7 @@ def estimate_rate(
     twin = result.times[mask]
     for r in range(resamples):
         pick = rng.integers(0, n_traj, size=n_traj)
-        mboot = np.nanmean(sub[pick], axis=0)
+        mboot = np.mean(sub[pick], axis=0)
         if np.any(~np.isfinite(mboot)) or np.any(mboot <= 0.0):
             boot[r] = np.nan
             continue

@@ -7,7 +7,7 @@ import pytest
 
 from qndstab import ensemble
 from qndstab.core import UnrecoverableStateError, populations, trace, unitary_conjugate
-from qndstab.dynamics import control_setup, feedback_gain
+from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.ensemble import (
     ESTIMATORS,
     CampaignConfig,
@@ -24,6 +24,7 @@ from qndstab.ensemble import (
     write_series_csv,
     write_summary_csv,
 )
+from qndstab.filters import laplacian_matrix, population_filter_step
 from qndstab.lyapunov import v_open
 
 SEED = 4242
@@ -232,6 +233,36 @@ def test_engine_reduced_filter_matches_public_filter_step():
     assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
+def test_engine_population_filter_matches_public_filter_step():
+    """The engine's population filter agrees with filters.population_filter_step beside a Kraus plant.
+
+    The plant's gain is read from the filter, so any difference in the
+    filter moves the recorded errors of the true state.
+    """
+    cfg = _small_cfg(estimator="population_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
+    result = run_ensemble(cfg)
+    meas, ctrl = resolve_setups(cfg)
+    delta = laplacian_matrix(ctrl.H, meas.dec)
+    m, steps = cfg.trajectories, cfg.n_steps
+    dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
+    db = np.stack([noise_generator(SEED, i, 1).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
+    rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (m, 5, 5)).copy()
+    p_hat = np.full((m, 5), 0.2)
+    errs = [np.sqrt(1.0 - populations(rho, meas.dec)[:, ctrl.target])]
+    engaged = 0
+    for j in range(steps):
+        dv = feedback_gain(p_hat, ctrl) * db[:, j]
+        engaged += np.count_nonzero(dv)
+        dy = _record_increment(rho, meas, dw[:, j], cfg.dt)
+        rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
+        rho = rho / trace(rho)[:, None, None]
+        p_hat = population_filter_step(p_hat, meas, ctrl, delta, dy, cfg.dt)
+        errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
+    assert engaged > steps  # the filter drives the plant on many steps
+    assert np.max(np.abs(result.error_traces - np.stack(errs, axis=1))) < 1e-9
+    assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
+
+
 def test_engine_target_start_is_exact_fixed_point(monkeypatch):
     """Every eigenstate |k><k| of L, the target and each wrong one, is a bitwise fixed point in open loop.
 
@@ -262,21 +293,24 @@ def test_kraus_step_stays_positive_where_euler_fails():
     euler = rho * (1.0 - 0.5 * dt * np.subtract.outer(lvec, lvec) ** 2 + (np.add.outer(lvec, lvec) - 2.0 * ex) * dw)
     assert np.min(np.linalg.eigvalsh(euler)) < -1e-12
     dy = np.array([2.0 * ex * dt + dw])
-    _, factor = ensemble._kraus_factor(lvec, 1.0, dt, dy)
-    kraus = rho * factor
-    ensemble._normalize(kraus, 0, 1)
-    assert np.min(np.linalg.eigvalsh(kraus[0])) >= -1e-12
-    assert abs(np.trace(kraus[0]) - 1.0) <= 1e-12
+    pk = ensemble._Packed(5)
+    _, factor = ensemble._kraus_factor(lvec, 1.0, dt, dy, pk)
+    kraus = pk.pack(rho[None]) * factor
+    ensemble._normalize(kraus, 5, 0, 1)
+    kraus = pk.unpack(kraus)[0]
+    assert np.min(np.linalg.eigvalsh(kraus)) >= -1e-12
+    assert abs(np.trace(kraus) - 1.0) <= 1e-12
 
 
 def test_normalize_rejects_lost_trace():
+    pk = ensemble._Packed(2)
     good = np.eye(2) / 2.0
     for bad in (np.zeros((2, 2)), -good, np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
         with pytest.raises(UnrecoverableStateError, match="trajectory 8 "):
-            ensemble._normalize(np.stack([good, bad]), 7, 3)
-    rho = np.stack([2.0 * good, 4.0 * good])
-    ensemble._normalize(rho, 0, 1)
-    assert np.array_equal(rho, np.stack([good, good]))
+            ensemble._normalize(pk.pack(np.stack([good, bad])), 2, 7, 3)
+    rho = pk.pack(np.stack([2.0 * good, 4.0 * good]))
+    ensemble._normalize(rho, 2, 0, 1)
+    assert np.array_equal(pk.unpack(rho), np.stack([good, good]))
 
 
 def test_engine_survives_coarse_step_and_strong_control():
@@ -351,6 +385,28 @@ def test_ensemble_chunked_workers_deterministic(monkeypatch):
     assert np.array_equal(r1.error_traces, r3.error_traces)
 
 
+def test_ensemble_layout_invariant_at_nine_levels(monkeypatch):
+    """J = 4 (n = 9): numpy sums 8 or more contiguous terms pairwise, which a width-1 chunk must not reach.
+
+    Workers 4 gives chunks of 1, 2, 2, 2 rows, and run_trajectory is a
+    width-1 chunk too; the control engages on every row.
+    """
+    monkeypatch.setattr(ensemble, "CHUNK", 3)
+    fields = ("error_traces", "v_open_traces", "final_populations")
+    for estimator in ESTIMATORS:
+        cfg = _small_cfg(J=4.0, trajectories=7, p_min=0.51, p_max=0.56, t_final=1.0, estimator=estimator, fit_window=(0.1, 0.9))
+        r1 = run_ensemble(cfg)
+        for workers in (2, 3, 4):
+            rw = run_ensemble(replace(cfg, workers=workers))
+            for field in fields:
+                assert getattr(rw, field).tobytes() == getattr(r1, field).tobytes(), (estimator, workers, field)
+        for index in (0, 6):
+            twin = run_trajectory(cfg, index)
+            assert twin.error.tobytes() == r1.error_traces[index].tobytes(), (estimator, index)
+            assert twin.v_open.tobytes() == r1.v_open_traces[index].tobytes(), (estimator, index)
+            assert twin.final_populations.tobytes() == r1.final_populations[index].tobytes(), (estimator, index)
+
+
 def test_chunk_layout_follows_workers():
     assert ensemble._chunk_bounds(1000, 1) == [(0, 1000)]
     assert ensemble._chunk_bounds(1000, 2) == [(0, 500), (500, 1000)]
@@ -367,6 +423,33 @@ def test_engine_rejects_control_hamiltonian_with_real_part(monkeypatch):
     monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg: (meas, ctrl_real))
     with pytest.raises(ValueError, match="purely imaginary"):
         run_trajectory(_small_cfg(), 0)
+
+
+def test_engine_rejects_unsupported_measurement_operator(monkeypatch):
+    _, ctrl = resolve_setups(_small_cfg())
+    off_diagonal = np.diag([2.0, 1.0, 0.0, -1.0, -2.0])
+    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.1
+    for L, match in ((off_diagonal, "diagonal"), (np.diag([2.0, 1.0, 1.0, -1.0, -2.0]), "nondegenerate")):
+        meas = measurement_setup(L, 0.8)
+        ctrl_l = control_setup(ctrl.H, meas.dec, 1, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
+        monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg, meas=meas, ctrl_l=ctrl_l: (meas, ctrl_l))
+        with pytest.raises(ValueError, match=match):
+            run_trajectory(_small_cfg(), 0)
+
+
+def test_engine_result_does_not_depend_on_basis_order(monkeypatch):
+    """The engine sorts the basis by descending eigenvalue of L; a reversed basis gives the same bits."""
+    cfg = _small_cfg(trajectories=3, p_min=0.51, p_max=0.56, t_final=1.0, fit_window=(0.1, 0.9))
+    sorted_result = run_ensemble(cfg)
+    meas, ctrl = resolve_setups(cfg)
+    rev = np.arange(5)[::-1]
+    meas_r = measurement_setup(meas.L[np.ix_(rev, rev)], meas.eta)
+    ctrl_r = control_setup(ctrl.H[np.ix_(rev, rev)], meas_r.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
+    monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg: (meas_r, ctrl_r))
+    reversed_result = run_ensemble(cfg)
+    assert np.any(sorted_result.error_traces != sorted_result.error_traces[:, :1])
+    for field in ("error_traces", "v_open_traces", "final_populations"):
+        assert np.array_equal(getattr(reversed_result, field), getattr(sorted_result, field)), field
 
 
 def test_ensemble_aggregates_are_consistent():
