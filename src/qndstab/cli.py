@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .dynamics import control_setup
 from .ensemble import (
@@ -217,12 +217,17 @@ def parse_certify_config(text: str) -> dict:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Record of one invocation: resolved config, output directory, artifact checksums."""
+    """Record of one invocation: resolved config, output directory, artifact checksums.
+
+    counters holds deterministic run counts; certify fills it with each
+    stratum's draws and accepted samples.
+    """
 
     command: str
     config: dict
     out_dir: str
     checksums: dict
+    counters: dict = field(default_factory=dict)
 
 
 def _sha256(path: str) -> str:
@@ -345,6 +350,7 @@ def _cmd_certify(args) -> int:
         config=doc,
         out_dir=out_dir,
         checksums={"certificate.csv": _sha256(cert_path)},
+        counters={s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata},
     )
     _write_manifest(manifest, os.path.join(out_dir, "certificate_manifest.json"))
     flag = "certified" if report.certified else "NOT certified"

@@ -203,13 +203,22 @@ def project_to_physical(m: np.ndarray, trace_floor: float = 1e-12) -> np.ndarray
     return hermitian_part(out)
 
 
+def ginibre_states(z: np.ndarray) -> np.ndarray:
+    """States G G^dag / tr(G G^dag) with G = z[..., 0, :, :] + i z[..., 1, :, :].
+
+    z holds real standard normals of shape (..., 2, n, rank); every leading
+    index gives one state, bit for bit the state a lone (2, n, rank) draw gives.
+    """
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    m = g @ np.conj(np.swapaxes(g, -1, -2))
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+
+
 def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Hilbert-Schmidt random state from a complex Ginibre factor of given rank."""
     if rank is None:
         rank = n
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    m = g @ np.conj(g.T)
-    return m / np.real(np.trace(m))
+    return ginibre_states(rng.standard_normal((2, n, rank)))
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

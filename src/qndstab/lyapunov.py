@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import populations, random_density_matrix
+from .core import ginibre_states, populations
 from .dynamics import (
     ControlSetup,
     MeasurementSetup,
@@ -252,12 +252,16 @@ def generator_terms(
 
 @dataclass(frozen=True)
 class StratumResult:
-    """Contraction margin over one sampling stratum."""
+    """Contraction margin over one sampling stratum.
+
+    draws counts every candidate state drawn, the rejected ones included.
+    """
 
     name: str
     samples: int
     min_ratio: float
     worst_populations: np.ndarray
+    draws: int
 
 
 @dataclass(frozen=True)
@@ -273,13 +277,75 @@ class CertificateReport:
     c_high: float = 0.0
 
 
-def _vertex_state(dec, j: int) -> np.ndarray:
-    return dec.projectors[j] / dec.multiplicities[j]
+def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
+    """count mixtures (1 - u) vertex + u rho, split over the wrong vertices.
+
+    Each vertex block is led by its exact vertex.  Every other row draws u
+    and then its Ginibre factor, so the draws stay in a loop; the states
+    are then built once per vertex block.
+    """
+    n = dec.n
+    wrong = [k for k in range(dec.d) if k != target]
+    per_vertex = [count // len(wrong)] * len(wrong)
+    for i in range(count - sum(per_vertex)):
+        per_vertex[i] += 1
+    states = np.empty((count, n, n), dtype=complex)
+    row = 0
+    for j, block in zip(wrong, per_vertex):
+        if block == 0:
+            continue
+        vert = dec.projectors[j] / dec.multiplicities[j]
+        u = np.empty(block - 1)
+        z = np.empty((block - 1, 2, n, n))
+        for i in range(block - 1):
+            u[i] = rng.uniform(0.0, tv_radius)
+            z[i] = rng.standard_normal((2, n, n))
+        states[row] = vert
+        states[row + 1 : row + block] = (
+            (1.0 - u)[:, None, None] * vert + u[:, None, None] * ginibre_states(z)
+        )
+        row += block
+    return states
 
 
-def _diagonal_state(dec, p: np.ndarray) -> np.ndarray:
-    weights = p / dec.multiplicities
-    return np.einsum("k,kij->ij", weights.astype(complex), dec.projectors)
+def _screened_states(draw, count, dec, target, target_exclusion) -> tuple[np.ndarray, int]:
+    """count states with 1 - p_target >= target_exclusion, and the candidates drawn.
+
+    Each round draws exactly the missing count and keeps its admissible rows
+    in order.  Sequential rejection would draw at least that many more, so
+    the random stream is consumed exactly as one-at-a-time rejection does.
+    """
+    states = np.empty((count, dec.n, dec.n), dtype=complex)
+    kept = draws = 0
+    while kept < count:
+        batch = draw(count - kept)
+        draws += len(batch)
+        batch = batch[1.0 - populations(batch, dec)[:, target] >= target_exclusion]
+        states[kept : kept + len(batch)] = batch
+        kept += len(batch)
+    return states, draws
+
+
+def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
+    """(name, states, draws) for the near-vertex, bulk and diagonal strata, in draw order."""
+    rng = np.random.default_rng(seed)
+    d, n = dec.d, dec.n
+    n_near = samples // 3
+    n_bulk = samples // 3
+    near = _near_vertex_states(dec, target, n_near, tv_radius, rng)
+    bulk, bulk_draws = _screened_states(
+        lambda k: ginibre_states(rng.standard_normal((k, 2, n, n))),
+        n_bulk, dec, target, target_exclusion,
+    )
+    diag, diag_draws = _screened_states(
+        lambda k: np.einsum(
+            "...k,kij->...ij",
+            (rng.dirichlet(np.ones(d), k) / dec.multiplicities).astype(complex),
+            dec.projectors,
+        ),
+        samples - n_near - n_bulk, dec, target, target_exclusion,
+    )
+    return [("near_vertex", near, n_near), ("bulk", bulk, bulk_draws), ("diagonal", diag, diag_draws)]
 
 
 def certify_decay(
@@ -297,61 +363,40 @@ def certify_decay(
     distance tv_radius, including the exact vertices), one third
     Hilbert-Schmidt-uniform bulk states, one third diagonal mixtures of
     the eigenspaces.  States with 1 - p_target < target_exclusion are
-    excluded (the ratio is singular at the target).  nu_hat is the global
-    minimum ratio; certification requires nu_hat > 0.
+    excluded from the bulk and diagonal strata (the ratio is singular at
+    the target).  nu_hat is the global minimum ratio; certification
+    requires nu_hat > 0.
+
+    All three strata draw from one generator seeded by seed, in this
+    order: near-vertex, then bulk, then diagonal.  Near-vertex rows draw
+    their mixing weight u and then their Ginibre factor, so those draws
+    stay in a per-row loop.  Bulk and diagonal candidates are drawn in
+    rounds of exactly the missing count and screened as one batch, which
+    reads the stream exactly as drawing and screening one state at a time.
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
-    rng = np.random.default_rng(seed)
+    if not 0.0 <= tv_radius <= 1.0:
+        raise ValueError(f"tv_radius must lie in [0, 1], got {tv_radius}")
+    if not 0.0 < target_exclusion < 1.0:
+        raise ValueError(f"target_exclusion must lie in (0, 1), got {target_exclusion}")
     dec = meas.dec
-    d, n = dec.d, dec.n
-    wrong = [k for k in range(d) if k != w.target]
-    n_near = samples // 3
-    n_bulk = samples // 3
-    n_diag = samples - n_near - n_bulk
-
-    def _admissible(rho):
-        return 1.0 - populations(rho, dec)[w.target] >= target_exclusion
-
-    near_states = []
-    per_vertex = [n_near // len(wrong)] * len(wrong)
-    for i in range(n_near - sum(per_vertex)):
-        per_vertex[i] += 1
-    for j, count in zip(wrong, per_vertex):
-        vert = _vertex_state(dec, j)
-        for i in range(count):
-            if i == 0:
-                near_states.append(vert)
-                continue
-            u = rng.uniform(0.0, tv_radius)
-            rho = (1.0 - u) * vert + u * random_density_matrix(n, rng)
-            near_states.append(rho)
-
-    def _sample_until(maker, count):
-        out = []
-        while len(out) < count:
-            rho = maker()
-            if _admissible(rho):
-                out.append(rho)
-        return out
-
-    bulk_states = _sample_until(lambda: random_density_matrix(n, rng), n_bulk)
-    diag_states = _sample_until(lambda: _diagonal_state(dec, rng.dirichlet(np.ones(d))), n_diag)
-
     strata = []
     global_min = np.inf
     global_worst = None
-    for name, states in (("near_vertex", near_states), ("bulk", bulk_states), ("diagonal", diag_states)):
-        if not states:
-            continue
-        batch = np.stack(states)
+    for name, batch, draws in _sample_strata(dec, w.target, samples, seed, tv_radius, target_exclusion):
         terms = generator_terms(batch, meas, ctrl, w)
         va = v_alpha(populations(batch, dec), w)
         ratio = -np.asarray(terms.AV) / va
         worst = int(np.argmin(ratio))
         stratum_min = float(ratio[worst])
         worst_p = populations(batch[worst], dec)
-        strata.append(StratumResult(name=name, samples=len(states), min_ratio=stratum_min, worst_populations=worst_p))
+        strata.append(
+            StratumResult(
+                name=name, samples=len(batch), min_ratio=stratum_min,
+                worst_populations=worst_p, draws=draws,
+            )
+        )
         if stratum_min < global_min:
             global_min = stratum_min
             global_worst = worst_p

@@ -163,6 +163,7 @@ def test_cmd_run_emits_artifacts(tmp_path, capsys):
     for name, digest in manifest["checksums"].items():
         assert _sha256(out / name) == digest
     assert set(manifest["checksums"]) == {"run_series.csv", "run_summary.csv"}
+    assert manifest["counters"] == {}
 
 
 def test_cmd_run_cli_overrides(tmp_path):
@@ -245,6 +246,11 @@ def test_cmd_certify_paths(tmp_path, capsys):
     manifest = json.loads((out / "certificate_manifest.json").read_text())
     assert manifest["config"]["samples"] == 60
     assert _sha256(out / "certificate.csv") == manifest["checksums"]["certificate.csv"]
+    counters = manifest["counters"]
+    assert list(counters) == ["bulk", "diagonal", "near_vertex"]
+    assert sum(c["samples"] for c in counters.values()) == 60
+    assert counters["near_vertex"] == {"draws": 20, "samples": 20}
+    assert all(c["draws"] >= c["samples"] for c in counters.values())
 
 
 def test_cmd_certify_zero_noise_not_certified(tmp_path, capsys):

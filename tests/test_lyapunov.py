@@ -11,6 +11,7 @@ from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.lyapunov import (
     CertificationImpossibleError,
     EvaluatedAtTargetError,
+    _sample_strata,
     certificate_to_csv,
     certify_decay,
     default_beta,
@@ -285,6 +286,119 @@ def test_certify_decay_rejects_tiny_sample_budget(spin2_loose, spin2_weights):
     meas, ctrl = spin2_loose
     with pytest.raises(ValueError, match="stratum"):
         certify_decay(meas, ctrl, spin2_weights, samples=2)
+
+
+def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
+    """One-state-at-a-time sampler: each candidate is drawn, screened and kept alone."""
+    rng = np.random.default_rng(seed)
+    wrong = [k for k in range(dec.d) if k != target]
+    n_near, n_bulk = samples // 3, samples // 3
+    per_vertex = [n_near // len(wrong)] * len(wrong)
+    for i in range(n_near - sum(per_vertex)):
+        per_vertex[i] += 1
+    near = []
+    for j, count in zip(wrong, per_vertex):
+        vert = dec.projectors[j] / dec.multiplicities[j]
+        for i in range(count):
+            if i == 0:
+                near.append(vert)
+                continue
+            u = rng.uniform(0.0, tv_radius)
+            near.append((1.0 - u) * vert + u * random_density_matrix(dec.n, rng))
+
+    rejected = 0
+
+    def until(maker, count):
+        nonlocal rejected
+        out = []
+        while len(out) < count:
+            rho = maker()
+            if 1.0 - populations(rho, dec)[target] >= target_exclusion:
+                out.append(rho)
+            else:
+                rejected += 1
+        return out
+
+    def diagonal():
+        weights = rng.dirichlet(np.ones(dec.d)) / dec.multiplicities
+        return np.einsum("k,kij->ij", weights.astype(complex), dec.projectors)
+
+    bulk = until(lambda: random_density_matrix(dec.n, rng), n_bulk)
+    diag = until(diagonal, samples - n_near - n_bulk)
+    return [("near_vertex", np.stack(near)), ("bulk", np.stack(bulk)), ("diagonal", np.stack(diag))], rejected
+
+
+def _certificate_csv(strata, meas, ctrl, w, samples):
+    lines = ["stratum,samples,min_ratio,worst_populations"]
+    best, best_p = np.inf, None
+    for name, batch in strata:
+        ratio = -generator_terms(batch, meas, ctrl, w).AV / v_alpha(populations(batch, meas.dec), w)
+        worst = int(np.argmin(ratio))
+        p = populations(batch[worst], meas.dec)
+        lines.append(f"{name},{len(batch)},{float(ratio[worst])!r},{';'.join(repr(float(x)) for x in p)}")
+        if ratio[worst] < best:
+            best, best_p = float(ratio[worst]), p
+    lines.append(f"all,{samples},{best!r},{';'.join(repr(float(x)) for x in best_p)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "preset, samples, seed, tv_radius, target_exclusion",
+    [
+        ("spin2_tight", 3000, 7, 0.05, 1e-6),
+        ("spin2_loose", 1000, 11, 0.3, 1e-6),
+        ("spin2_loose", 600, 123, 1.0, 0.9),
+    ],
+)
+def test_certify_decay_matches_sequential_sampler(
+    request, spin2_weights, preset, samples, seed, tv_radius, target_exclusion
+):
+    meas, ctrl = request.getfixturevalue(preset)
+    args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
+    expected, rejected = _sequential_strata(*args)
+    batched = _sample_strata(*args)
+    # every state, bit for bit, not just the worst one the certificate prints
+    assert [name for name, _, _ in batched] == [name for name, _ in expected]
+    for (_, states, _), (_, ref) in zip(batched, expected):
+        assert states.shape == ref.shape
+        assert states.tobytes() == ref.tobytes()
+    report = certify_decay(
+        meas, ctrl, spin2_weights, samples=samples, seed=seed,
+        tv_radius=tv_radius, target_exclusion=target_exclusion,
+    )
+    assert certificate_to_csv(report) == _certificate_csv(expected, meas, ctrl, spin2_weights, samples)
+    assert sum(s.draws - s.samples for s in report.strata) == rejected
+    if target_exclusion == 0.9:
+        # the rejection rounds ran: the reference rejected, and redrew, at least once
+        assert rejected > 0
+
+
+def test_certify_decay_counts_draws(spin2_tight, spin2_weights):
+    meas, ctrl = spin2_tight
+    for target_exclusion in (1e-6, 0.9):
+        report = certify_decay(meas, ctrl, spin2_weights, samples=300, target_exclusion=target_exclusion)
+        for s in report.strata:
+            assert s.draws >= s.samples
+        near = report.strata[0]
+        assert near.name == "near_vertex" and near.draws == near.samples
+    # the last report excludes states with p_target > 0.1, so the bulk stratum rejected some
+    assert report.strata[1].draws > report.strata[1].samples
+
+
+@pytest.mark.parametrize("tv_radius", [-0.01, 1.01])
+def test_certify_decay_rejects_tv_radius_outside_unit_interval(spin2_tight, spin2_weights, tv_radius):
+    meas, ctrl = spin2_tight
+    with pytest.raises(ValueError, match="tv_radius"):
+        certify_decay(meas, ctrl, spin2_weights, samples=30, tv_radius=tv_radius)
+
+
+@pytest.mark.parametrize("target_exclusion", [0.0, 1.0, 1.5])
+def test_certify_decay_rejects_target_exclusion_outside_open_unit_interval(
+    spin2_tight, spin2_weights, target_exclusion
+):
+    meas, ctrl = spin2_tight
+    with pytest.raises(ValueError, match="target_exclusion"):
+        certify_decay(meas, ctrl, spin2_weights, samples=30, target_exclusion=target_exclusion)
 
 
 def test_certificate_csv_round_trip(spin2_loose, spin2_weights):
