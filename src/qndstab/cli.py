@@ -220,7 +220,8 @@ class RunManifest:
     """Record of one invocation: resolved config, output directory, artifact checksums.
 
     counters holds deterministic run counts; certify fills it with each
-    stratum's draws and accepted samples.
+    stratum's draws and accepted samples.  timing holds wall seconds (certify:
+    each stratum's sampling and generator evaluation), so it varies by run.
     """
 
     command: str
@@ -228,6 +229,7 @@ class RunManifest:
     out_dir: str
     checksums: dict
     counters: dict = field(default_factory=dict)
+    timing: dict = field(default_factory=dict)
 
 
 def _sha256(path: str) -> str:
@@ -351,6 +353,7 @@ def _cmd_certify(args) -> int:
         out_dir=out_dir,
         checksums={"certificate.csv": _sha256(cert_path)},
         counters={s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata},
+        timing=report.timing,
     )
     _write_manifest(manifest, os.path.join(out_dir, "certificate_manifest.json"))
     flag = "certified" if report.certified else "NOT certified"

@@ -13,11 +13,14 @@ For V_alpha the Markov generator evaluates in closed form as
 
     A V_alpha = (sigma^2/2) f - (eta/2) g - (sigma^2/8) h,
 
-    f = sum_s (alpha_s . c) / sqrt(alpha_s . p),        c_k = tr(Pi_k D_H(rho)),
+    f = sum_s (alpha_s . c) / sqrt(alpha_s . p),        c_k = tr(D_H*(Pi_k) rho),
     g = sum_s (alpha_s . ((lambda - w) p))^2 / (alpha_s . p)^(3/2),
     h = sum_s (alpha_s . m)^2 / (alpha_s . p)^(3/2),    m_k = tr(i [Pi_k, H] rho),
 
-with w = tr(L rho).  certify_decay samples the state space in stratified
+with w = tr(L rho).  c and m are linear in rho: by duality
+c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
+observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
+i [Pi_k, H].  certify_decay samples the state space in stratified
 fashion and reports the empirical contraction margin
 nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
 E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
@@ -29,6 +32,7 @@ exact exponential decay of the pairwise products xi_k xi_k').
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,11 +218,13 @@ def generator_terms(
 ) -> GeneratorTerms:
     """Evaluate f, g, h and AV at a state (or batch of states).
 
-    The f term uses c_k = tr(Pi_k D_H(rho)) computed from the full state;
-    for non-diagonal rho this differs from the Laplacian acting on the
-    population vector, which is exact only state-by-state on eigenspace
-    mixtures.  Raises EvaluatedAtTargetError when p_target = 1, where the
-    denominators sqrt(alpha_s . p) vanish.
+    c_k = tr(D_H*(Pi_k) rho) and m_k = tr(i [Pi_k, H] rho) are expectations
+    of 2d fixed n x n observables, read off the full states by one einsum;
+    a gemm there would round differently with the batch width and the BLAS
+    thread count.  For non-diagonal rho, c differs from the Laplacian acting
+    on the population vector, which is exact only on eigenspace mixtures.
+    Raises EvaluatedAtTargetError when p_target = 1, where the denominators
+    sqrt(alpha_s . p) vanish.
     """
     rho = np.asarray(rho, dtype=complex)
     dec = meas.dec
@@ -229,13 +235,11 @@ def generator_terms(
     if np.any(ap <= 0.0):
         raise EvaluatedAtTargetError("alpha-weighted populations vanished; state is at the target vertex")
     sigma = np.asarray(feedback_gain(p, ctrl))
-    dh = (
-        ctrl.H @ rho @ ctrl.H
-        - 0.5 * ((ctrl.H @ ctrl.H) @ rho + rho @ (ctrl.H @ ctrl.H))
-    )
-    c = np.einsum("kij,...ji->...k", dec.projectors, dh).real
-    com = ctrl.H @ rho - rho @ ctrl.H
-    m = np.real(1j * np.einsum("kij,...ji->...k", dec.projectors, com))
+    hh, pi = ctrl.H, dec.projectors
+    h2 = hh @ hh
+    obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
+    cm = np.einsum("kij,...ji->...k", obs, rho).real
+    c, m = cm[..., : dec.d], cm[..., dec.d :]
     lam = dec.eigenvalues
     varpi = p @ lam
     sq = np.sqrt(ap)
@@ -275,6 +279,7 @@ class CertificateReport:
     strata: list[StratumResult] = field(default_factory=list)
     c_low: float = 0.0
     c_high: float = 0.0
+    timing: dict = field(default_factory=dict)  # per stratum: wall seconds sample_s, generator_s
 
 
 def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
@@ -299,7 +304,7 @@ def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
         z = np.empty((block - 1, 2, n, n))
         for i in range(block - 1):
             u[i] = rng.uniform(0.0, tv_radius)
-            z[i] = rng.standard_normal((2, n, n))
+            rng.standard_normal(out=z[i])
         states[row] = vert
         states[row + 1 : row + block] = (
             (1.0 - u)[:, None, None] * vert + u[:, None, None] * ginibre_states(z)
@@ -327,17 +332,17 @@ def _screened_states(draw, count, dec, target, target_exclusion) -> tuple[np.nda
 
 
 def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
-    """(name, states, draws) for the near-vertex, bulk and diagonal strata, in draw order."""
+    """Yield (name, states, draws) for the near-vertex, bulk and diagonal strata, in draw order."""
     rng = np.random.default_rng(seed)
     d, n = dec.d, dec.n
     n_near = samples // 3
     n_bulk = samples // 3
-    near = _near_vertex_states(dec, target, n_near, tv_radius, rng)
-    bulk, bulk_draws = _screened_states(
+    yield "near_vertex", _near_vertex_states(dec, target, n_near, tv_radius, rng), n_near
+    yield "bulk", *_screened_states(
         lambda k: ginibre_states(rng.standard_normal((k, 2, n, n))),
         n_bulk, dec, target, target_exclusion,
     )
-    diag, diag_draws = _screened_states(
+    yield "diagonal", *_screened_states(
         lambda k: np.einsum(
             "...k,kij->...ij",
             (rng.dirichlet(np.ones(d), k) / dec.multiplicities).astype(complex),
@@ -345,7 +350,6 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
         ),
         samples - n_near - n_bulk, dec, target, target_exclusion,
     )
-    return [("near_vertex", near, n_near), ("bulk", bulk, bulk_draws), ("diagonal", diag, diag_draws)]
 
 
 def certify_decay(
@@ -382,15 +386,19 @@ def certify_decay(
         raise ValueError(f"target_exclusion must lie in (0, 1), got {target_exclusion}")
     dec = meas.dec
     strata = []
+    timing = {}
     global_min = np.inf
     global_worst = None
+    clock = time.perf_counter()
     for name, batch, draws in _sample_strata(dec, w.target, samples, seed, tv_radius, target_exclusion):
+        sampled = time.perf_counter()
         terms = generator_terms(batch, meas, ctrl, w)
-        va = v_alpha(populations(batch, dec), w)
-        ratio = -np.asarray(terms.AV) / va
+        timing[name] = {"sample_s": sampled - clock, "generator_s": time.perf_counter() - sampled}
+        p = populations(batch, dec)
+        ratio = -np.asarray(terms.AV) / v_alpha(p, w)
         worst = int(np.argmin(ratio))
         stratum_min = float(ratio[worst])
-        worst_p = populations(batch[worst], dec)
+        worst_p = p[worst].copy()
         strata.append(
             StratumResult(
                 name=name, samples=len(batch), min_ratio=stratum_min,
@@ -400,6 +408,7 @@ def certify_decay(
         if stratum_min < global_min:
             global_min = stratum_min
             global_worst = worst_p
+        clock = time.perf_counter()
     c_low, c_high = equivalence_constants(w)
     return CertificateReport(
         nu_hat=float(global_min),
@@ -409,6 +418,7 @@ def certify_decay(
         strata=strata,
         c_low=c_low,
         c_high=c_high,
+        timing=timing,
     )
 
 

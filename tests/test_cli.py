@@ -164,6 +164,7 @@ def test_cmd_run_emits_artifacts(tmp_path, capsys):
         assert _sha256(out / name) == digest
     assert set(manifest["checksums"]) == {"run_series.csv", "run_summary.csv"}
     assert manifest["counters"] == {}
+    assert manifest["timing"] == {}
 
 
 def test_cmd_run_cli_overrides(tmp_path):
@@ -251,6 +252,24 @@ def test_cmd_certify_paths(tmp_path, capsys):
     assert sum(c["samples"] for c in counters.values()) == 60
     assert counters["near_vertex"] == {"draws": 20, "samples": 20}
     assert all(c["draws"] >= c["samples"] for c in counters.values())
+    timing = manifest["timing"]
+    assert list(timing) == ["bulk", "diagonal", "near_vertex"]
+    for stratum in timing.values():
+        assert sorted(stratum) == ["generator_s", "sample_s"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in stratum.values())
+
+
+def test_cmd_certify_timing_stays_out_of_certificate(tmp_path):
+    cfg_path = _write_config(tmp_path, {"p_min": 0.9, "samples": 60})
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+    first, second = ((out / "certificate.csv").read_bytes() for out in outs)
+    assert first == second
+    assert first.splitlines()[0] == b"stratum,samples,min_ratio,worst_populations"
+    manifests = [json.loads((out / "certificate_manifest.json").read_text()) for out in outs]
+    assert manifests[0]["checksums"] == manifests[1]["checksums"]
+    assert manifests[0]["counters"] == manifests[1]["counters"]
 
 
 def test_cmd_certify_zero_noise_not_certified(tmp_path, capsys):

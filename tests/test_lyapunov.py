@@ -6,8 +6,9 @@ import io
 import numpy as np
 import pytest
 
-from qndstab.core import populations, random_density_matrix
+from qndstab.core import ginibre_states, populations, random_density_matrix, random_hermitian
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
+from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import (
     CertificationImpossibleError,
     EvaluatedAtTargetError,
@@ -222,6 +223,64 @@ def test_generator_matches_reference_formulas(spin2_tight, spin2_weights, rng):
         assert terms.AV[i] == pytest.approx(av, rel=1e-9)
 
 
+def _general_pair(rng):
+    """Degenerate L and a random H with a real part; target the nondegenerate level 0."""
+    meas = measurement_setup(np.diag([1.0, 1.0, 0.0, -1.0, -1.0]), eta=0.7)
+    h = random_hermitian(5, rng)
+    ctrl = control_setup(h, meas.dec, 1, 2.0, 0.51, 0.7)
+    return meas, ctrl, solve_alpha(laplacian_matrix(h, meas.dec), ctrl.target)
+
+
+def _mixed_batch(dec, target, rng, count):
+    """Ginibre states, two in three pulled toward a wrong vertex so that the gain engages."""
+    states = ginibre_states(rng.standard_normal((count, 2, dec.n, dec.n)))
+    wrong = [dec.projectors[j] / dec.multiplicities[j] for j in range(dec.d) if j != target]
+    for i in range(count):
+        if i % 3:
+            u = rng.uniform(0.0, 0.4)
+            states[i] = (1.0 - u) * wrong[i % len(wrong)] + u * states[i]
+    return states
+
+
+def test_generator_matches_reference_formulas_on_general_pair(rng):
+    meas, ctrl, w = _general_pair(rng)
+    dec, lam, h = meas.dec, meas.dec.eigenvalues, ctrl.H
+    assert list(dec.multiplicities) == [2, 1, 2]
+    assert np.max(np.abs(np.triu(h.real, 1))) > 0.1
+    batch = _mixed_batch(dec, ctrl.target, rng, 30)
+    terms = generator_terms(batch, meas, ctrl, w)
+    engaged = 0
+    for i, rho in enumerate(batch):
+        p = populations(rho, dec)
+        ap = p @ w.alpha.T
+        dh = _diss(h, rho)
+        c = np.array([np.trace(pi @ dh).real for pi in dec.projectors])
+        com = h @ rho - rho @ h
+        m = np.array([np.real(1j * np.trace(pi @ com)) for pi in dec.projectors])
+        f = np.sum(c @ w.alpha.T / np.sqrt(ap))
+        g = np.sum(((lam - p @ lam) * p @ w.alpha.T) ** 2 / ap**1.5)
+        hh = np.sum((m @ w.alpha.T) ** 2 / ap**1.5)
+        sigma = feedback_gain(p, ctrl)
+        engaged += sigma > 0.0
+        av = 0.5 * sigma**2 * f - 0.5 * meas.eta * g - 0.125 * sigma**2 * hh
+        assert terms.f[i] == pytest.approx(f, rel=1e-12)
+        assert terms.g[i] == pytest.approx(g, rel=1e-12)
+        assert terms.h[i] == pytest.approx(hh, rel=1e-12)
+        assert terms.AV[i] == pytest.approx(av, rel=1e-12)
+    assert engaged >= 10
+
+
+def test_generator_terms_do_not_depend_on_batch_mates(spin2_tight, spin2_weights, rng):
+    general = _general_pair(rng)
+    for meas, ctrl, w in ((*spin2_tight, spin2_weights), general):
+        batch = _mixed_batch(meas.dec, ctrl.target, rng, 40)
+        whole = generator_terms(batch, meas, ctrl, w)
+        parts = [generator_terms(batch[a:b], meas, ctrl, w) for a, b in ((0, 7), (7, 40))]
+        for name in ("f", "g", "h", "AV"):
+            joined = np.concatenate([getattr(part, name) for part in parts])
+            assert joined.tobytes() == getattr(whole, name).tobytes(), name
+
+
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
     meas, ctrl = spin2_tight
     vertex = meas.dec.projectors[ctrl.target].astype(complex)
@@ -244,6 +303,8 @@ def test_certify_decay_report_structure(spin2_tight, spin2_weights):
     assert report.nu_hat == min(s.min_ratio for s in report.strata)
     assert report.worst_populations.shape == (5,)
     assert (report.c_low, report.c_high) == equivalence_constants(spin2_weights)
+    assert list(report.timing) == ["near_vertex", "bulk", "diagonal"]
+    assert all(sorted(t) == ["generator_s", "sample_s"] for t in report.timing.values())
 
 
 def test_certify_decay_refuses_fig2_threshold(spin2_loose, spin2_delta, spin2_weights):
@@ -356,7 +417,7 @@ def test_certify_decay_matches_sequential_sampler(
     meas, ctrl = request.getfixturevalue(preset)
     args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
     expected, rejected = _sequential_strata(*args)
-    batched = _sample_strata(*args)
+    batched = list(_sample_strata(*args))
     # every state, bit for bit, not just the worst one the certificate prints
     assert [name for name, _, _ in batched] == [name for name, _ in expected]
     for (_, states, _), (_, ref) in zip(batched, expected):
