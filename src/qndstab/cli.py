@@ -19,14 +19,15 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dynamics import control_setup
 from .ensemble import (
     DEFAULT_SEED,
-    ESTIMATORS,
+    MODEL_FIELDS,
     CampaignConfig,
     read_summary_csv,
+    resolve_setups,
     run_ensemble,
     write_series_csv,
     write_summary_csv,
@@ -38,7 +39,6 @@ from .lyapunov import (
     certify_decay,
     solve_alpha,
 )
-from .spin import spin2_preset
 
 __all__ = ["ConfigError", "parse_config", "parse_certify_config", "main", "FIGURE_PRESETS"]
 
@@ -65,16 +65,17 @@ _CAMPAIGN_KEYS = {
 }
 
 _CERTIFY_KEYS = {
-    "model": str,
-    "J": float,
-    "eta": float,
-    "p_min": float,
-    "p_max": float,
-    "sigma_bar": float,
-    "saturation": str,
+    **{k: _CAMPAIGN_KEYS[k] for k in MODEL_FIELDS},
     "samples": int,
     "seed": int,
     "broken_link": int,
+}
+
+# certify resolves the model defaults a campaign uses
+_CERTIFY_DEFAULTS = {
+    **{f.name: f.default for f in fields(CampaignConfig) if f.name in ("model", "J", "eta", "saturation")},
+    "samples": 10000,
+    "seed": 7,
 }
 
 # Benchmark campaigns: config overrides, target rate, acceptance band.
@@ -136,30 +137,6 @@ def _check_fields(doc: dict, schema: dict, required: tuple[str, ...]) -> list[st
     return problems
 
 
-def _campaign_constraints(doc: dict) -> list[str]:
-    problems = []
-    if "model" in doc and doc["model"] != "spin":
-        problems.append(f"model: only 'spin' is available, got {doc['model']!r}")
-    if "p_min" in doc and not 0.5 < doc["p_min"] < 1.0:
-        problems.append(f"p_min: must satisfy 1/2 < p_min < 1, got {doc['p_min']}")
-    if "p_max" in doc:
-        if not doc["p_max"] < 1.0:
-            problems.append(f"p_max: must be < 1, got {doc['p_max']}")
-        if "p_min" in doc and doc["p_max"] <= doc["p_min"]:
-            problems.append(f"p_max: must exceed p_min, got p_max={doc['p_max']} <= p_min={doc['p_min']}")
-    if "eta" in doc and not 0.0 <= doc["eta"] <= 1.0:
-        problems.append(f"eta: must lie in [0, 1], got {doc['eta']}")
-    if "sigma_bar" in doc and doc["sigma_bar"] < 0:
-        problems.append(f"sigma_bar: must be >= 0, got {doc['sigma_bar']}")
-    if "estimator" in doc and doc["estimator"] not in ESTIMATORS:
-        problems.append(f"estimator: must be one of {ESTIMATORS}, got {doc['estimator']!r}")
-    if "fit_window" in doc and len(doc["fit_window"]) != 2:
-        problems.append(f"fit_window: expected [t_start, t_end], got {doc['fit_window']}")
-    if "initial" in doc and doc["initial"] not in ("mixed", "target"):
-        problems.append(f"initial: must be 'mixed' or 'target', got {doc['initial']!r}")
-    return problems
-
-
 def parse_config(text: str) -> CampaignConfig:
     """Parse and validate a JSON campaign document; unknown keys are rejected."""
     try:
@@ -169,15 +146,11 @@ def parse_config(text: str) -> CampaignConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     problems = _check_fields(doc, _CAMPAIGN_KEYS, required=("p_min",))
-    if not problems:
-        problems = _campaign_constraints(doc)
     if problems:
         raise ConfigError("invalid campaign config:\n  " + "\n  ".join(problems))
-    kwargs = {k: v for k, v in doc.items() if k not in ("seed", "fit_window")}
+    kwargs = {k: v for k, v in doc.items() if k != "seed"}
     if "seed" in doc:
-        kwargs["base_seed"] = int(doc["seed"])
-    if "fit_window" in doc:
-        kwargs["fit_window"] = (float(doc["fit_window"][0]), float(doc["fit_window"][1]))
+        kwargs["base_seed"] = doc["seed"]
     kwargs.setdefault("t_final", 50.0)
     try:
         return CampaignConfig(**kwargs)
@@ -194,17 +167,10 @@ def parse_certify_config(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     problems = _check_fields(doc, _CERTIFY_KEYS, required=("p_min",))
-    if not problems:
-        problems = _campaign_constraints({k: v for k, v in doc.items() if k in _CAMPAIGN_KEYS})
     if problems:
         raise ConfigError("invalid certification config:\n  " + "\n  ".join(problems))
-    out = dict(doc)
-    out.setdefault("model", "spin")
-    out.setdefault("J", 2.0)
-    out.setdefault("eta", 0.8)
-    out.setdefault("saturation", "piecewise_linear")
-    out.setdefault("samples", 10000)
-    out.setdefault("seed", 7)
+    out = {**_CERTIFY_DEFAULTS, **doc}
+    _certify_setups(out)
     if "broken_link" in out:
         n_couplings = int(round(2 * out["J"]))
         if not 0 <= out["broken_link"] < n_couplings:
@@ -213,6 +179,13 @@ def parse_certify_config(text: str) -> dict:
                 f"coupling 0..{n_couplings - 1}, got {out['broken_link']}"
             )
     return out
+
+
+def _certify_setups(doc: dict):
+    try:
+        return resolve_setups(**{k: doc.get(k) for k in MODEL_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(f"invalid certification config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -250,7 +223,6 @@ def _manifest_config(cfg: CampaignConfig) -> dict:
     # workers is runtime-only and must not leak into artifacts
     doc = asdict(cfg)
     doc.pop("workers")
-    doc["fit_window"] = list(doc["fit_window"])
     return doc
 
 
@@ -317,14 +289,7 @@ def _cmd_certify(args) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     out_dir = _resolve_out(args.out)
-    meas, ctrl = spin2_preset(
-        p_min=doc["p_min"],
-        sigma_bar=doc.get("sigma_bar"),
-        eta=doc["eta"],
-        J=doc["J"],
-        p_max=doc.get("p_max"),
-        saturation=doc["saturation"],
-    )
+    meas, ctrl = _certify_setups(doc)
     if "broken_link" in doc:
         # toy model with one ladder coupling removed; disconnects the actuation graph
         h = ctrl.H.copy()

@@ -84,7 +84,7 @@ def measurement_setup(L: np.ndarray, eta: float, degeneracy_tolerance: float = 1
     """Validate and package a QND measurement channel."""
     L = validate_hermitian(np.asarray(L, dtype=complex), name="measurement operator")
     if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
+        raise ValueError(f"eta (detection efficiency) must lie in [0, 1], got {eta}")
     dec = spectral_decomposition(L, degeneracy_tolerance)
     return MeasurementSetup(L=L, eta=float(eta), dec=dec)
 

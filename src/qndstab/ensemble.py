@@ -74,11 +74,13 @@ from .spin import spin2_preset
 __all__ = [
     "DEFAULT_SEED",
     "ESTIMATORS",
+    "MODEL_FIELDS",
     "CampaignConfig",
     "TrajectoryTrace",
     "EnsembleResult",
     "FitDomainError",
     "DelayedGainBuffer",
+    "resolve_setups",
     "noise_generator",
     "run_trajectory",
     "run_ensemble",
@@ -90,6 +92,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
+# The CampaignConfig fields that resolve_setups turns into the model.
+MODEL_FIELDS = ("model", "J", "eta", "p_min", "p_max", "sigma_bar", "saturation")
 ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 
 # Most trajectories one chunk advances in lockstep; it bounds a chunk's memory.
@@ -109,12 +113,14 @@ class CampaignConfig:
     """Full description of one simulation campaign.
 
     p_max defaults to p_min + 0.05 and sigma_bar to sqrt((2J+1) eta) when
-    left as None.  fit_window is in time units and must lie inside
+    left as None.  fit_window is two times, stored as floats, inside
     [0, t_final].  feedback_delay is a zero-order hold on the gain signal
     sigma and must be an integer multiple of dt; the gain is zero for
     t < feedback_delay (open-loop warm start).  initial selects the shared
     starting state: "mixed" is the maximally mixed state I/n, "target" the
     target eigenstate (plant and estimator always start at the same state).
+    Construction checks every field, the model fields through
+    resolve_setups, so an invalid config fails here and not in a worker.
     """
 
     p_min: float
@@ -136,8 +142,7 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.model != "spin":
-            raise ValueError(f"unknown model {self.model!r}; only 'spin' is available")
+        self.setups()
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.trajectories < 1:
@@ -156,13 +161,23 @@ class CampaignConfig:
         lag = self.feedback_delay / self.dt
         if abs(lag - round(lag)) > 1e-6:
             raise ValueError("feedback_delay must be an integer multiple of dt")
-        w0, w1 = self.fit_window
+        try:
+            w0, w1 = map(float, self.fit_window)
+        except (TypeError, ValueError):
+            raise ValueError(f"fit_window must be two numbers [t_start, t_end], got {self.fit_window}") from None
+        object.__setattr__(self, "fit_window", (w0, w1))
         if not (0.0 <= w0 < w1 <= self.t_final):
             raise ValueError(f"fit_window must satisfy 0 <= start < end <= t_final, got {self.fit_window}")
         if self.initial not in ("mixed", "target"):
             raise ValueError(f"initial must be 'mixed' or 'target', got {self.initial!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must satisfy 0 <= base_seed < 2**64, got {self.base_seed}")
+
+    def setups(self) -> tuple[MeasurementSetup, ControlSetup]:
+        """The (measurement, control) pair of this config's model fields."""
+        return resolve_setups(**{k: getattr(self, k) for k in MODEL_FIELDS})
 
     @property
     def n_steps(self) -> int:
@@ -173,16 +188,18 @@ class CampaignConfig:
         return int(round(self.feedback_delay / self.dt))
 
 
-def resolve_setups(cfg: CampaignConfig) -> tuple[MeasurementSetup, ControlSetup]:
-    """Build the (measurement, control) pair a config describes."""
-    return spin2_preset(
-        p_min=cfg.p_min,
-        sigma_bar=cfg.sigma_bar,
-        eta=cfg.eta,
-        J=cfg.J,
-        p_max=cfg.p_max,
-        saturation=cfg.saturation,
-    )
+def resolve_setups(
+    *, model: str, J: float, eta: float, p_min: float, p_max: float | None, sigma_bar: float | None, saturation: str
+) -> tuple[MeasurementSetup, ControlSetup]:
+    """Build the (measurement, control) pair the model fields describe.
+
+    This is the one check of the model fields: model here, J in
+    build_spin_model, eta in measurement_setup and the gain law (p_min,
+    p_max, sigma_bar, saturation) in control_setup.
+    """
+    if model != "spin":
+        raise ValueError(f"model: only 'spin' is available, got {model!r}")
+    return spin2_preset(p_min=p_min, sigma_bar=sigma_bar, eta=eta, J=J, p_max=p_max, saturation=saturation)
 
 
 def noise_generator(base_seed: int, index: int, stream: int) -> np.random.Generator:
@@ -320,7 +337,7 @@ class EnsembleResult:
 
 def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring."""
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     dec = meas.dec
     n = dec.n
     lvec = np.diagonal(meas.L).real
@@ -605,7 +622,7 @@ SUMMARY_FIELDS = (
 def write_summary_csv(result: EnsembleResult, path: str) -> None:
     """One-row campaign summary with the fitted rate, its CI, and the resolved parameters."""
     cfg = result.cfg
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     values = {
         "nu_hat": _fmt(result.fitted_rate),
         "ci_low": _fmt(result.fit_ci[0]),

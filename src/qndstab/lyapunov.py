@@ -221,8 +221,11 @@ def generator_terms(
     c_k = tr(D_H*(Pi_k) rho) and m_k = tr(i [Pi_k, H] rho) are expectations
     of 2d fixed n x n observables, read off the full states by one einsum;
     a gemm there would round differently with the batch width and the BLAS
-    thread count.  For non-diagonal rho, c differs from the Laplacian acting
-    on the population vector, which is exact only on eigenspace mixtures.
+    thread count.  A state's result is the same in every batch of two or
+    more states; a lone state (2-D input or a width-1 batch) takes other
+    reduction paths in numpy and may differ in the last bits.  For
+    non-diagonal rho, c differs from the Laplacian acting on the
+    population vector, which is exact only on eigenspace mixtures.
     Raises EvaluatedAtTargetError when p_target = 1, where the denominators
     sqrt(alpha_s . p) vanish.
     """

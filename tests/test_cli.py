@@ -81,6 +81,12 @@ def test_parse_config_full_document():
         ('{"p_min": 0.9, "fit_window": [1, 2, 3]}', "fit_window"),
         ('{"p_min": 0.9, "model": "cavity"}', "model"),
         ('{"p_min": 0.9, "initial": "pure"}', "initial"),
+        ('{"p_min": 0.9, "saturation": "bogus"}', "saturation"),
+        ('{"p_min": 0.9, "J": 2.3}', "J must be"),
+        ('{"p_min": 0.9, "J": -1}', "J must be"),
+        ('{"p_min": 0.9, "seed": -5}', "base_seed"),
+        ('{"p_min": 0.9, "seed": 18446744073709551616}', "base_seed"),
+        ('{"p_min": 0.9, "fit_window": [1, null]}', "fit_window"),
         ('{"p_min": 0.9, "trajectories": true}', "expected int, got bool"),
         ('{"p_min": 0.9, "trajectories": 10.5}', "trajectories"),
         ('{"p_min": "high"}', "expected float, got str"),
@@ -119,6 +125,19 @@ def test_parse_certify_config_rejections():
         parse_certify_config('{"p_min": 0.9, "broken_link": 4}')
     with pytest.raises(ConfigError, match="broken_link"):
         parse_certify_config('{"p_min": 0.9, "broken_link": -1}')
+    for text, needle in (
+        ('{"p_min": 0.4}', "p_min"),
+        ('{"p_min": 0.7, "p_max": 0.65}', "p_max"),
+        ('{"p_min": 0.9, "eta": 1.4}', "eta"),
+        ('{"p_min": 0.9, "sigma_bar": -2}', "sigma_bar"),
+        ('{"p_min": 0.9, "model": "cavity"}', "model"),
+        ('{"p_min": 0.9, "saturation": "bogus"}', "saturation"),
+        ('{"p_min": 0.9, "J": 2.3}', "J must be"),
+        ('{"p_min": 0.9, "J": -1}', "J must be"),
+        ('{"p_min": 0.9, "J": 2.3, "broken_link": 1}', "J must be"),
+    ):
+        with pytest.raises(ConfigError, match=needle):
+            parse_certify_config(text)
     assert parse_certify_config('{"p_min": 0.9, "broken_link": 3}')["broken_link"] == 3
 
 
@@ -197,6 +216,34 @@ def test_cmd_run_bad_override_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(out), "--dt", "0.003"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("run: ") and "multiple of dt" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb,over,flags,needle",
+    [
+        ("run", {"saturation": "bogus"}, [], "saturation"),
+        ("run", {"J": 2.3}, [], "J must be"),
+        ("run", {"J": -1}, [], "J must be"),
+        ("run", {"seed": -5}, [], "base_seed"),
+        ("run", {}, ["--seed", "-1"], "base_seed"),
+        ("reproduce", None, ["--seed", "-1"], "base_seed"),
+        ("certify", {"saturation": "bogus"}, [], "saturation"),
+        ("certify", {"J": 2.3}, [], "J must be"),
+        ("certify", {"J": -1}, [], "J must be"),
+    ],
+)
+def test_cmd_rule_violation_exits_2(tmp_path, capsys, verb, over, flags, needle):
+    if verb == "reproduce":
+        target = ["fig2"]
+    else:
+        base = SMALL_CAMPAIGN if verb == "run" else {"p_min": 0.9, "samples": 60}
+        target = ["--config", _write_config(tmp_path, {**base, **over})]
+    out = tmp_path / "x"
+    assert main([verb, *target, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: ") and needle in err
     assert err.count("\n") == 1
     assert not out.exists()
 

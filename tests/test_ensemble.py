@@ -18,7 +18,6 @@ from qndstab.ensemble import (
     noise_generator,
     read_series_csv,
     read_summary_csv,
-    resolve_setups,
     run_ensemble,
     run_trajectory,
     write_series_csv,
@@ -120,6 +119,22 @@ def test_campaign_config_validation():
         CampaignConfig(**ok, initial="pure")
     with pytest.raises(ValueError, match="workers"):
         CampaignConfig(**ok, workers=0)
+    # the model fields fail at construction, not later inside a worker
+    for over, needle in (
+        (dict(p_min=0.4), "p_min"),
+        (dict(eta=1.4), "eta"),
+        (dict(sigma_bar=-1.0), "sigma_bar"),
+        (dict(saturation="cubic"), "saturation"),
+        (dict(J=2.3), "J must be"),
+        (dict(J=-1.0), "J must be"),
+        (dict(base_seed=-1), "base_seed"),
+        (dict(base_seed=2**64), "base_seed"),
+        (dict(fit_window=(0.2, 0.5, 0.8)), "fit_window"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            CampaignConfig(**{**ok, **over})
+    CampaignConfig(**ok, base_seed=0)
+    CampaignConfig(**ok, base_seed=2**64 - 1)
 
 
 def test_campaign_config_steps_properties():
@@ -179,7 +194,7 @@ def test_engine_matches_public_step_composition():
     cfg = _small_cfg(p_min=0.51, p_max=0.56, t_final=1.0)
     steps = cfg.n_steps
     trace_ = run_trajectory(cfg, 0)
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     dw = noise_generator(SEED, 0, 0).standard_normal(steps) * np.sqrt(cfg.dt)
     db = noise_generator(SEED, 0, 1).standard_normal(steps) * np.sqrt(cfg.dt)
     rho = np.eye(5, dtype=complex) / 5.0
@@ -210,7 +225,7 @@ def test_engine_reduced_filter_matches_public_filter_step():
     """
     cfg = _small_cfg(estimator="reduced_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
     result = run_ensemble(cfg)
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     m, steps = cfg.trajectories, cfg.n_steps
     dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
     db = np.stack([noise_generator(SEED, i, 1).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
@@ -241,7 +256,7 @@ def test_engine_population_filter_matches_public_filter_step():
     """
     cfg = _small_cfg(estimator="population_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
     result = run_ensemble(cfg)
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     delta = laplacian_matrix(ctrl.H, meas.dec)
     m, steps = cfg.trajectories, cfg.n_steps
     dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
@@ -269,11 +284,11 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
     A wrong eigenstate is started through a control setup that names it as
     the target; with sigma_bar = 0 the loop is open.
     """
-    meas, ctrl = resolve_setups(_small_cfg())
+    meas, ctrl = _small_cfg().setups()
     cfg = _small_cfg(initial="target", sigma_bar=0.0, trajectories=3)
     for level in range(5):
         ctrl_k = control_setup(ctrl.H, meas.dec, level, 0.0, ctrl.p_min, ctrl.p_max)
-        monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg, ctrl_k=ctrl_k: (meas, ctrl_k))
+        monkeypatch.setattr(ensemble, "resolve_setups", lambda ctrl_k=ctrl_k, **model: (meas, ctrl_k))
         result = run_ensemble(cfg)
         assert np.all(result.error_traces == 0.0), level
         assert np.all(result.v_open_traces == 0.0), level
@@ -284,7 +299,7 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
 
 def test_kraus_step_stays_positive_where_euler_fails():
     """One coarse step at eta = 1: the Euler factor leaves the state cone, the Kraus factor does not."""
-    meas, _ = resolve_setups(_small_cfg(eta=1.0))
+    meas, _ = _small_cfg(eta=1.0).setups()
     lvec = np.diagonal(meas.L).real
     dt, dw = 0.1, 0.8
     psi = np.full(5, 1.0 / np.sqrt(5.0))
@@ -415,24 +430,24 @@ def test_chunk_layout_follows_workers():
 
 
 def test_engine_rejects_control_hamiltonian_with_real_part(monkeypatch):
-    meas, ctrl = resolve_setups(_small_cfg())
+    meas, ctrl = _small_cfg().setups()
     h = ctrl.H.copy()
     h[0, 1] += 0.3
     h[1, 0] += 0.3
     ctrl_real = control_setup(h, meas.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-    monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg: (meas, ctrl_real))
+    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas, ctrl_real))
     with pytest.raises(ValueError, match="purely imaginary"):
         run_trajectory(_small_cfg(), 0)
 
 
 def test_engine_rejects_unsupported_measurement_operator(monkeypatch):
-    _, ctrl = resolve_setups(_small_cfg())
+    _, ctrl = _small_cfg().setups()
     off_diagonal = np.diag([2.0, 1.0, 0.0, -1.0, -2.0])
     off_diagonal[0, 1] = off_diagonal[1, 0] = 0.1
     for L, match in ((off_diagonal, "diagonal"), (np.diag([2.0, 1.0, 1.0, -1.0, -2.0]), "nondegenerate")):
         meas = measurement_setup(L, 0.8)
         ctrl_l = control_setup(ctrl.H, meas.dec, 1, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-        monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg, meas=meas, ctrl_l=ctrl_l: (meas, ctrl_l))
+        monkeypatch.setattr(ensemble, "resolve_setups", lambda meas=meas, ctrl_l=ctrl_l, **model: (meas, ctrl_l))
         with pytest.raises(ValueError, match=match):
             run_trajectory(_small_cfg(), 0)
 
@@ -441,11 +456,11 @@ def test_engine_result_does_not_depend_on_basis_order(monkeypatch):
     """The engine sorts the basis by descending eigenvalue of L; a reversed basis gives the same bits."""
     cfg = _small_cfg(trajectories=3, p_min=0.51, p_max=0.56, t_final=1.0, fit_window=(0.1, 0.9))
     sorted_result = run_ensemble(cfg)
-    meas, ctrl = resolve_setups(cfg)
+    meas, ctrl = cfg.setups()
     rev = np.arange(5)[::-1]
     meas_r = measurement_setup(meas.L[np.ix_(rev, rev)], meas.eta)
     ctrl_r = control_setup(ctrl.H[np.ix_(rev, rev)], meas_r.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-    monkeypatch.setattr(ensemble, "resolve_setups", lambda cfg: (meas_r, ctrl_r))
+    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas_r, ctrl_r))
     reversed_result = run_ensemble(cfg)
     assert np.any(sorted_result.error_traces != sorted_result.error_traces[:, :1])
     for field in ("error_traces", "v_open_traces", "final_populations"):
