@@ -26,7 +26,7 @@ from .ensemble import (
     DEFAULT_SEED,
     MODEL_FIELDS,
     CampaignConfig,
-    read_summary_csv,
+    EnsembleResult,
     resolve_setups,
     run_ensemble,
     write_series_csv,
@@ -175,7 +175,7 @@ def parse_certify_config(text: str) -> dict:
         n_couplings = int(round(2 * out["J"]))
         if not 0 <= out["broken_link"] < n_couplings:
             raise ConfigError(
-                f"invalid certification config:\n  broken_link: must index a ladder "
+                f"invalid certification config: broken_link: must index a ladder "
                 f"coupling 0..{n_couplings - 1}, got {out['broken_link']}"
             )
     return out
@@ -232,7 +232,7 @@ def _resolve_out(arg_out: str | None) -> str:
     return out
 
 
-def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str) -> tuple[str, str]:
+def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str) -> EnsembleResult:
     result = run_ensemble(cfg)
     series = os.path.join(out_dir, f"{prefix}_series.csv")
     summary = os.path.join(out_dir, f"{prefix}_summary.csv")
@@ -245,7 +245,7 @@ def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str)
         checksums={os.path.basename(p): _sha256(p) for p in (series, summary)},
     )
     _write_manifest(manifest, os.path.join(out_dir, f"{prefix}_manifest.json"))
-    return series, summary
+    return result
 
 
 def _cmd_run(args) -> int:
@@ -253,14 +253,9 @@ def _cmd_run(args) -> int:
         cfg = parse_config(fh.read())
     cfg = _apply_overrides(cfg, args)
     out_dir = _resolve_out(args.out)
-    _, summary = _emit_campaign(cfg, out_dir, "run", "run")
-    result_row = _read_rate(summary)
-    print(f"run: nu_hat={result_row} artifacts in {out_dir}")
+    result = _emit_campaign(cfg, out_dir, "run", "run")
+    print(f"run: nu_hat={float(result.fitted_rate)!r} artifacts in {out_dir}")
     return 0
-
-
-def _read_rate(summary_path: str) -> str:
-    return read_summary_csv(summary_path)["nu_hat"]
 
 
 def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
@@ -288,7 +283,6 @@ def _cmd_certify(args) -> int:
         doc["samples"] = args.samples
     if args.seed is not None:
         doc["seed"] = args.seed
-    out_dir = _resolve_out(args.out)
     meas, ctrl = _certify_setups(doc)
     if "broken_link" in doc:
         # toy model with one ladder coupling removed; disconnects the actuation graph
@@ -309,6 +303,7 @@ def _cmd_certify(args) -> int:
         report = certify_decay(meas, ctrl, weights, samples=doc["samples"], seed=doc["seed"])
     except ValueError as exc:
         raise ConfigError(f"invalid certification config: {exc}") from exc
+    out_dir = _resolve_out(args.out)
     cert_path = os.path.join(out_dir, "certificate.csv")
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))
@@ -334,8 +329,7 @@ def _cmd_reproduce(args) -> int:
     cfg = CampaignConfig(**preset["config"])
     cfg = _apply_overrides(cfg, args)
     out_dir = _resolve_out(args.out)
-    _, summary = _emit_campaign(cfg, out_dir, args.figure, f"reproduce {args.figure}")
-    nu_hat = float(_read_rate(summary))
+    nu_hat = float(_emit_campaign(cfg, out_dir, args.figure, f"reproduce {args.figure}").fitted_rate)
     lo, hi = preset["band"]
     ok = lo <= nu_hat <= hi
     verdict = "PASS" if ok else "FAIL"

@@ -33,13 +33,16 @@ Only the columns whose control angle is nonzero are unpacked to (k, n, n)
 matrices for the rotation, as are the reduced filter's states for its
 matrix products, and repacked after.
 
-The full observer takes the same step with the same dy and dB, so started at
-the true state it stays on it.  The reduced filter adds the averaged control
-channel sigma^2 D_H as Kraus terms: M gains (sigma^2 dt / 2) A^2 and the sum
-gains sigma^2 dt A rho A^T.  The population filter is the Euler update of
-filters.population_filter_step.  The public one-step functions in dynamics
-and filters keep Euler-Maruyama with the physicality projection as the
-reference scheme; both schemes are first order in dt.
+The full observer knows Y and B and starts at the true state, so its step
+is the plant's step with the same Kraus factor, dy and dB, and it stays on
+the true state.  The engine therefore runs no copy of it: a full_observer
+campaign reads its gain from the true state and gives exactly the truth
+trajectories at the truth cost.  The reduced filter adds the averaged
+control channel sigma^2 D_H as Kraus terms: M gains (sigma^2 dt / 2) A^2
+and the sum gains sigma^2 dt A rho A^T.  The population filter is the Euler
+update of filters.population_filter_step.  The public one-step functions in
+dynamics and filters keep Euler-Maruyama with the physicality projection as
+the reference scheme; both schemes are first order in dt.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
@@ -372,7 +375,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     else:
         p0 = np.full(n, 1.0 / n)
     rho = np.tile(pk.pack(np.diag(p0)[None]), (1, m))
-    rho_hat = rho.copy() if estimator in ("full_observer", "reduced_filter") else None
+    rho_hat = rho.copy() if estimator == "reduced_filter" else None
     p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
     if estimator == "population_filter":
         # column k' of Delta, as weights over the rows of p_hat
@@ -391,6 +394,11 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     err = np.empty((m, n_rec))
     vop = np.empty((m, n_rec))
     sqdt = np.sqrt(dt)
+    # allocated once and refilled in place, so a chunk's peak memory does not
+    # depend on where the allocator puts the rotation's data-dependent arrays
+    width = min(NOISE_BLOCK, n_steps)
+    dw_block = np.empty((m, width))
+    db_block = np.empty((m, width)) if need_b else None
 
     def _record(slot: int, p: np.ndarray):
         err[:, slot] = np.sqrt(np.clip(1.0 - p[target], 0.0, 1.0))
@@ -416,18 +424,16 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     step = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
-        dw_block = np.empty((m, blen))
         for i, g in enumerate(gens_w):
-            dw_block[i] = g.standard_normal(blen)
-        dw_block *= sqdt
+            g.standard_normal(out=dw_block[i, :blen])
+        dw_block[:, :blen] *= sqdt
         if need_b:
-            db_block = np.empty((m, blen))
             for i, g in enumerate(gens_b):
-                db_block[i] = g.standard_normal(blen)
-            db_block *= sqdt
+                g.standard_normal(out=db_block[i, :blen])
+            db_block[:, :blen] *= sqdt
         for j in range(blen):
             p_true = rho[:n]
-            if estimator == "truth":
+            if estimator in ("truth", "full_observer"):
                 p_est = p_true
             elif estimator == "population_filter":
                 p_est = p_hat
@@ -443,11 +449,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             _conjugate_rows(rho, dv)
             _normalize(rho, n, start, step + 1)
 
-            if estimator == "full_observer":
-                rho_hat *= factor
-                _conjugate_rows(rho_hat, dv)
-                _normalize(rho_hat, n, start, step + 1)
-            elif estimator == "reduced_filter":
+            if estimator == "reduced_filter":
                 mats = pk.unpack(rho_hat)
                 s2dt = (sigma_app * sigma_app * dt)[:, None, None]
                 kraus = mvec.T[:, :, None] * np.eye(n) + 0.5 * s2dt * gen2

@@ -3,12 +3,12 @@
 Three estimation layers, in decreasing order of fidelity and cost:
 
 1. full observer: the matrix-valued filter that knows both the record Y
-   and the control noise B, propagated with the same splitting as the
-   plant (Euler-Maruyama measurement update with the innovation in place
-   of dW, then exact conjugation by the control rotation);
+   and the control noise B; its step is dynamics.closed_loop_step, the
+   plant's own step, driven by the innovation in place of dW;
 2. reduced filter: a matrix-valued filter that discards knowledge of B;
    the control channel enters only through its average effect, the
-   sigma^2 D_H drift, so the whole step is plain Euler-Maruyama;
+   sigma^2 D_H drift added to the plant's Euler measurement update driven
+   by the innovation, so the whole step is plain Euler-Maruyama;
 3. population filter: a d-dimensional vector filter for the eigenspace
    populations only, whose actuation term is the Laplacian matrix
    Delta_{k,k'} = tr(Pi_k D_H(Pi_{k'})).
@@ -22,14 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    SpectralDecomposition,
-    dissipator,
-    innovation_superop,
-    populations,
-    project_to_physical,
-)
-from .dynamics import ControlSetup, MeasurementSetup, _conjugate_active, feedback_gain
+from .core import SpectralDecomposition, dissipator, populations, project_to_physical
+from .dynamics import ControlSetup, MeasurementSetup, StepInput, _measurement_update, closed_loop_step, feedback_gain
 
 __all__ = [
     "laplacian_matrix",
@@ -82,6 +76,12 @@ def graph_connected(delta: np.ndarray, connectivity_tolerance: float = 1e-10) ->
     return bool(seen.all())
 
 
+def _innovation(rho_hat: np.ndarray, meas: MeasurementSetup, dY, dt: float) -> np.ndarray:
+    """Innovation dY - 2 sqrt(eta) tr(L rho_hat) dt, the filter's stand-in for dW."""
+    ex = np.einsum("ij,...ji->...", meas.L, rho_hat).real
+    return np.asarray(dY, dtype=float) - 2.0 * np.sqrt(meas.eta) * ex * dt
+
+
 def full_observer_step(
     rho_hat: np.ndarray,
     meas: MeasurementSetup,
@@ -92,24 +92,12 @@ def full_observer_step(
 ) -> np.ndarray:
     """Observer step with full knowledge of the record Y and the control noise B.
 
-    The innovation dY - 2 sqrt(eta) tr(L rho_hat) dt replaces dW in the
-    measurement update; the control rotation exp(-i H sigma(rho_hat) dB)
-    is applied exactly, mirroring the plant splitting, so an observer
-    started at the true state with shared noise reproduces the plant
-    trajectory exactly.
+    closed_loop_step on rho_hat, with the innovation in place of dW and the
+    plant's dB.  Started at the true state with the plant's dY, it matches
+    the plant to the round-off in the innovation, not exactly.
     """
-    dY = np.asarray(dY, dtype=float)
-    sqeta = np.sqrt(meas.eta)
-    sigma = feedback_gain(populations(rho_hat, meas.dec), ctrl)
-    ex = np.einsum("ij,...ji->...", meas.L, rho_hat).real
-    innovation = dY - 2.0 * sqeta * ex * dt
-    moved = (
-        rho_hat
-        + dissipator(meas.L, rho_hat) * dt
-        + sqeta * innovation_superop(meas.L, rho_hat) * innovation[..., None, None]
-    )
-    moved = _conjugate_active(moved, ctrl.H, sigma * np.asarray(dB, dtype=float))
-    return project_to_physical(moved)
+    step = StepInput(dt=dt, dW=_innovation(rho_hat, meas, dY, dt), dB=dB)
+    return closed_loop_step(rho_hat, meas, ctrl, step).rho_next
 
 
 def reduced_filter_step(
@@ -120,16 +108,9 @@ def reduced_filter_step(
     dt: float,
 ) -> np.ndarray:
     """Filter step that discards knowledge of B: Euler-Maruyama with the sigma^2 D_H drift."""
-    dY = np.asarray(dY, dtype=float)
-    sqeta = np.sqrt(meas.eta)
     sigma = np.asarray(feedback_gain(populations(rho_hat, meas.dec), ctrl))
-    ex = np.einsum("ij,...ji->...", meas.L, rho_hat).real
-    innovation = dY - 2.0 * sqeta * ex * dt
-    moved = (
-        rho_hat
-        + (dissipator(meas.L, rho_hat) + (sigma * sigma)[..., None, None] * dissipator(ctrl.H, rho_hat)) * dt
-        + sqeta * innovation_superop(meas.L, rho_hat) * innovation[..., None, None]
-    )
+    moved, _ = _measurement_update(rho_hat, meas, dt, _innovation(rho_hat, meas, dY, dt))
+    moved = moved + (sigma * sigma)[..., None, None] * dissipator(ctrl.H, rho_hat) * dt
     return project_to_physical(moved)
 
 

@@ -383,6 +383,8 @@ def certify_decay(
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed}")
     if not 0.0 <= tv_radius <= 1.0:
         raise ValueError(f"tv_radius must lie in [0, 1], got {tv_radius}")
     if not 0.0 < target_exclusion < 1.0:

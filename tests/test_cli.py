@@ -232,6 +232,10 @@ def test_cmd_run_bad_override_exits_2(tmp_path, capsys):
         ("certify", {"saturation": "bogus"}, [], "saturation"),
         ("certify", {"J": 2.3}, [], "J must be"),
         ("certify", {"J": -1}, [], "J must be"),
+        ("certify", {}, ["--seed", "-1"], "seed must be"),
+        ("certify", {"seed": -3}, [], "seed must be"),
+        ("certify", {}, ["--samples", "2"], "samples=2"),
+        ("certify", {"broken_link": 4}, [], "broken_link"),
     ],
 )
 def test_cmd_rule_violation_exits_2(tmp_path, capsys, verb, over, flags, needle):
@@ -267,6 +271,7 @@ def test_cmd_reproduce_smoke(tmp_path, capsys):
     manifest = json.loads((out / "fig2_manifest.json").read_text())
     assert manifest["command"] == "reproduce fig2"
     summary = read_summary_csv(str(out / "fig2_summary.csv"))
+    assert line.split("nu_hat=", 1)[1].split(" ", 1)[0] == summary["nu_hat"]
     assert summary["estimator"] == "truth"
     assert float(summary["p_min"]) == 0.6
     assert float(summary["fit_t_end"]) == 25.0
