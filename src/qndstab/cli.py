@@ -258,16 +258,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# command-line flag -> CampaignConfig field it overrides
+_OVERRIDES = (("seed", "base_seed"), ("workers", "workers"), ("dt", "dt"), ("trajectories", "trajectories"))
+
+
 def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
     updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["base_seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    if getattr(args, "dt", None) is not None:
-        updates["dt"] = args.dt
-    if getattr(args, "trajectories", None) is not None:
-        updates["trajectories"] = args.trajectories
+    for flag, name in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            updates[name] = value
     if not updates:
         return cfg
     try:

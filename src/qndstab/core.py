@@ -33,8 +33,12 @@ __all__ = [
     "project_to_physical",
     "random_density_matrix",
     "random_hermitian",
-    "random_simplex",
 ]
+
+HERMITIAN_TOL = 1e-12  # entrywise |M - M^dag| allowed by validate_hermitian
+DENSITY_TOL = 1e-9  # Hermiticity, trace and positivity slack of validate_density_matrix
+DEGENERACY_TOL = 1e-8  # eigenvalue gap below which spectral_decomposition merges eigenspaces
+TRACE_FLOOR = 1e-12  # clipped trace at or below which project_to_physical gives up
 
 
 class UnrecoverableStateError(RuntimeError):
@@ -58,29 +62,29 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def validate_hermitian(op: np.ndarray, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
-    """Check Hermiticity entrywise within tol; returns the input on success."""
+def validate_hermitian(op: np.ndarray, name: str = "operator") -> np.ndarray:
+    """Check Hermiticity entrywise within HERMITIAN_TOL; returns the input on success."""
     op = _require_square(op, name)
     dev = float(np.max(np.abs(op - np.conj(np.swapaxes(op, -1, -2)))))
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(
-            f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} exceeds {tol:.3e}"
+            f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} exceeds {HERMITIAN_TOL:.3e}"
         )
     return op
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity (smallest eigenvalue >= -tol)."""
+def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity, each within DENSITY_TOL."""
     rho = _require_square(rho, name)
     herm_dev = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
-    if herm_dev > tol:
-        raise ValueError(f"{name} is not Hermitian within {tol:.1e}: deviation {herm_dev:.3e}")
+    if herm_dev > DENSITY_TOL:
+        raise ValueError(f"{name} is not Hermitian within {DENSITY_TOL:.1e}: deviation {herm_dev:.3e}")
     tr_dev = float(np.max(np.abs(trace(rho) - 1.0)))
-    if tr_dev > tol:
-        raise ValueError(f"{name} does not have unit trace within {tol:.1e}: deviation {tr_dev:.3e}")
+    if tr_dev > DENSITY_TOL:
+        raise ValueError(f"{name} does not have unit trace within {DENSITY_TOL:.1e}: deviation {tr_dev:.3e}")
     wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(rho))))
-    if wmin < -tol:
-        raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {wmin:.3e} < -{tol:.1e}")
+    if wmin < -DENSITY_TOL:
+        raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {wmin:.3e} < -{DENSITY_TOL:.1e}")
     return rho
 
 
@@ -107,10 +111,10 @@ class SpectralDecomposition:
         return self.projectors.shape[-1]
 
 
-def spectral_decomposition(op: np.ndarray, degeneracy_tolerance: float = 1e-8) -> SpectralDecomposition:
+def spectral_decomposition(op: np.ndarray) -> SpectralDecomposition:
     """Group the spectrum of a Hermitian operator into distinct eigenspaces.
 
-    Eigenvalues closer than degeneracy_tolerance (chained by consecutive
+    Eigenvalues closer than DEGENERACY_TOL (chained by consecutive
     gaps) are merged into a single eigenspace; the reported eigenvalue of a
     group is the group mean.  Output ordering is descending.
     """
@@ -122,7 +126,7 @@ def spectral_decomposition(op: np.ndarray, degeneracy_tolerance: float = 1e-8) -
     # cluster ascending eigenvalues by consecutive gaps
     boundaries = [0]
     for i in range(1, n):
-        if w[i] - w[i - 1] > degeneracy_tolerance:
+        if w[i] - w[i - 1] > DEGENERACY_TOL:
             boundaries.append(i)
     boundaries.append(n)
     eigenvalues = []
@@ -181,10 +185,10 @@ def unitary_conjugate(h: np.ndarray, x, rho: np.ndarray) -> np.ndarray:
     return v @ t @ np.conj(v.T)
 
 
-def project_to_physical(m: np.ndarray, trace_floor: float = 1e-12) -> np.ndarray:
+def project_to_physical(m: np.ndarray) -> np.ndarray:
     """Repair a numerically drifted state: hermitize, clip negative eigenvalues, renormalize.
 
-    Raises UnrecoverableStateError when the clipped trace is <= trace_floor,
+    Raises UnrecoverableStateError when the clipped trace is <= TRACE_FLOOR,
     i.e. the matrix retains no usable positive part.  Idempotent on valid
     states up to 1e-12.
     """
@@ -193,10 +197,10 @@ def project_to_physical(m: np.ndarray, trace_floor: float = 1e-12) -> np.ndarray
     w, v = np.linalg.eigh(sym)
     w = np.clip(w, 0.0, None)
     tr = np.sum(w, axis=-1)
-    if np.any(tr <= trace_floor):
-        bad = np.argwhere(np.atleast_1d(tr) <= trace_floor).ravel()
+    if np.any(tr <= TRACE_FLOOR):
+        bad = np.argwhere(np.atleast_1d(tr) <= TRACE_FLOOR).ravel()
         raise UnrecoverableStateError(
-            f"state trace after clipping <= {trace_floor:.1e} at batch indices {bad.tolist()}"
+            f"state trace after clipping <= {TRACE_FLOOR:.1e} at batch indices {bad.tolist()}"
         )
     w = w / tr[..., None]
     out = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
@@ -214,19 +218,12 @@ def ginibre_states(z: np.ndarray) -> np.ndarray:
     return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
 
 
-def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Hilbert-Schmidt random state from a complex Ginibre factor of given rank."""
-    if rank is None:
-        rank = n
-    return ginibre_states(rng.standard_normal((2, n, rank)))
+def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Hilbert-Schmidt random state from a full-rank complex Ginibre factor."""
+    return ginibre_states(rng.standard_normal((2, n, n)))
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """GUE-style random Hermitian matrix with entries of order scale."""
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """GUE-style random Hermitian matrix with entries of order one."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * hermitian_part(a)
-
-
-def random_simplex(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform (Dirichlet(1,...,1)) sample from the probability simplex."""
-    return rng.dirichlet(np.ones(d))
+    return hermitian_part(a)

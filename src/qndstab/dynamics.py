@@ -80,12 +80,15 @@ class ControlSetup:
     saturation: str = "piecewise_linear"
 
 
-def measurement_setup(L: np.ndarray, eta: float, degeneracy_tolerance: float = 1e-8) -> MeasurementSetup:
-    """Validate and package a QND measurement channel."""
+def measurement_setup(L: np.ndarray, eta: float) -> MeasurementSetup:
+    """Validate and package a QND measurement channel.
+
+    Eigenvalues of L closer than core.DEGENERACY_TOL share one eigenspace.
+    """
     L = validate_hermitian(np.asarray(L, dtype=complex), name="measurement operator")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta (detection efficiency) must lie in [0, 1], got {eta}")
-    dec = spectral_decomposition(L, degeneracy_tolerance)
+    dec = spectral_decomposition(L)
     return MeasurementSetup(L=L, eta=float(eta), dec=dec)
 
 

@@ -72,7 +72,7 @@ from .core import UnrecoverableStateError
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import laplacian_matrix
 from .lyapunov import v_open
-from .spin import spin2_preset
+from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
 __all__ = [
     "DEFAULT_SEED",
@@ -105,6 +105,8 @@ ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 # layout changes the bits of any trajectory.
 CHUNK = 1000
 NOISE_BLOCK = 2048
+# Trajectory resamples behind estimate_rate's bootstrap confidence interval.
+BOOTSTRAP_RESAMPLES = 200
 
 
 class FitDomainError(ValueError):
@@ -131,7 +133,7 @@ class CampaignConfig:
     estimator: str = "truth"
     model: str = "spin"
     J: float = 2.0
-    eta: float = 0.8
+    eta: float = DEFAULT_EFFICIENCY
     p_max: float | None = None
     sigma_bar: float | None = None
     saturation: str = "piecewise_linear"
@@ -329,7 +331,6 @@ class EnsembleResult:
     q10: np.ndarray
     q50: np.ndarray
     q90: np.ndarray
-    n_alive: np.ndarray
     mean_v_open: np.ndarray
     error_traces: np.ndarray
     v_open_traces: np.ndarray
@@ -508,7 +509,6 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     vop = np.concatenate([p[1] for p in parts], axis=0)
     final_p = np.concatenate([p[2] for p in parts], axis=0)
     times = np.arange(err.shape[1]) * cfg.dt * cfg.record_stride
-    n_alive = np.sum(~np.isnan(err), axis=0)
     mean_error = np.mean(err, axis=0)
     q10, q50, q90 = np.percentile(err, [10.0, 50.0, 90.0], axis=0)
     mean_v_open = np.mean(vop, axis=0)
@@ -519,7 +519,6 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         q10=q10,
         q50=q50,
         q90=q90,
-        n_alive=n_alive,
         mean_v_open=mean_v_open,
         error_traces=err,
         v_open_traces=vop,
@@ -528,7 +527,7 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         fit_ci=(np.nan, np.nan),
     )
     try:
-        nu, ci = estimate_rate(result, window=cfg.fit_window)
+        nu, ci = estimate_rate(result)
     except FitDomainError:
         nu, ci = np.nan, (np.nan, np.nan)
     return replace(result, fitted_rate=nu, fit_ci=ci)
@@ -538,18 +537,14 @@ def _fit_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(times, np.log(values), 1)[0])
 
 
-def estimate_rate(
-    result: EnsembleResult,
-    window: tuple[float, float] | None = None,
-    series: str = "error",
-    resamples: int = 200,
-) -> tuple[float, tuple[float, float]]:
+def estimate_rate(result: EnsembleResult, series: str = "error") -> tuple[float, tuple[float, float]]:
     """Least-squares exponential rate of a mean series, with a bootstrap CI.
 
-    Fits the slope of log(mean) over the window; the confidence interval
-    resamples trajectories with replacement (200 resamples, percentile
-    2.5/97.5).  series selects the stabilization error sqrt(1 - p_target)
-    or the open-loop Lyapunov mean ("v_open").
+    Fits the slope of log(mean) over the campaign's fit_window; the
+    confidence interval resamples trajectories with replacement
+    (BOOTSTRAP_RESAMPLES resamples, percentile 2.5/97.5).  series selects
+    the stabilization error sqrt(1 - p_target) or the open-loop Lyapunov
+    mean ("v_open").
     """
     if series == "error":
         mean, traces = result.mean_error, result.error_traces
@@ -557,12 +552,10 @@ def estimate_rate(
         mean, traces = result.mean_v_open, result.v_open_traces
     else:
         raise ValueError(f"series must be 'error' or 'v_open', got {series!r}")
-    if window is None:
-        window = result.cfg.fit_window
-    w0, w1 = window
+    w0, w1 = result.cfg.fit_window
     mask = (result.times >= w0) & (result.times <= w1)
     if mask.sum() < 2:
-        raise FitDomainError(f"fit window {window} selects fewer than two grid points")
+        raise FitDomainError(f"fit window {result.cfg.fit_window} selects fewer than two grid points")
     vals = mean[mask]
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise FitDomainError("mean series is nonpositive inside the fit window")
@@ -570,9 +563,9 @@ def estimate_rate(
     sub = traces[:, mask]
     rng = np.random.Generator(np.random.Philox(key=[np.uint64(result.cfg.base_seed), np.uint64(2**62)]))
     n_traj = sub.shape[0]
-    boot = np.empty(resamples)
+    boot = np.empty(BOOTSTRAP_RESAMPLES)
     twin = result.times[mask]
-    for r in range(resamples):
+    for r in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, n_traj, size=n_traj)
         mboot = np.mean(sub[pick], axis=0)
         if np.any(~np.isfinite(mboot)) or np.any(mboot <= 0.0):
@@ -588,37 +581,14 @@ def _fmt(x) -> str:
 
 
 def write_series_csv(result: EnsembleResult, path: str) -> None:
-    """Time series CSV: t, mean_error, q10, q50, q90, n_alive (full float precision)."""
+    """Time series CSV: t, mean_error, q10, q50, q90 (full float precision), n_alive = trajectories."""
     with open(path, "w", newline="") as fh:
         fh.write("t,mean_error,q10,q50,q90,n_alive\n")
         for i in range(len(result.times)):
             fh.write(
                 f"{_fmt(result.times[i])},{_fmt(result.mean_error[i])},{_fmt(result.q10[i])},"
-                f"{_fmt(result.q50[i])},{_fmt(result.q90[i])},{int(result.n_alive[i])}\n"
+                f"{_fmt(result.q50[i])},{_fmt(result.q90[i])},{result.cfg.trajectories}\n"
             )
-
-
-SUMMARY_FIELDS = (
-    "nu_hat",
-    "ci_low",
-    "ci_high",
-    "trajectories",
-    "t_final",
-    "dt",
-    "record_stride",
-    "p_min",
-    "p_max",
-    "sigma_bar",
-    "eta",
-    "estimator",
-    "feedback_delay",
-    "base_seed",
-    "fit_t_start",
-    "fit_t_end",
-    "saturation",
-    "J",
-    "initial",
-)
 
 
 def write_summary_csv(result: EnsembleResult, path: str) -> None:
@@ -647,8 +617,8 @@ def write_summary_csv(result: EnsembleResult, path: str) -> None:
         "initial": cfg.initial,
     }
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SUMMARY_FIELDS) + "\n")
-        fh.write(",".join(values[k] for k in SUMMARY_FIELDS) + "\n")
+        fh.write(",".join(values) + "\n")
+        fh.write(",".join(values.values()) + "\n")
 
 
 def read_series_csv(path: str) -> dict[str, np.ndarray]:

@@ -33,6 +33,8 @@ __all__ = [
     "population_filter_step",
 ]
 
+CONNECTIVITY_TOL = 1e-10  # Laplacian entries at or below this are not edges of the actuation graph
+
 
 def laplacian_matrix(H: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     """Actuation Laplacian Delta_{k,k'} = tr(Pi_k D_H(Pi_{k'})) on the eigenspace index set.
@@ -56,13 +58,13 @@ def laplacian_matrix(H: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     return delta
 
 
-def graph_connected(delta: np.ndarray, connectivity_tolerance: float = 1e-10) -> bool:
-    """True iff the graph with edges {Delta_{k,k'} > tol, k != k'} is connected."""
+def graph_connected(delta: np.ndarray) -> bool:
+    """True iff the graph with edges {Delta_{k,k'} > CONNECTIVITY_TOL, k != k'} is connected."""
     delta = np.asarray(delta)
     d = delta.shape[-1]
     if d == 1:
         return True
-    adjacency = delta > connectivity_tolerance
+    adjacency = delta > CONNECTIVITY_TOL
     np.fill_diagonal(adjacency, False)
     seen = np.zeros(d, dtype=bool)
     stack = [0]

@@ -67,6 +67,17 @@ __all__ = [
     "xi_dynamics_check",
 ]
 
+# certify_decay's sampling recipe
+TV_RADIUS = 0.05  # trace distance of the near-vertex mixtures from their wrong vertex, at most
+TARGET_EXCLUSION = 1e-6  # bulk and diagonal samples keep 1 - p_target >= this
+
+# xi_dynamics_check's Monte Carlo run
+XI_TRAJECTORIES = 2000
+XI_DT = 1e-3
+XI_DRIFT_HORIZON = 0.1  # time over which the one-step drift residuals are pooled
+XI_PRODUCT_HORIZON = 1.5  # simulated time, the longest span of the product fits
+XI_SEED = 11
+
 
 class CertificationImpossibleError(RuntimeError):
     """The actuation graph is disconnected: no weight choice can certify the target."""
@@ -122,27 +133,13 @@ class AlphaWeights:
         return self.alpha.shape[1]
 
 
-def _validate_beta(beta: np.ndarray, d: int, target: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (d - 1, d):
-        raise ValueError(f"beta must have shape {(d - 1, d)}, got {beta.shape}")
-    wrong = [k for k in range(d) if k != target]
-    if np.any(beta[:, wrong] <= 0):
-        raise ValueError("beta must be strictly positive off the target column")
-    row_sums = np.abs(beta.sum(axis=1))
-    if np.any(row_sums > 1e-9 * np.max(np.abs(beta))):
-        raise ValueError(f"beta rows must sum to zero, max |sum| = {row_sums.max():.3e}")
-    if np.linalg.matrix_rank(beta) != d - 1:
-        raise ValueError("beta must have rank d - 1")
-    return beta
-
-
-def solve_alpha(delta: np.ndarray, target: int, beta: np.ndarray | None = None) -> AlphaWeights:
+def solve_alpha(delta: np.ndarray, target: int) -> AlphaWeights:
     """Solve the d-1 grounded-Laplacian systems sum_k' Delta_{k,k'} alpha_{s,k'} = -beta_{s,k}.
 
-    Grounding removes the target row and column; for a connected actuation
-    graph the grounded Laplacian is invertible with entrywise-positive
-    inverse, so positive beta rows yield strictly positive weights.
+    beta is default_beta(d, target).  Grounding removes the target row and
+    column; for a connected actuation graph the grounded Laplacian is
+    invertible with entrywise-positive inverse, so the positive beta rows
+    yield strictly positive weights.
     """
     delta = np.asarray(delta, dtype=float)
     d = delta.shape[0]
@@ -155,9 +152,7 @@ def solve_alpha(delta: np.ndarray, target: int, beta: np.ndarray | None = None) 
             "actuation graph is disconnected: the target eigenspace is not "
             "reachable from every other eigenspace, certification impossible"
         )
-    if beta is None:
-        beta = default_beta(d, target)
-    beta = _validate_beta(beta, d, target)
+    beta = default_beta(d, target)
     keep = [k for k in range(d) if k != target]
     grounded = delta[np.ix_(keep, keep)]
     try:
@@ -361,15 +356,13 @@ def certify_decay(
     w: AlphaWeights,
     samples: int,
     seed: int = 7,
-    tv_radius: float = 0.05,
-    target_exclusion: float = 1e-6,
 ) -> CertificateReport:
     """Stratified sampling of the contraction ratio -A V_alpha / V_alpha.
 
     Strata: one third of the samples near the wrong vertices (within trace
-    distance tv_radius, including the exact vertices), one third
+    distance TV_RADIUS, including the exact vertices), one third
     Hilbert-Schmidt-uniform bulk states, one third diagonal mixtures of
-    the eigenspaces.  States with 1 - p_target < target_exclusion are
+    the eigenspaces.  States with 1 - p_target < TARGET_EXCLUSION are
     excluded from the bulk and diagonal strata (the ratio is singular at
     the target).  nu_hat is the global minimum ratio; certification
     requires nu_hat > 0.
@@ -385,17 +378,13 @@ def certify_decay(
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
-    if not 0.0 <= tv_radius <= 1.0:
-        raise ValueError(f"tv_radius must lie in [0, 1], got {tv_radius}")
-    if not 0.0 < target_exclusion < 1.0:
-        raise ValueError(f"target_exclusion must lie in (0, 1), got {target_exclusion}")
     dec = meas.dec
     strata = []
     timing = {}
     global_min = np.inf
     global_worst = None
     clock = time.perf_counter()
-    for name, batch, draws in _sample_strata(dec, w.target, samples, seed, tv_radius, target_exclusion):
+    for name, batch, draws in _sample_strata(dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
         sampled = time.perf_counter()
         terms = generator_terms(batch, meas, ctrl, w)
         timing[name] = {"sample_s": sampled - clock, "generator_s": time.perf_counter() - sampled}
@@ -456,28 +445,24 @@ class XiDriftReport:
         return float(np.max(np.abs(self.fitted_rates - self.expected_rates) / self.expected_rates))
 
 
-def xi_dynamics_check(
-    meas: MeasurementSetup,
-    trajectories: int = 1000,
-    dt: float = 1e-3,
-    drift_horizon: float = 0.1,
-    product_horizon: float = 1.5,
-    seed: int = 11,
-) -> XiDriftReport:
+def xi_dynamics_check(meas: MeasurementSetup) -> XiDriftReport:
     """Simulate open-loop trajectories from the maximally mixed state and check xi dynamics.
 
-    Checks two consequences of the Ito equation for xi_k = sqrt(p_k):
-    the one-step drift -(eta/2)(lambda_k - w(xi))^2 xi_k dt (z-scores of
-    the mean residual over the first drift_horizon time units), and the
-    exact exponential decay of E[xi_k xi_k'] at rate
+    Runs XI_TRAJECTORIES Euler trajectories at step XI_DT for
+    XI_PRODUCT_HORIZON time units, seeded by XI_SEED.  Checks two
+    consequences of the Ito equation for xi_k = sqrt(p_k): the one-step
+    drift -(eta/2)(lambda_k - w(xi))^2 xi_k dt (z-scores of the mean
+    residual over the first XI_DRIFT_HORIZON time units), and the exact
+    exponential decay of E[xi_k xi_k'] at rate
     (eta/2)(lambda_k - lambda_k')^2 (log-linear fits per pair).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(XI_SEED)
+    trajectories, dt = XI_TRAJECTORIES, XI_DT
     dec = meas.dec
     d, n = dec.d, dec.n
     lam = dec.eigenvalues
-    n_steps = int(round(product_horizon / dt))
-    drift_steps = int(round(drift_horizon / dt))
+    n_steps = int(round(XI_PRODUCT_HORIZON / dt))
+    drift_steps = int(round(XI_DRIFT_HORIZON / dt))
     rho = np.broadcast_to(np.eye(n, dtype=complex) / n, (trajectories, n, n)).copy()
     pairs = [(k, k2) for k in range(d) for k2 in range(k + 1, d)]
     prod_means = np.empty((n_steps + 1, len(pairs)))
@@ -511,7 +496,7 @@ def xi_dynamics_check(
         rate = 0.5 * meas.eta * (lam[a] - lam[b]) ** 2
         expected[i] = rate
         # fit over the stretch where the exact mean has decayed by at most e^-3
-        horizon = min(product_horizon, 3.0 / rate)
+        horizon = min(XI_PRODUCT_HORIZON, 3.0 / rate)
         mask = (times <= horizon) & (prod_means[:, i] > 1e-6)
         slope = np.polyfit(times[mask], np.log(prod_means[mask, i]), 1)[0]
         fitted[i] = -slope

@@ -6,13 +6,13 @@ import pytest
 from qndstab.core import (
     UnrecoverableStateError,
     dissipator,
+    ginibre_states,
     hermitian_part,
     innovation_superop,
     populations,
     project_to_physical,
     random_density_matrix,
     random_hermitian,
-    random_simplex,
     spectral_decomposition,
     trace,
     unitary_conjugate,
@@ -90,7 +90,7 @@ def test_spectral_decomposition_invariants(rng):
 
 def test_spectral_decomposition_degeneracy_clustering():
     op = np.diag([1.0, 1.0 + 1e-12, 2.0]).astype(complex)
-    dec = spectral_decomposition(op, degeneracy_tolerance=1e-8)
+    dec = spectral_decomposition(op)
     assert dec.d == 2
     assert dec.eigenvalues[0] == 2.0
     assert abs(dec.eigenvalues[1] - (1.0 + 5e-13)) < 1e-12
@@ -169,7 +169,7 @@ def test_unitary_conjugate_group_property(rng):
 
 def test_unitary_conjugate_preserves_spectrum_and_trace(rng):
     h = random_hermitian(5, rng)
-    rho = random_density_matrix(5, rng, rank=2)
+    rho = ginibre_states(rng.standard_normal((2, 5, 2)))  # rank 2
     out = unitary_conjugate(h, 1.3, rho)
     assert abs(trace(out) - 1.0) < 1e-12
     assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-12)
@@ -215,10 +215,11 @@ def test_project_to_physical_batch_and_unrecoverable(rng):
 
 
 def test_random_state_helpers(rng):
-    rho = random_density_matrix(6, rng, rank=3)
+    rho = random_density_matrix(6, rng)
     validate_density_matrix(rho)
-    assert np.linalg.matrix_rank(rho, tol=1e-10) == 3
+    assert np.linalg.matrix_rank(rho, tol=1e-10) == 6
+    low = ginibre_states(rng.standard_normal((2, 6, 3)))
+    validate_density_matrix(low)
+    assert np.linalg.matrix_rank(low, tol=1e-10) == 3
     h = random_hermitian(4, rng)
     validate_hermitian(h)
-    p = random_simplex(5, rng)
-    assert abs(p.sum() - 1.0) < 1e-12 and np.all(p >= 0)

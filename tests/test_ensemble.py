@@ -474,7 +474,8 @@ def test_ensemble_aggregates_are_consistent():
     cfg = _small_cfg(trajectories=8, t_final=1.0, record_stride=10, fit_window=(0.2, 0.8))
     result = run_ensemble(cfg)
     assert result.error_traces.shape == (8, 101)
-    assert np.all(result.n_alive == 8)
+    # no trajectory is lost, so the series CSV's n_alive column is cfg.trajectories
+    assert np.all(np.isfinite(result.error_traces))
     assert np.array_equal(result.mean_error, np.nanmean(result.error_traces, axis=0))
     assert np.array_equal(result.mean_v_open, np.nanmean(result.v_open_traces, axis=0))
     assert np.all(result.q10 <= result.q50 + 1e-15)
@@ -488,11 +489,11 @@ def test_ensemble_aggregates_are_consistent():
 # ---------------------------------------------------------------- rate fits
 
 
-def _synthetic_result(traces, times, v_traces=None, base_seed=SEED):
+def _synthetic_result(traces, times, v_traces=None, base_seed=SEED, fit_window=(1.0, 9.0)):
     cfg = CampaignConfig(
         p_min=0.9, t_final=float(times[-1]), dt=1e-3,
         record_stride=int(round((times[1] - times[0]) / 1e-3)),
-        trajectories=traces.shape[0], base_seed=base_seed, fit_window=(1.0, 9.0),
+        trajectories=traces.shape[0], base_seed=base_seed, fit_window=fit_window,
     )
     if v_traces is None:
         v_traces = traces
@@ -503,7 +504,6 @@ def _synthetic_result(traces, times, v_traces=None, base_seed=SEED):
         q10=np.nanpercentile(traces, 10.0, axis=0),
         q50=np.nanpercentile(traces, 50.0, axis=0),
         q90=np.nanpercentile(traces, 90.0, axis=0),
-        n_alive=np.sum(~np.isnan(traces), axis=0),
         mean_v_open=np.nanmean(v_traces, axis=0),
         error_traces=traces,
         v_open_traces=v_traces,
@@ -517,7 +517,7 @@ def test_estimate_rate_exact_exponential():
     times = np.arange(101) * 0.1
     traces = np.tile(np.exp(-0.3 * times), (32, 1))
     result = _synthetic_result(traces, times)
-    nu, (lo, hi) = estimate_rate(result, window=(1.0, 9.0))
+    nu, (lo, hi) = estimate_rate(result)
     assert nu == pytest.approx(0.3, abs=1e-9)
     # identical trajectories: every resample refits the same series
     assert lo == pytest.approx(nu, abs=1e-9)
@@ -528,14 +528,14 @@ def test_estimate_rate_tolerates_modulation():
     times = np.arange(101) * 0.1
     clean = np.exp(-0.3 * times)
     traces = np.tile(clean * (1.0 + 0.01 * np.sin(2.0 * np.pi * times / 3.0)), (32, 1))
-    nu, _ = estimate_rate(_synthetic_result(traces, times), window=(1.0, 9.0))
+    nu, _ = estimate_rate(_synthetic_result(traces, times))
     assert abs(nu - 0.3) < 0.01
 
 
 def test_estimate_rate_constant_series_gives_zero():
     times = np.arange(101) * 0.1
     traces = np.full((8, 101), 0.5)
-    nu, _ = estimate_rate(_synthetic_result(traces, times), window=(1.0, 9.0))
+    nu, _ = estimate_rate(_synthetic_result(traces, times))
     assert abs(nu) < 1e-12
 
 
@@ -544,7 +544,7 @@ def test_estimate_rate_selects_series():
     err = np.tile(np.exp(-0.3 * times), (8, 1))
     vop = np.tile(np.exp(-0.7 * times), (8, 1))
     result = _synthetic_result(err, times, v_traces=vop)
-    nu_v, _ = estimate_rate(result, window=(1.0, 9.0), series="v_open")
+    nu_v, _ = estimate_rate(result, series="v_open")
     assert nu_v == pytest.approx(0.7, abs=1e-9)
     with pytest.raises(ValueError, match="series"):
         estimate_rate(result, series="martingale")
@@ -553,13 +553,12 @@ def test_estimate_rate_selects_series():
 def test_estimate_rate_domain_errors():
     times = np.arange(101) * 0.1
     traces = np.tile(np.exp(-0.3 * times), (8, 1))
-    result = _synthetic_result(traces, times)
     with pytest.raises(FitDomainError, match="fewer than two"):
-        estimate_rate(result, window=(1.0, 1.05))
+        estimate_rate(_synthetic_result(traces, times, fit_window=(1.0, 1.05)))
     dead = traces.copy()
     dead[:, 50] = 0.0
     with pytest.raises(FitDomainError, match="nonpositive"):
-        estimate_rate(_synthetic_result(dead, times), window=(1.0, 9.0))
+        estimate_rate(_synthetic_result(dead, times))
 
 
 def test_estimate_rate_bootstrap_is_deterministic():
@@ -568,10 +567,10 @@ def test_estimate_rate_bootstrap_is_deterministic():
     traces = np.exp(-0.3 * times) * (1.0 + 0.05 * rng.standard_normal((32, 101)))
     traces = np.clip(traces, 1e-6, None)
     result = _synthetic_result(traces, times)
-    first = estimate_rate(result, window=(1.0, 9.0))
-    second = estimate_rate(result, window=(1.0, 9.0))
+    first = estimate_rate(result)
+    second = estimate_rate(result)
     assert first == second
-    third = estimate_rate(_synthetic_result(traces, times, base_seed=SEED + 1), window=(1.0, 9.0))
+    third = estimate_rate(_synthetic_result(traces, times, base_seed=SEED + 1))
     assert first[0] == third[0]  # point estimate ignores the bootstrap seed
     assert first[1] != third[1]
 
@@ -596,10 +595,14 @@ def test_csv_round_trips(tmp_path):
     assert np.array_equal(series["q10"], result.q10)
     assert np.array_equal(series["q50"], result.q50)
     assert np.array_equal(series["q90"], result.q90)
-    assert np.array_equal(series["n_alive"], result.n_alive)
+    assert np.all(series["n_alive"] == cfg.trajectories)
 
     summary = read_summary_csv(str(summary_path))
-    assert set(summary) == set(ensemble.SUMMARY_FIELDS)
+    assert list(summary) == [
+        "nu_hat", "ci_low", "ci_high", "trajectories", "t_final", "dt", "record_stride",
+        "p_min", "p_max", "sigma_bar", "eta", "estimator", "feedback_delay", "base_seed",
+        "fit_t_start", "fit_t_end", "saturation", "J", "initial",
+    ]
     assert float(summary["nu_hat"]) == result.fitted_rate
     assert float(summary["ci_low"]) == result.fit_ci[0]
     assert float(summary["ci_high"]) == result.fit_ci[1]
