@@ -227,3 +227,22 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style random Hermitian matrix with entries of order one."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(a)
+
+
+def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
+    """sum_r weights[r] * rows[r] over the leading (state) axis, accumulated in row order.
+
+    numpy picks a reduction's summation order from the memory layout
+    (pairwise over a contiguous axis of 8 or more, SIMD kernels inside
+    einsum), and a width-1 batch-last array is contiguous along the state
+    axis; a fixed order keeps a trajectory's bits independent of the width.
+    """
+    if weights is None:
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return total
+    total = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        total += w * row
+    return total

@@ -39,8 +39,9 @@ the true state.  The engine therefore runs no copy of it: a full_observer
 campaign reads its gain from the true state and gives exactly the truth
 trajectories at the truth cost.  The reduced filter adds the averaged
 control channel sigma^2 D_H as Kraus terms: M gains (sigma^2 dt / 2) A^2
-and the sum gains sigma^2 dt A rho A^T.  The population filter is the Euler
-update of filters.population_filter_step.  The public one-step functions in
+and the sum gains sigma^2 dt A rho A^T.  The population filter is the
+update filters.population_filter_step runs, shared with it and fed the
+delayed gain.  The public one-step functions in
 dynamics and filters keep Euler-Maruyama with the physicality projection as
 the reference scheme; both schemes are first order in dt.
 
@@ -68,9 +69,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UnrecoverableStateError
+from .core import UnrecoverableStateError, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
-from .filters import laplacian_matrix
+from .filters import _population_update, laplacian_matrix
 from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
@@ -267,25 +268,6 @@ class _Packed:
         return cols.T[:, self._rows].reshape(-1, self.n, self.n)
 
 
-def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
-    """sum_r weights[r] * rows[r] over the leading (state) axis, accumulated in row order.
-
-    numpy picks a reduction's summation order from the memory layout
-    (pairwise over a contiguous axis of 8 or more, SIMD kernels inside
-    einsum), and a width-1 batch-last array is contiguous along the state
-    axis; a fixed order keeps a trajectory's bits independent of the width.
-    """
-    if weights is None:
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
-        return total
-    total = weights[0] * rows[0]
-    for w, row in zip(weights[1:], rows[1:]):
-        total += w * row
-    return total
-
-
 def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> tuple[np.ndarray, np.ndarray]:
     """Kraus measurement step for L = diag(lvec), one column per record increment in dy.
 
@@ -356,7 +338,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     order = np.argsort(-lvec, kind="stable")
     lvec = lvec[order]
     h = ctrl.H[np.ix_(order, order)]
-    lam = dec.eigenvalues
     target = ctrl.target
     eta, dt = meas.eta, cfg.dt
     sqeta = np.sqrt(eta)
@@ -379,8 +360,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     rho_hat = rho.copy() if estimator == "reduced_filter" else None
     p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
     if estimator == "population_filter":
-        # column k' of Delta, as weights over the rows of p_hat
-        delta_cols = laplacian_matrix(ctrl.H, dec).T[:, :, None]
+        delta = laplacian_matrix(ctrl.H, dec)
     if estimator == "reduced_filter":
         # H rho H = A rho A^T and H^2 = -A^2 for A = Im H
         gen = h.imag
@@ -459,12 +439,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 rho_hat = pk.pack(out)
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                varpi = _rowsum(p_hat, lam)
-                innov = dy - 2.0 * sqeta * varpi * dt
-                p_new = p_hat + 2.0 * sqeta * p_hat * (lam[:, None] - varpi) * innov
-                p_new += (sigma_app * sigma_app) * _rowsum(p_hat, delta_cols) * dt
-                np.clip(p_new, 0.0, None, out=p_new)
-                p_hat = p_new / _rowsum(p_new)
+                p_hat = _population_update(p_hat, meas, delta, sigma_app, dy, dt)
 
             step += 1
             if step % stride == 0:

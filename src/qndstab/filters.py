@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralDecomposition, dissipator, populations, project_to_physical
+from .core import SpectralDecomposition, _rowsum, dissipator, populations, project_to_physical
 from .dynamics import ControlSetup, MeasurementSetup, StepInput, _measurement_update, closed_loop_step, feedback_gain
 
 __all__ = [
@@ -116,6 +116,24 @@ def reduced_filter_step(
     return project_to_physical(moved)
 
 
+def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndarray, sigma, dY, dt: float) -> np.ndarray:
+    """Population filter update on batch-last populations p_hat, shape (d, m), one column per record.
+
+    sigma and dY hold one gain and one record increment per column.  Every
+    sum over the eigenspace index is a _rowsum, so a column's bits do not
+    depend on the batch width.
+    """
+    lam = meas.dec.eigenvalues
+    sqeta = np.sqrt(meas.eta)
+    varpi = _rowsum(p_hat, lam)
+    innov = dY - 2.0 * sqeta * varpi * dt
+    p_new = p_hat + 2.0 * sqeta * p_hat * (lam[:, None] - varpi) * innov
+    # column k' of Delta, as weights over the rows of p_hat
+    p_new += (sigma * sigma) * _rowsum(p_hat, delta.T[:, :, None]) * dt
+    np.clip(p_new, 0.0, None, out=p_new)
+    return p_new / _rowsum(p_new)
+
+
 def population_filter_step(
     p_hat: np.ndarray,
     meas: MeasurementSetup,
@@ -124,25 +142,17 @@ def population_filter_step(
     dY,
     dt: float,
 ) -> np.ndarray:
-    """d-dimensional population filter step.
+    """d-dimensional population filter step, on p_hat of shape (d,) or (m, d).
 
     dp_k = 2 sqrt(eta) p_k (lambda_k - w) (dY - 2 sqrt(eta) w dt)
            + sigma(p)^2 sum_k' Delta_{k,k'} p_k' dt,   w = sum_k lambda_k p_k,
 
     followed by a clamp of negative components to zero and renormalization
     of the sum to one (Euler steps can leave the simplex for large noise
-    increments; the continuous flow preserves it).
+    increments; the continuous flow preserves it).  It is the campaign
+    engine's update, with sigma = feedback_gain(p_hat) undelayed.
     """
     p_hat = np.asarray(p_hat, dtype=float)
-    dY = np.asarray(dY, dtype=float)
-    lam = meas.dec.eigenvalues
-    sqeta = np.sqrt(meas.eta)
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
-    w = p_hat @ lam
-    innovation = dY - 2.0 * sqeta * w * dt
-    dp = (
-        2.0 * sqeta * p_hat * (lam - w[..., None]) * innovation[..., None]
-        + (sigma * sigma)[..., None] * (p_hat @ delta.T) * dt
-    )
-    out = np.clip(p_hat + dp, 0.0, None)
-    return out / np.sum(out, axis=-1, keepdims=True)
+    cols = _population_update(np.atleast_2d(p_hat).T, meas, delta, sigma, np.asarray(dY, dtype=float), dt)
+    return cols.T.reshape(p_hat.shape)

@@ -24,10 +24,6 @@ i [Pi_k, H].  certify_decay samples the state space in stratified
 fashion and reports the empirical contraction margin
 nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
 E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
-
-The module also provides Monte Carlo checks of the sqrt-population
-dynamics that underpin the open-loop rate (drift of xi_k = sqrt(p_k) and
-exact exponential decay of the pairwise products xi_k xi_k').
 """
 
 from __future__ import annotations
@@ -38,13 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ginibre_states, populations
-from .dynamics import (
-    ControlSetup,
-    MeasurementSetup,
-    StepInput,
-    feedback_gain,
-    open_loop_step,
-)
+from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
 __all__ = [
@@ -54,7 +44,6 @@ __all__ = [
     "GeneratorTerms",
     "StratumResult",
     "CertificateReport",
-    "XiDriftReport",
     "v_open",
     "open_loop_rate",
     "default_beta",
@@ -64,19 +53,11 @@ __all__ = [
     "generator_terms",
     "certify_decay",
     "certificate_to_csv",
-    "xi_dynamics_check",
 ]
 
 # certify_decay's sampling recipe
 TV_RADIUS = 0.05  # trace distance of the near-vertex mixtures from their wrong vertex, at most
 TARGET_EXCLUSION = 1e-6  # bulk and diagonal samples keep 1 - p_target >= this
-
-# xi_dynamics_check's Monte Carlo run
-XI_TRAJECTORIES = 2000
-XI_DT = 1e-3
-XI_DRIFT_HORIZON = 0.1  # time over which the one-step drift residuals are pooled
-XI_PRODUCT_HORIZON = 1.5  # simulated time, the longest span of the product fits
-XI_SEED = 11
 
 
 class CertificationImpossibleError(RuntimeError):
@@ -426,83 +407,3 @@ def certificate_to_csv(report: CertificateReport) -> str:
     lines.append(f"all,{report.samples},{repr(report.nu_hat)},{pops}")
     return "\n".join(lines) + "\n"
 
-
-@dataclass(frozen=True)
-class XiDriftReport:
-    """Monte Carlo validation of the sqrt-population dynamics in open loop."""
-
-    drift_z: np.ndarray
-    pair_indices: list[tuple[int, int]]
-    fitted_rates: np.ndarray
-    expected_rates: np.ndarray
-
-    @property
-    def max_abs_z(self) -> float:
-        return float(np.max(np.abs(self.drift_z)))
-
-    @property
-    def max_rate_rel_error(self) -> float:
-        return float(np.max(np.abs(self.fitted_rates - self.expected_rates) / self.expected_rates))
-
-
-def xi_dynamics_check(meas: MeasurementSetup) -> XiDriftReport:
-    """Simulate open-loop trajectories from the maximally mixed state and check xi dynamics.
-
-    Runs XI_TRAJECTORIES Euler trajectories at step XI_DT for
-    XI_PRODUCT_HORIZON time units, seeded by XI_SEED.  Checks two
-    consequences of the Ito equation for xi_k = sqrt(p_k): the one-step
-    drift -(eta/2)(lambda_k - w(xi))^2 xi_k dt (z-scores of the mean
-    residual over the first XI_DRIFT_HORIZON time units), and the exact
-    exponential decay of E[xi_k xi_k'] at rate
-    (eta/2)(lambda_k - lambda_k')^2 (log-linear fits per pair).
-    """
-    rng = np.random.default_rng(XI_SEED)
-    trajectories, dt = XI_TRAJECTORIES, XI_DT
-    dec = meas.dec
-    d, n = dec.d, dec.n
-    lam = dec.eigenvalues
-    n_steps = int(round(XI_PRODUCT_HORIZON / dt))
-    drift_steps = int(round(XI_DRIFT_HORIZON / dt))
-    rho = np.broadcast_to(np.eye(n, dtype=complex) / n, (trajectories, n, n)).copy()
-    pairs = [(k, k2) for k in range(d) for k2 in range(k + 1, d)]
-    prod_means = np.empty((n_steps + 1, len(pairs)))
-    xi = np.sqrt(populations(rho, dec))
-    prod_means[0] = [np.mean(xi[:, a] * xi[:, b]) for a, b in pairs]
-    resid_sum = np.zeros(d)
-    resid_sqsum = np.zeros(d)
-    resid_count = 0
-    for step in range(n_steps):
-        dw = rng.standard_normal(trajectories) * np.sqrt(dt)
-        out = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw))
-        xi_next = np.sqrt(populations(out.rho_next, dec))
-        if step < drift_steps:
-            varpi = np.sum(lam * xi * xi, axis=-1, keepdims=True)
-            predicted = -0.5 * meas.eta * (lam - varpi) ** 2 * xi * dt
-            resid = xi_next - xi - predicted
-            resid_sum += resid.sum(axis=0)
-            resid_sqsum += (resid * resid).sum(axis=0)
-            resid_count += trajectories
-        rho = out.rho_next
-        xi = xi_next
-        prod_means[step + 1] = [np.mean(xi[:, a] * xi[:, b]) for a, b in pairs]
-    mean_resid = resid_sum / resid_count
-    var_resid = resid_sqsum / resid_count - mean_resid**2
-    se = np.sqrt(var_resid / resid_count)
-    drift_z = mean_resid / se
-    times = np.arange(n_steps + 1) * dt
-    fitted = np.empty(len(pairs))
-    expected = np.empty(len(pairs))
-    for i, (a, b) in enumerate(pairs):
-        rate = 0.5 * meas.eta * (lam[a] - lam[b]) ** 2
-        expected[i] = rate
-        # fit over the stretch where the exact mean has decayed by at most e^-3
-        horizon = min(XI_PRODUCT_HORIZON, 3.0 / rate)
-        mask = (times <= horizon) & (prod_means[:, i] > 1e-6)
-        slope = np.polyfit(times[mask], np.log(prod_means[mask, i]), 1)[0]
-        fitted[i] = -slope
-    return XiDriftReport(
-        drift_z=drift_z,
-        pair_indices=pairs,
-        fitted_rates=fitted,
-        expected_rates=expected,
-    )

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -358,3 +361,23 @@ def test_cmd_certify_samples_override(tmp_path):
     cert = (out / "certificate.csv").read_text().strip().splitlines()
     assert cert[0] == "stratum,samples,min_ratio,worst_populations"
     assert cert[-1].startswith("all,33,")
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """run (the reduced filter's stacked matmuls) and certify write the same CSV bytes at 1 and 2 BLAS threads."""
+    run_cfg = _write_config(tmp_path, {**SMALL_CAMPAIGN, "estimator": "reduced_filter", "trajectories": 32}, "run.json")
+    cert_cfg = _write_config(tmp_path, {"p_min": 0.9}, "certify.json")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        for verb, cfg_path in (("run", run_cfg), ("certify", cert_cfg)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qndstab.cli", verb, "--config", cfg_path, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr[-4000:]
+        outputs.append({name: (out / name).read_bytes() for name in ("run_series.csv", "run_summary.csv", "certificate.csv")})
+    assert outputs[0] == outputs[1]

@@ -130,7 +130,6 @@ def test_open_loop_step_fixes_eigenprojectors_bitwise(spin2_loose):
 
 def test_open_loop_step_batch(spin2_loose, rng):
     meas, _ = spin2_loose
-    batch = random_density_matrix(5, rng)[None] * np.ones((4, 1, 1))
     batch = np.stack([random_density_matrix(5, rng) for _ in range(4)])
     dw = rng.normal(size=4) * np.sqrt(1e-3)
     out = open_loop_step(batch, meas, StepInput(dt=1e-3, dW=dw))

@@ -226,7 +226,7 @@ def test_population_filter_batch(spin2_loose, spin2_delta, rng):
     assert out.shape == (4, 5)
     for i in range(4):
         single = population_filter_step(batch[i], meas, ctrl, spin2_delta, dY=dY[i], dt=1e-3)
-        assert np.allclose(out[i], single, atol=1e-15, rtol=0.0)
+        assert np.array_equal(out[i], single)
 
 
 # -------------------------------------------------- cross-filter consistency
