@@ -246,3 +246,14 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
     for w, row in zip(weights[1:], rows[1:]):
         total += w * row
     return total
+
+
+def _kraus_diagonal(lvec: np.ndarray, eta: float, dt: float, dy) -> np.ndarray:
+    """Diagonal m of the Kraus operator M = I - L^2 dt/2 + sqrt(eta) L dy + (eta/2) L^2 (dy^2 - dt), L = diag(lvec).
+
+    This is the measurement step of Rouchon and Ralph (Phys. Rev. A 91,
+    012118, 2015); m has shape (n, k), one column per record increment in dy.
+    """
+    x = np.sqrt(eta) * dy
+    l2 = (lvec * lvec)[:, None]
+    return 1.0 - 0.5 * dt * l2 + lvec[:, None] * x + 0.5 * (x * x - eta * dt) * l2

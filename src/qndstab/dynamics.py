@@ -13,12 +13,13 @@ simulation step is therefore Euler-Maruyama for the measurement part
 followed by the exact unitary conjugation, followed by projection back
 onto the physical state space.  The splitting keeps eigenstates of L
 exactly invariant under the measurement update and keeps the control
-rotation exactly unitary.  These steppers are the Euler reference; the
+rotation exactly unitary.  closed_loop_step is the Euler reference; the
 campaign engine in ensemble integrates the same model with a
-positivity-preserving Kraus step instead.
+positivity-preserving Kraus step instead.  With dB = 0, or with
+sigma_bar = 0, it is the measurement-only (open-loop) step.
 
-All steppers accept batched states (leading axes) with matching batched
-noise increments, and evaluate the gain at the pre-step state (Ito
+closed_loop_step accepts batched states (leading axes) with matching
+batched noise increments, and evaluates the gain at the pre-step state (Ito
 convention, non-anticipating).
 """
 
@@ -47,7 +48,6 @@ __all__ = [
     "measurement_setup",
     "control_setup",
     "feedback_gain",
-    "open_loop_step",
     "closed_loop_step",
 ]
 
@@ -189,17 +189,6 @@ def _conjugate_active(rho: np.ndarray, H: np.ndarray, dv) -> np.ndarray:
     out = flat.copy()
     out[active] = unitary_conjugate(H, dv.ravel()[active], flat[active])
     return out.reshape(rho.shape)
-
-
-def open_loop_step(rho: np.ndarray, meas: MeasurementSetup, step: StepInput) -> StepOutput:
-    """One measurement-only step: Euler-Maruyama then physicality projection."""
-    moved, dY = _measurement_update(rho, meas, step.dt, step.dW)
-    return StepOutput(
-        rho_next=project_to_physical(moved),
-        dY=dY if np.ndim(dY) else float(dY),
-        dv=np.zeros_like(dY) if np.ndim(dY) else 0.0,
-        sigma_used=np.zeros_like(dY) if np.ndim(dY) else 0.0,
-    )
 
 
 def closed_loop_step(rho: np.ndarray, meas: MeasurementSetup, ctrl: ControlSetup, step: StepInput) -> StepOutput:

@@ -37,13 +37,16 @@ The full observer knows Y and B and starts at the true state, so its step
 is the plant's step with the same Kraus factor, dy and dB, and it stays on
 the true state.  The engine therefore runs no copy of it: a full_observer
 campaign reads its gain from the true state and gives exactly the truth
-trajectories at the truth cost.  The reduced filter adds the averaged
-control channel sigma^2 D_H as Kraus terms: M gains (sigma^2 dt / 2) A^2
-and the sum gains sigma^2 dt A rho A^T.  The population filter is the
-update filters.population_filter_step runs, shared with it and fed the
-delayed gain.  The public one-step functions in
-dynamics and filters keep Euler-Maruyama with the physicality projection as
-the reference scheme; both schemes are first order in dt.
+trajectories at the truth cost.  The two filters take the plant's Kraus
+diagonal m and the delayed gain.  The reduced filter's step
+(filters._reduced_update) adds the averaged control channel sigma^2 D_H as
+Kraus terms: M gains (sigma^2 dt / 2) A^2 and the sum gains
+sigma^2 dt A rho A^T.  The population filter's step
+(filters._population_update, which filters.population_filter_step runs
+too) is the diagonal of that step on a diagonal state, to first order in
+sigma^2 dt.
+dynamics.closed_loop_step keeps Euler-Maruyama with the physicality
+projection as the reference scheme; both schemes are first order in dt.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
@@ -69,9 +72,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UnrecoverableStateError, _rowsum
+from .core import UnrecoverableStateError, _kraus_diagonal, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
-from .filters import _population_update, laplacian_matrix
+from .filters import _population_update, _reduced_update, laplacian_matrix
 from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
@@ -275,9 +278,7 @@ def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _
     m m^T + (1 - eta) dt l l^T, shape (n(n+1)/2, k), so that
     M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.
     """
-    x = np.sqrt(eta) * dy
-    l2 = (lvec * lvec)[:, None]
-    mvec = 1.0 - 0.5 * dt * l2 + lvec[:, None] * x + 0.5 * (x * x - eta * dt) * l2
+    mvec = _kraus_diagonal(lvec, eta, dt, dy)
     factor = mvec[pk.i] * mvec[pk.j]
     factor += ((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None]
     return mvec, factor
@@ -361,10 +362,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
     if estimator == "population_filter":
         delta = laplacian_matrix(ctrl.H, dec)
-    if estimator == "reduced_filter":
-        # H rho H = A rho A^T and H^2 = -A^2 for A = Im H
-        gen = h.imag
-        gen2 = gen @ gen
+    gen = h.imag
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -431,15 +429,10 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             _normalize(rho, n, start, step + 1)
 
             if estimator == "reduced_filter":
-                mats = pk.unpack(rho_hat)
-                s2dt = (sigma_app * sigma_app * dt)[:, None, None]
-                kraus = mvec.T[:, :, None] * np.eye(n) + 0.5 * s2dt * gen2
-                out = kraus @ mats @ kraus + (1.0 - eta) * dt * (lvec[:, None] * mats * lvec)
-                out += s2dt * (gen @ mats @ gen.T)
-                rho_hat = pk.pack(out)
+                rho_hat = pk.pack(_reduced_update(pk.unpack(rho_hat), lvec, eta, gen, sigma_app, mvec, dt))
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                p_hat = _population_update(p_hat, meas, delta, sigma_app, dy, dt)
+                p_hat = _population_update(p_hat, meas, delta, sigma_app, mvec, dt)
 
             step += 1
             if step % stride == 0:

@@ -1,19 +1,19 @@
 """State estimators driven by the measurement record.
 
-Three estimation layers, in decreasing order of fidelity and cost:
+The actuation Laplacian Delta_{k,k'} = tr(Pi_k D_H(Pi_{k'})) and the two
+filter updates the campaign engine (ensemble) runs beside its Kraus plant
+step (Rouchon and Ralph, Phys. Rev. A 91, 012118, 2015):
 
-1. full observer: the matrix-valued filter that knows both the record Y
-   and the control noise B; its step is dynamics.closed_loop_step, the
-   plant's own step, driven by the innovation in place of dW;
-2. reduced filter: a matrix-valued filter that discards knowledge of B;
-   the control channel enters only through its average effect, the
-   sigma^2 D_H drift added to the plant's Euler measurement update driven
-   by the innovation, so the whole step is plain Euler-Maruyama;
-3. population filter: a d-dimensional vector filter for the eigenspace
-   populations only, whose actuation term is the Laplacian matrix
-   Delta_{k,k'} = tr(Pi_k D_H(Pi_{k'})).
+1. reduced filter: a matrix-valued filter that discards knowledge of the
+   control noise B; the control channel enters only through its average
+   effect sigma^2 D_H, as Kraus terms next to the plant's measurement step;
+2. population filter: a d-dimensional vector filter for the eigenspace
+   populations only, the diagonal of the reduced filter's step on a
+   diagonal state to first order in sigma^2 dt; in open loop (gain
+   identically zero) the two agree exactly.
 
-The population filter is exact in open loop (gain identically zero) and
+The full observer knows both Y and B and, started at the true state, is
+the plant itself, so it has no update of its own.  The population filter
 is the cheapest usable estimator for the feedback law, since the gain
 depends on the state only through the populations.
 """
@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralDecomposition, _rowsum, dissipator, populations, project_to_physical
-from .dynamics import ControlSetup, MeasurementSetup, StepInput, _measurement_update, closed_loop_step, feedback_gain
+from .core import SpectralDecomposition, _kraus_diagonal, _rowsum
+from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 
 __all__ = [
     "laplacian_matrix",
     "graph_connected",
-    "full_observer_step",
-    "reduced_filter_step",
     "population_filter_step",
 ]
 
@@ -78,59 +76,41 @@ def graph_connected(delta: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _innovation(rho_hat: np.ndarray, meas: MeasurementSetup, dY, dt: float) -> np.ndarray:
-    """Innovation dY - 2 sqrt(eta) tr(L rho_hat) dt, the filter's stand-in for dW."""
-    ex = np.einsum("ij,...ji->...", meas.L, rho_hat).real
-    return np.asarray(dY, dtype=float) - 2.0 * np.sqrt(meas.eta) * ex * dt
+def _reduced_update(mats: np.ndarray, lvec: np.ndarray, eta: float, gen: np.ndarray, sigma, mvec, dt: float) -> np.ndarray:
+    """Reduced filter's Kraus step on real states mats, shape (k, n, n), before the trace division.
 
+    The states are in the eigenbasis of L = diag(lvec), the control
+    Hamiltonian is H = i gen, and mvec is the (n, k) Kraus diagonal of the
+    record increments (core._kraus_diagonal).  With s = sigma^2 dt per state,
+    H rho H = A rho A^T and H^2 = -A^2 for A = gen, so the averaged control
+    channel s D_H adds (s/2) A^2 to M = diag(m) and s A rho A^T to the sum:
 
-def full_observer_step(
-    rho_hat: np.ndarray,
-    meas: MeasurementSetup,
-    ctrl: ControlSetup,
-    dY,
-    dB,
-    dt: float,
-) -> np.ndarray:
-    """Observer step with full knowledge of the record Y and the control noise B.
+        rho <- M rho M + (1 - eta) dt L rho L + s A rho A^T.
 
-    closed_loop_step on rho_hat, with the innovation in place of dW and the
-    plant's dB.  Started at the true state with the plant's dY, it matches
-    the plant to the round-off in the innovation, not exactly.
+    The products run per matrix, so a state's bits do not depend on the batch.
     """
-    step = StepInput(dt=dt, dW=_innovation(rho_hat, meas, dY, dt), dB=dB)
-    return closed_loop_step(rho_hat, meas, ctrl, step).rho_next
+    s2dt = (sigma * sigma * dt)[:, None, None]
+    kraus = mvec.T[:, :, None] * np.eye(lvec.size) + 0.5 * s2dt * (gen @ gen)
+    out = kraus @ mats @ kraus + (1.0 - eta) * dt * (lvec[:, None] * mats * lvec)
+    out += s2dt * (gen @ mats @ gen.T)
+    return out
 
 
-def reduced_filter_step(
-    rho_hat: np.ndarray,
-    meas: MeasurementSetup,
-    ctrl: ControlSetup,
-    dY,
-    dt: float,
-) -> np.ndarray:
-    """Filter step that discards knowledge of B: Euler-Maruyama with the sigma^2 D_H drift."""
-    sigma = np.asarray(feedback_gain(populations(rho_hat, meas.dec), ctrl))
-    moved, _ = _measurement_update(rho_hat, meas, dt, _innovation(rho_hat, meas, dY, dt))
-    moved = moved + (sigma * sigma)[..., None, None] * dissipator(ctrl.H, rho_hat) * dt
-    return project_to_physical(moved)
-
-
-def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndarray, sigma, dY, dt: float) -> np.ndarray:
+def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndarray, sigma, mvec, dt: float) -> np.ndarray:
     """Population filter update on batch-last populations p_hat, shape (d, m), one column per record.
 
-    sigma and dY hold one gain and one record increment per column.  Every
-    sum over the eigenspace index is a _rowsum, so a column's bits do not
-    depend on the batch width.
+    sigma holds one gain per column and mvec the (d, m) Kraus diagonal of
+    each column's record increment (core._kraus_diagonal).  Every sum over
+    the eigenspace index is a _rowsum, so a column's bits do not depend on
+    the batch width.
     """
     lam = meas.dec.eigenvalues
-    sqeta = np.sqrt(meas.eta)
-    varpi = _rowsum(p_hat, lam)
-    innov = dY - 2.0 * sqeta * varpi * dt
-    p_new = p_hat + 2.0 * sqeta * p_hat * (lam[:, None] - varpi) * innov
-    # column k' of Delta, as weights over the rows of p_hat
-    p_new += (sigma * sigma) * _rowsum(p_hat, delta.T[:, :, None]) * dt
-    np.clip(p_new, 0.0, None, out=p_new)
+    s = sigma * sigma * dt
+    diag = np.diagonal(delta)
+    kk = mvec + 0.5 * s * diag[:, None]
+    p_new = (kk * kk + (1.0 - meas.eta) * dt * (lam * lam)[:, None]) * p_hat
+    # the off-diagonal columns of Delta, as weights over the rows of p_hat
+    p_new += s * _rowsum(p_hat, (delta - np.diag(diag)).T[:, :, None])
     return p_new / _rowsum(p_new)
 
 
@@ -144,15 +124,19 @@ def population_filter_step(
 ) -> np.ndarray:
     """d-dimensional population filter step, on p_hat of shape (d,) or (m, d).
 
-    dp_k = 2 sqrt(eta) p_k (lambda_k - w) (dY - 2 sqrt(eta) w dt)
-           + sigma(p)^2 sum_k' Delta_{k,k'} p_k' dt,   w = sum_k lambda_k p_k,
+    The diagonal of the reduced filter's Kraus step on diag(p_hat), with
+    the terms of order s^2 dropped, s = sigma(p)^2 dt:
 
-    followed by a clamp of negative components to zero and renormalization
-    of the sum to one (Euler steps can leave the simplex for large noise
-    increments; the continuous flow preserves it).  It is the campaign
-    engine's update, with sigma = feedback_gain(p_hat) undelayed.
+        p_k <- ((m_k + s Delta_kk / 2)^2 + (1 - eta) dt lambda_k^2) p_k
+               + s sum_{k' != k} Delta_kk' p_k',
+        m_k  = 1 - lambda_k^2 dt / 2 + sqrt(eta) lambda_k dY + (eta / 2) lambda_k^2 (dY^2 - dt),
+
+    then divided by its sum.  Every term is nonnegative, so the step stays
+    on the simplex with no clamp.  It is the campaign engine's update, with
+    sigma = feedback_gain(p_hat) undelayed.
     """
     p_hat = np.asarray(p_hat, dtype=float)
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
-    cols = _population_update(np.atleast_2d(p_hat).T, meas, delta, sigma, np.asarray(dY, dtype=float), dt)
+    mvec = _kraus_diagonal(meas.dec.eigenvalues, meas.eta, dt, np.asarray(dY, dtype=float))
+    cols = _population_update(np.atleast_2d(p_hat).T, meas, delta, sigma, mvec, dt)
     return cols.T.reshape(p_hat.shape)

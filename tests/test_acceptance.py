@@ -15,13 +15,23 @@ from numpy.random import default_rng
 from qndstab.cli import main
 from qndstab.core import (
     UnrecoverableStateError,
+    _rowsum,
     populations,
     random_density_matrix,
     validate_density_matrix,
 )
-from qndstab.dynamics import StepInput, closed_loop_step, control_setup, open_loop_step
-from qndstab.ensemble import CampaignConfig, estimate_rate, read_series_csv, read_summary_csv, run_ensemble
-from qndstab.filters import laplacian_matrix, population_filter_step, reduced_filter_step
+from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain
+from qndstab.ensemble import (
+    CampaignConfig,
+    _kraus_factor,
+    _normalize,
+    _Packed,
+    estimate_rate,
+    read_series_csv,
+    read_summary_csv,
+    run_ensemble,
+)
+from qndstab.filters import _population_update, _reduced_update, laplacian_matrix
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
 from qndstab.spin import spin2_preset
 
@@ -203,21 +213,32 @@ def test_criterion_09_certification(spin2_tight, spin2_delta):
 
 
 def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
+    """The engine's reduced and population filter updates beside its Kraus plant, in open loop.
+
+    Spin-2's L = J_z is diagonal with descending eigenvalues, so the
+    engine's packed layout needs no reordering of the basis.
+    """
     meas, ctrl = spin2_loose
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     rng = default_rng(1010)
     m, dt, n_steps = 50, 1e-3, 10_000
-    rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (m, 5, 5)).copy()
+    n, eta = meas.dec.n, meas.eta
+    lvec = np.diagonal(meas.L).real
+    pk = _Packed(n)
+    rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, m))
     rho_red = rho.copy()
-    p_hat = np.full((m, 5), 0.2)
+    p_hat = np.full((n, m), 1.0 / n)
     sup = 0.0
-    for _ in range(n_steps):
-        dw = rng.standard_normal(m) * np.sqrt(dt)
-        out = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw))
-        rho = out.rho_next
-        rho_red = reduced_filter_step(rho_red, meas, ctrl0, out.dY, dt)
-        p_hat = population_filter_step(p_hat, meas, ctrl0, spin2_delta, out.dY, dt)
-        sup = max(sup, float(np.max(np.abs(populations(rho_red, meas.dec) - p_hat))))
+    for step in range(n_steps):
+        dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(m) * np.sqrt(dt)
+        mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
+        rho *= factor
+        _normalize(rho, n, 0, step + 1)
+        sigma = feedback_gain(rho_red[:n].T, ctrl0)
+        rho_red = pk.pack(_reduced_update(pk.unpack(rho_red), lvec, eta, ctrl0.H.imag, sigma, mvec, dt))
+        _normalize(rho_red, n, 0, step + 1)
+        p_hat = _population_update(p_hat, meas, spin2_delta, feedback_gain(p_hat.T, ctrl0), mvec, dt)
+        sup = max(sup, float(np.max(np.abs(rho_red[:n] - p_hat))))
     _report(
         10, "reduced vs population filter", sup <= 1e-4,
         f"50 records, t in [0, 10]: sup-norm gap {sup:.2e} <= 1e-4",

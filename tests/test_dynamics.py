@@ -18,7 +18,6 @@ from qndstab.dynamics import (
     control_setup,
     feedback_gain,
     measurement_setup,
-    open_loop_step,
 )
 from qndstab.spin import spin2_preset
 
@@ -96,11 +95,14 @@ def test_feedback_gain_broadcasts(spin2_loose):
 # ------------------------------------------------------- measurement update
 
 
+# closed_loop_step with dB = 0 is the measurement-only (open-loop) step
+
+
 def test_open_loop_step_matches_reference_composition(spin2_loose, rng):
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
     rho = random_density_matrix(5, rng)
     dt, dw = 1e-3, 0.02
-    out = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw))
+    out = closed_loop_step(rho, meas, ctrl, StepInput(dt=dt, dW=dw))
     moved = rho + _diss(meas.L, rho) * dt + np.sqrt(meas.eta) * _innov(meas.L, rho) * dw
     assert np.allclose(out.rho_next, project_to_physical(moved), atol=1e-13, rtol=0.0)
     ex = np.trace(meas.L @ rho).real
@@ -108,34 +110,35 @@ def test_open_loop_step_matches_reference_composition(spin2_loose, rng):
     assert out.dv == 0.0 and out.sigma_used == 0.0
 
 
-def test_open_loop_step_eta_zero_fixes_diagonal_states():
+def test_open_loop_step_eta_zero_fixes_diagonal_states(spin2_loose):
     # with eta = 0 the record carries no information and diagonal states only
     # feel the dissipator, which vanishes on anything commuting with L; dyadic
     # populations keep the projection renormalization exact
+    _, ctrl = spin2_loose
     meas = measurement_setup(np.diag([2.0, 1.0, 0.0, -1.0, -2.0]), eta=0.0)
     rho = np.diag([0.25, 0.25, 0.25, 0.125, 0.125]).astype(complex)
-    out = open_loop_step(rho, meas, StepInput(dt=1e-3, dW=0.37))
+    out = closed_loop_step(rho, meas, ctrl, StepInput(dt=1e-3, dW=0.37))
     assert np.array_equal(out.rho_next, rho)
     assert out.dY == 0.37
 
 
 def test_open_loop_step_fixes_eigenprojectors_bitwise(spin2_loose):
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
     for k in range(5):
         vertex = meas.dec.projectors[k].astype(complex)
         for dw in (0.0, 0.5, -1.7, 4.0):
-            out = open_loop_step(vertex, meas, StepInput(dt=1e-3, dW=dw))
+            out = closed_loop_step(vertex, meas, ctrl, StepInput(dt=1e-3, dW=dw))
             assert np.array_equal(out.rho_next, vertex)
 
 
 def test_open_loop_step_batch(spin2_loose, rng):
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
     batch = np.stack([random_density_matrix(5, rng) for _ in range(4)])
     dw = rng.normal(size=4) * np.sqrt(1e-3)
-    out = open_loop_step(batch, meas, StepInput(dt=1e-3, dW=dw))
+    out = closed_loop_step(batch, meas, ctrl, StepInput(dt=1e-3, dW=dw))
     assert out.rho_next.shape == (4, 5, 5)
     for i in range(4):
-        single = open_loop_step(batch[i], meas, StepInput(dt=1e-3, dW=dw[i]))
+        single = closed_loop_step(batch[i], meas, ctrl, StepInput(dt=1e-3, dW=dw[i]))
         assert np.array_equal(out.rho_next[i], single.rho_next)
         assert out.dY[i] == single.dY
 
@@ -149,7 +152,7 @@ def test_closed_loop_sigma_bar_zero_equals_open_loop(spin2_loose, rng):
     rho = np.stack([random_density_matrix(5, rng) for _ in range(3)])
     step = StepInput(dt=1e-3, dW=rng.normal(size=3), dB=rng.normal(size=3))
     closed = closed_loop_step(rho, meas, ctrl0, step)
-    opened = open_loop_step(rho, meas, step)
+    opened = closed_loop_step(rho, meas, ctrl, StepInput(dt=step.dt, dW=step.dW))
     assert np.array_equal(closed.rho_next, opened.rho_next)
     assert np.array_equal(closed.dY, opened.dY)
     assert np.all(closed.dv == 0.0)
@@ -234,13 +237,13 @@ def test_closed_loop_population_generator(spin2_loose):
 
 
 def test_open_loop_populations_are_martingale(spin2_loose):
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
     n_traj, n_steps, dt = 2000, 250, 1e-3
     rng = default_rng(99)
     rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (n_traj, 5, 5)).copy()
     for _ in range(n_steps):
         dw = rng.standard_normal(n_traj) * np.sqrt(dt)
-        rho = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw)).rho_next
+        rho = closed_loop_step(rho, meas, ctrl, StepInput(dt=dt, dW=dw)).rho_next
     p = populations(rho, meas.dec)
     for k in range(5):
         se = p[:, k].std(ddof=1) / np.sqrt(n_traj)

@@ -217,7 +217,7 @@ def test_engine_matches_public_step_composition():
     assert np.max(np.abs(trace_.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
-def test_engine_reduced_filter_matches_public_filter_step():
+def test_engine_reduced_filter_matches_complex_kraus_step():
     """The engine's real reduced filter agrees with its complex Kraus form built from core primitives.
 
     The plant's gain is read from the filter, so any difference in the

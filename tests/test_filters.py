@@ -1,18 +1,13 @@
-"""Estimator layers: actuation Laplacian, observers, population filter."""
+"""Estimator layers: actuation Laplacian, the engine's reduced and population filter updates."""
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from qndstab.core import populations, random_density_matrix, random_hermitian
-from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain, open_loop_step
-from qndstab.filters import (
-    full_observer_step,
-    graph_connected,
-    laplacian_matrix,
-    population_filter_step,
-    reduced_filter_step,
-)
+from qndstab.core import _kraus_diagonal, dissipator, random_density_matrix, random_hermitian
+from qndstab.dynamics import control_setup, feedback_gain
+from qndstab.ensemble import _kraus_factor, _normalize, _Packed
+from qndstab.filters import _reduced_update, graph_connected, laplacian_matrix, population_filter_step
 from qndstab.spin import spin2_preset
 
 SPIN2_DELTA = np.array(
@@ -89,83 +84,107 @@ def test_graph_connected_cases(spin2_delta, spin2_loose):
 
 
 # ------------------------------------------------------------ full observer
+#
+# Spin-2 states in the campaign engine's packed real layout: L = J_z is
+# diagonal with descending eigenvalues, so the working basis needs no
+# reordering, and H = i A with A = Im H real.
+
+PK = _Packed(5)
 
 
-def test_full_observer_tracks_plant_from_true_state(spin2_loose, rng):
-    meas, ctrl = spin2_loose
-    rho = np.diag([0.63, 0.1, 0.09, 0.1, 0.08]).astype(complex)
-    rho[1, 2] = rho[2, 1] = 0.04
-    rho_hat = rho.copy()
-    for _ in range(200):
-        dw, db = rng.normal(scale=np.sqrt(1e-3), size=2)
-        out = closed_loop_step(rho, meas, ctrl, StepInput(dt=1e-3, dW=dw, dB=db))
-        rho_hat = full_observer_step(rho_hat, meas, ctrl, out.dY, db, 1e-3)
-        rho = out.rho_next
-        assert np.allclose(rho_hat, rho, atol=1e-10, rtol=0.0)
+def _lvec(meas):
+    lvec = np.diagonal(meas.L).real
+    assert np.array_equal(lvec, meas.dec.eigenvalues)
+    return lvec
+
+
+def _plant_step(rho, meas, dy, dt):
+    """The engine's open-loop Kraus step on packed states, in place; returns the Kraus diagonal.
+
+    Started at the true state, the full observer takes this very step.
+    """
+    mvec, factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
+    rho *= factor
+    _normalize(rho, 5, 0, 1)
+    return mvec
+
+
+def _reduced_step(rho_hat, meas, ctrl, mvec, dt):
+    """The engine's reduced filter step on packed states, with the undelayed gain of rho_hat."""
+    sigma = np.atleast_1d(feedback_gain(rho_hat[:5].T, ctrl))
+    out = PK.pack(_reduced_update(PK.unpack(rho_hat), _lvec(meas), meas.eta, ctrl.H.imag, sigma, mvec, dt))
+    _normalize(out, 5, 0, 1)
+    return out
 
 
 def test_full_observer_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
-    vertex = meas.dec.projectors[ctrl.target].astype(complex)
-    out = full_observer_step(vertex, meas, ctrl, dY=0.4, dB=-1.3, dt=1e-3)
+    vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
+    # the gain is zero at the target, so no rotation follows the Kraus step
+    assert feedback_gain(vertex[:5].T, ctrl) == 0.0
+    out = vertex.copy()
+    _plant_step(out, meas, 0.4, 1e-3)
     assert np.array_equal(out, vertex)
 
 
 def test_full_observer_sigma_bar_zero_fixes_all_vertices(spin2_loose):
-    meas, ctrl = spin2_loose
-    ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
+    meas, _ = spin2_loose
+    # with sigma_bar = 0 no rotation follows the Kraus step, at any vertex
     for k in range(5):
-        vertex = meas.dec.projectors[k].astype(complex)
-        out = full_observer_step(vertex, meas, ctrl0, dY=-0.9, dB=0.7, dt=1e-3)
+        vertex = PK.pack(meas.dec.projectors[k].real[None])
+        out = vertex.copy()
+        _plant_step(out, meas, -0.9, 1e-3)
         assert np.array_equal(out, vertex)
-
-
-def test_full_observer_preserves_trace(spin2_loose, rng):
-    meas, ctrl = spin2_loose
-    rho_hat = random_density_matrix(5, rng)
-    out = full_observer_step(rho_hat, meas, ctrl, dY=0.12, dB=0.3, dt=1e-3)
-    assert np.trace(out).real == pytest.approx(1.0, rel=1e-12)
-    assert abs(np.trace(out).imag) < 1e-15
 
 
 # ----------------------------------------------------------- reduced filter
 
 
-def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose, rng):
+def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose):
     meas, ctrl = spin2_loose
-    # populations all below p_min: sigma = 0, the filters coincide exactly
-    rho_hat = np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex)
+    # populations all below p_min: sigma = 0, and the filter takes the plant's step
+    rho_hat = np.diag([0.3, 0.25, 0.2, 0.15, 0.1])
     rho_hat[0, 4] = rho_hat[4, 0] = 0.05
-    reduced = reduced_filter_step(rho_hat, meas, ctrl, dY=0.21, dt=1e-3)
-    full = full_observer_step(rho_hat, meas, ctrl, dY=0.21, dB=1.9, dt=1e-3)
-    assert np.array_equal(reduced, full)
+    packed = PK.pack(rho_hat[None])
+    sigma = feedback_gain(packed[:5].T, ctrl)
+    assert np.array_equal(sigma, [0.0])
+    dt = 1e-3
+    mvec, factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.array([0.21]), PK)
+    reduced = _reduced_update(PK.unpack(packed), _lvec(meas), meas.eta, ctrl.H.imag, sigma, mvec, dt)
+    assert np.allclose(reduced, PK.unpack(packed * factor), atol=1e-15, rtol=0.0)
 
 
 def test_reduced_filter_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
-    vertex = meas.dec.projectors[ctrl.target].astype(complex)
-    out = reduced_filter_step(vertex, meas, ctrl, dY=-0.6, dt=1e-3)
+    vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
+    mvec = _kraus_diagonal(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]))
+    out = _reduced_step(vertex, meas, ctrl, mvec, 1e-3)
     assert np.array_equal(out, vertex)
 
 
 def test_reduced_filter_applies_average_control_drift(spin2_loose):
+    """The sigma_bar step minus the sigma = 0 step on one record is sigma^2 dt D_H(rho) + O(dt^2)."""
     meas, ctrl = spin2_loose
-    from qndstab.core import dissipator
-
-    rho_hat = np.diag([0.7, 0.1, 0.1, 0.05, 0.05]).astype(complex)
-    sigma = feedback_gain(populations(rho_hat, meas.dec), ctrl)
+    rho_hat = np.diag([0.7, 0.1, 0.1, 0.05, 0.05])
+    sigma = feedback_gain(np.diag(rho_hat), ctrl)
     assert sigma == 2.0  # saturated
-    dt = 1e-3
-    ex = np.trace(meas.L @ rho_hat).real
-    dY = 2.0 * np.sqrt(meas.eta) * ex * dt  # zero innovation record
-    out = reduced_filter_step(rho_hat, meas, ctrl, dY=dY, dt=dt)
-    # innovation ~ 0, dissipator of a diagonal state vanishes: only the
-    # sigma^2 D_H drift moves the state
-    from qndstab.core import project_to_physical
+    lvec = _lvec(meas)
 
-    expected = project_to_physical(rho_hat + sigma**2 * dissipator(ctrl.H, rho_hat) * dt)
-    assert np.allclose(out, expected, atol=1e-12, rtol=0.0)
-    assert np.linalg.norm(out - rho_hat) > 1e-4
+    def step(sig, dt):
+        # zero innovation record
+        dy = np.array([2.0 * np.sqrt(meas.eta) * (lvec @ np.diag(rho_hat)) * dt])
+        mvec = _kraus_diagonal(lvec, meas.eta, dt, dy)
+        out = _reduced_update(rho_hat[None], lvec, meas.eta, ctrl.H.imag, np.array([sig]), mvec, dt)[0]
+        return out / np.trace(out)
+
+    errs = []
+    for dt in (1e-3, 5e-4):
+        drift = sigma**2 * dissipator(ctrl.H, rho_hat.astype(complex)) * dt
+        assert np.max(np.abs(drift.imag)) == 0.0
+        errs.append(np.max(np.abs(step(sigma, dt) - step(0.0, dt) - drift.real)))
+    assert errs[0] <= 10.0 * 1e-3**2
+    assert 3.5 <= errs[0] / errs[1] <= 4.5  # second order in dt
+    assert np.linalg.norm(step(sigma, 1e-3) - rho_hat) > 1e-4
 
 
 # -------------------------------------------------------- population filter
@@ -181,41 +200,52 @@ def test_population_filter_fixes_target_vertex(spin2_loose):
 
 def test_population_filter_hand_recursion():
     meas, ctrl = spin2_preset(p_min=0.6, J=0.5)
-    lam = meas.dec.eigenvalues
-    assert np.array_equal(lam, [0.5, -0.5])
+    assert np.array_equal(meas.dec.eigenvalues, [0.5, -0.5])
     delta = np.array([[-0.25, 0.25], [0.25, -0.25]])
     p = np.array([0.37, 0.63])
     dY, dt = 0.07, 1e-3
     sigma = feedback_gain(p, ctrl)
     assert sigma == pytest.approx(np.sqrt(1.6) * 0.6)
-    sqeta = np.sqrt(0.8)
-    w = 0.5 * 0.37 - 0.5 * 0.63
-    innovation = dY - 2.0 * sqeta * w * dt
-    raw = p + 2.0 * sqeta * p * (lam - w) * innovation + sigma**2 * (delta @ p) * dt
-    expected = raw / raw.sum()
+    x = np.sqrt(0.8) * dY
+    # Kraus diagonal 1 - l^2 dt/2 + sqrt(eta) l dY + (eta/2) l^2 (dY^2 - dt) at l = +1/2 and -1/2
+    m_up = 1.0 - 0.125 * dt + 0.5 * x + 0.125 * (x * x - 0.8 * dt)
+    m_down = 1.0 - 0.125 * dt - 0.5 * x + 0.125 * (x * x - 0.8 * dt)
+    s = sigma**2 * dt
+    up = ((m_up - 0.125 * s) ** 2 + 0.2 * dt * 0.25) * 0.37 + 0.25 * s * 0.63
+    down = ((m_down - 0.125 * s) ** 2 + 0.2 * dt * 0.25) * 0.63 + 0.25 * s * 0.37
+    expected = np.array([up, down]) / (up + down)
     out = population_filter_step(p, meas, ctrl, delta, dY=dY, dt=dt)
     assert np.allclose(out, expected, atol=1e-14, rtol=0.0)
 
 
-def test_population_filter_raw_increment_sums_to_zero(spin2_loose, spin2_delta, rng):
+def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, rng):
+    """At sigma = 0 one population step is the diagonal of one reduced filter step of diag(p)."""
     meas, ctrl = spin2_loose
-    lam = meas.dec.eigenvalues
-    for _ in range(20):
-        p = rng.dirichlet(np.ones(5))
-        dY, dt = rng.normal(scale=0.05), 1e-3
-        sigma = feedback_gain(p, ctrl)
-        w = p @ lam
-        innovation = dY - 2.0 * np.sqrt(meas.eta) * w * dt
-        dp = 2.0 * np.sqrt(meas.eta) * p * (lam - w) * innovation + sigma**2 * (spin2_delta @ p) * dt
-        assert abs(dp.sum()) <= 1e-12
+    ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
+    p = rng.dirichlet(np.ones(5), size=20)
+    dY, dt = rng.normal(scale=0.05, size=20), 1e-3
+    mvec = _kraus_diagonal(_lvec(meas), meas.eta, dt, dY)
+    mats = p[:, :, None] * np.eye(5)
+    reduced = _reduced_update(mats, _lvec(meas), meas.eta, ctrl.H.imag, np.zeros(20), mvec, dt)
+    reduced /= np.trace(reduced, axis1=1, axis2=2)[:, None, None]
+    out = population_filter_step(p, meas, ctrl0, spin2_delta, dY=dY, dt=dt)
+    assert np.max(np.abs(out - np.diagonal(reduced, axis1=1, axis2=2))) <= 1e-15
 
 
 def test_population_filter_safeguard_keeps_simplex(spin2_loose, spin2_delta):
+    """Large record increments near a wrong vertex keep every population positive.
+
+    The Kraus form is nonnegative term by term, so no component is clipped
+    to zero, at the default gain and at sigma_bar = 20.
+    """
     meas, ctrl = spin2_loose
+    strong = control_setup(ctrl.H, meas.dec, ctrl.target, 20.0, ctrl.p_min, ctrl.p_max)
     p = np.array([0.99, 0.0025, 0.0025, 0.0025, 0.0025])
-    out = population_filter_step(p, meas, ctrl, spin2_delta, dY=-0.8, dt=1e-3)
-    assert np.all(out >= 0.0)
-    assert out.sum() == pytest.approx(1.0, rel=1e-12)
+    for c in (ctrl, strong):
+        for dY in (0.8, -0.8, 2.0, -2.0, 5.0, -5.0):
+            out = population_filter_step(p, meas, c, spin2_delta, dY=dY, dt=1e-3)
+            assert np.all(out > 0.0), (c.sigma_bar, dY)
+            assert abs(out.sum() - 1.0) <= 1e-12
 
 
 def test_population_filter_batch(spin2_loose, spin2_delta, rng):
@@ -233,46 +263,50 @@ def test_population_filter_batch(spin2_loose, spin2_delta, rng):
 
 
 def test_filters_agree_in_open_loop(spin2_loose, spin2_delta):
-    """Shared record, diagonal start, gain disabled: all three layers coincide."""
+    """Shared record, diagonal start, gain disabled: Kraus plant, reduced and population filters coincide."""
     meas, ctrl = spin2_loose
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     rng = default_rng(7)
-    rho = np.diag([0.3, 0.25, 0.2, 0.15, 0.1]).astype(complex)
-    rho_full = rho.copy()
+    p0 = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
+    rho = PK.pack(np.diag(p0)[None])
     rho_red = rho.copy()
-    p_hat = np.diag(rho).real.copy()
+    p_hat = p0.copy()
     dt = 1e-3
     for _ in range(1000):
-        dw = rng.normal(scale=np.sqrt(dt))
-        out = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw))
-        rho = out.rho_next
-        rho_full = full_observer_step(rho_full, meas, ctrl0, out.dY, 0.0, dt)
-        rho_red = reduced_filter_step(rho_red, meas, ctrl0, out.dY, dt)
-        p_hat = population_filter_step(p_hat, meas, ctrl0, spin2_delta, out.dY, dt)
-    p_truth = populations(rho, meas.dec)
-    p_full = populations(rho_full, meas.dec)
-    p_red = populations(rho_red, meas.dec)
-    assert np.max(np.abs(p_full - p_truth)) < 1e-6
-    assert np.max(np.abs(p_red - p_full)) < 1e-6
-    assert np.max(np.abs(p_hat - p_full)) < 1e-6
+        dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5, 0]) * dt + rng.normal(scale=np.sqrt(dt))
+        mvec = _plant_step(rho, meas, dy, dt)
+        rho_red = _reduced_step(rho_red, meas, ctrl0, mvec, dt)
+        p_hat = population_filter_step(p_hat, meas, ctrl0, spin2_delta, dy, dt)
+    assert np.max(np.abs(rho_red[:5, 0] - rho[:5, 0])) < 1e-6
+    assert np.max(np.abs(p_hat - rho_red[:5, 0])) < 1e-6
 
 
 def test_full_observer_identifies_state_from_record(spin2_loose):
-    """Observer started at the wrong state gains overlap with the plant."""
-    meas, ctrl = spin2_loose
-    ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
+    """Observer started at the wrong state gains overlap with the plant.
+
+    In open loop the full observer takes the plant's Kraus step, driven by
+    the plant's record increments.
+    """
+    meas, _ = spin2_loose
     rng = default_rng(31)
     n_traj, n_steps, dt = 200, 1000, 2e-3
-    rho = np.stack([random_density_matrix(5, rng) for _ in range(n_traj)])
-    rho_hat = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, rho.shape).copy()
-    overlap0 = np.einsum("kij,kji->k", rho, rho_hat).real.mean()
+    # the real part of a density matrix is a real density matrix
+    rho = PK.pack(np.stack([random_density_matrix(5, rng).real for _ in range(n_traj)]))
+    rho_hat = np.tile(PK.pack(np.eye(5)[None] / 5.0), (1, n_traj))
+
+    def overlap():
+        return np.einsum("kij,kji->k", PK.unpack(rho), PK.unpack(rho_hat)).mean()
+
+    overlap0 = overlap()
     for _ in range(n_steps):
-        dw = rng.standard_normal(n_traj) * np.sqrt(dt)
-        out = open_loop_step(rho, meas, StepInput(dt=dt, dW=dw))
-        rho_hat = full_observer_step(rho_hat, meas, ctrl0, out.dY, 0.0, dt)
-        rho = out.rho_next
-    overlap1 = np.einsum("kij,kji->k", rho, rho_hat).real.mean()
+        dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5]) * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
+        _, factor = _kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
+        rho *= factor
+        rho_hat *= factor
+        _normalize(rho, 5, 0, 1)
+        _normalize(rho_hat, 5, 0, 1)
+    overlap1 = overlap()
     assert overlap1 > overlap0 + 0.15
     # filter populations track the truth populations
-    err = np.abs(populations(rho_hat, meas.dec) - populations(rho, meas.dec)).max(axis=1)
+    err = np.abs(rho_hat[:5] - rho[:5]).max(axis=0)
     assert np.median(err) < 0.05

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qndstab.dynamics import open_loop_step  # noqa: F401  (re-exported convenience)
 from qndstab.filters import graph_connected, laplacian_matrix
 from qndstab.lyapunov import open_loop_rate
 from qndstab.spin import build_spin_model, spin2_preset
