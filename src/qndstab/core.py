@@ -236,6 +236,8 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
     (pairwise over a contiguous axis of 8 or more, SIMD kernels inside
     einsum), and a width-1 batch-last array is contiguous along the state
     axis; a fixed order keeps a trajectory's bits independent of the width.
+    The weights are scalars; a zero weight after the first adds an exact
+    zero, so its row is skipped.
     """
     if weights is None:
         total = rows[0].copy()
@@ -244,16 +246,37 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
         return total
     total = weights[0] * rows[0]
     for w, row in zip(weights[1:], rows[1:]):
-        total += w * row
+        if w != 0.0:
+            total += w * row
     return total
 
 
-def _kraus_diagonal(lvec: np.ndarray, eta: float, dt: float, dy) -> np.ndarray:
+def _kraus_rows(lvec: np.ndarray, dt: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant rows of the Kraus diagonal for L = diag(lvec): l, l^2 and 1 - l^2 dt/2, each tiled to (n, width).
+
+    A row times a contiguous row is a cheaper numpy call than an (n, 1)
+    column broadcast against a (k,) vector, and gives the same products.
+    """
+    l2 = lvec * lvec
+    cols = np.stack([lvec, l2, 1.0 - 0.5 * dt * l2])
+    return tuple(np.repeat(cols[:, :, None], width, axis=2))
+
+
+def _kraus_diagonal(lvec: np.ndarray, eta: float, dt: float, dy, rows=None) -> np.ndarray:
     """Diagonal m of the Kraus operator M = I - L^2 dt/2 + sqrt(eta) L dy + (eta/2) L^2 (dy^2 - dt), L = diag(lvec).
 
     This is the measurement step of Rouchon and Ralph (Phys. Rev. A 91,
-    012118, 2015); m has shape (n, k), one column per record increment in dy.
+    012118, 2015); m has shape (n, k), one column per record increment in
+    dy.  rows, when given, is _kraus_rows(lvec, dt, k) built once by the
+    caller; each entry is (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2 with
+    x = sqrt(eta) dy either way.
     """
+    lrow, l2row, c0row = _kraus_rows(lvec, dt, 1) if rows is None else rows
     x = np.sqrt(eta) * dy
-    l2 = (lvec * lvec)[:, None]
-    return 1.0 - 0.5 * dt * l2 + lvec[:, None] * x + 0.5 * (x * x - eta * dt) * l2
+    m = lrow * x
+    m += c0row
+    q = x * x
+    q -= eta * dt
+    q *= 0.5
+    m += l2row * q
+    return m

@@ -72,8 +72,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UnrecoverableStateError, _kraus_diagonal, _rowsum
-from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
+from .core import UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
+from .dynamics import ControlSetup, MeasurementSetup, _row_max_gain
 from .filters import _population_update, _reduced_update, laplacian_matrix
 from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
@@ -108,7 +108,7 @@ ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 # CHUNK)) contiguous, near-equal chunks, so every worker gets a chunk; no
 # layout changes the bits of any trajectory.
 CHUNK = 1000
-NOISE_BLOCK = 2048
+NOISE_BLOCK = 512
 # Trajectory resamples behind estimate_rate's bootstrap confidence interval.
 BOOTSTRAP_RESAMPLES = 200
 
@@ -247,7 +247,8 @@ class _Packed:
 
     A (n(n+1)/2, m) array holds m matrices, one per column.  Row r holds
     entry (i[r], j[r]) of each: the n diagonal entries first, in order, then
-    the upper triangle row by row, so the diagonals are the view [:n].
+    the upper triangle row by row, so the diagonals are the view [:n] and
+    the entries (i, i+1..n-1) are the rows starts[i]:starts[i+1].
     """
 
     def __init__(self, n: int):
@@ -255,20 +256,35 @@ class _Packed:
         self.n = n
         self.i = np.concatenate([np.arange(n), iu])
         self.j = np.concatenate([np.arange(n), ju])
+        self.starts = np.concatenate([[n], n + np.cumsum(np.arange(n - 1, 0, -1))]).tolist()
         rows = np.empty((n, n), dtype=np.intp)
         rows[self.i, self.j] = rows[self.j, self.i] = np.arange(self.i.size)
-        self._rows = rows.ravel()
-        self._upper = self.i * n + self.j
-        self._lower = self.j * n + self.i
+        self.rows = rows.ravel()
+        self.upper = self.i * n + self.j
+        self.lower = self.j * n + self.i
+        self._kraus = {}
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
         """(k, n, n) -> (n(n+1)/2, k), symmetrized: entry (i, j) becomes (a_ij + a_ji) / 2."""
         flat = mats.reshape(-1, self.n * self.n).T
-        return 0.5 * (flat[self._upper] + flat[self._lower])
+        return 0.5 * (flat[self.upper] + flat[self.lower])
 
     def unpack(self, cols: np.ndarray) -> np.ndarray:
         """(n(n+1)/2, k) -> (k, n, n)."""
-        return cols.T[:, self._rows].reshape(-1, self.n, self.n)
+        return cols.T[:, self.rows].reshape(-1, self.n, self.n)
+
+    def kraus_rows(self, lvec: np.ndarray, eta: float, dt: float, width: int):
+        """The Kraus step's constant rows at this width, built on the first call for each (lvec, eta, dt, width).
+
+        Returns core._kraus_rows(lvec, dt, width) and the packed rows of
+        (1 - eta) dt l_i l_j, shape (n(n+1)/2, width).  A chunk builds one
+        _Packed, so a campaign builds them once per chunk.
+        """
+        key = (lvec.tobytes(), eta, dt, width)
+        if key not in self._kraus:
+            cross = (1.0 - eta) * dt * (lvec[self.i] * lvec[self.j])
+            self._kraus[key] = (_kraus_rows(lvec, dt, width), np.repeat(cross[:, None], width, axis=1))
+        return self._kraus[key]
 
 
 def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> tuple[np.ndarray, np.ndarray]:
@@ -276,11 +292,17 @@ def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _
 
     Returns the diagonal m of M, shape (n, k), and the packed Schur factor
     m m^T + (1 - eta) dt l l^T, shape (n(n+1)/2, k), so that
-    M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.
+    M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.  The
+    products m_i m_j are written one upper-triangle row slice at a time.
     """
-    mvec = _kraus_diagonal(lvec, eta, dt, dy)
-    factor = mvec[pk.i] * mvec[pk.j]
-    factor += ((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None]
+    n = pk.n
+    rows, cross = pk.kraus_rows(lvec, eta, dt, dy.size)
+    mvec = _kraus_diagonal(lvec, eta, dt, dy, rows)
+    factor = np.empty_like(cross)
+    np.multiply(mvec, mvec, out=factor[:n])
+    for i in range(n - 1):
+        np.multiply(mvec[i], mvec[i + 1 :], out=factor[pk.starts[i] : pk.starts[i + 1]])
+    factor += cross
     return mvec, factor
 
 
@@ -374,10 +396,13 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     vop = np.empty((m, n_rec))
     sqdt = np.sqrt(dt)
     # allocated once and refilled in place, so a chunk's peak memory does not
-    # depend on where the allocator puts the rotation's data-dependent arrays
+    # depend on where the allocator puts the rotation's data-dependent arrays;
+    # each trajectory's stream fills one row of draws, and each block is scaled
+    # into (block, m) buffers, so a step reads contiguous rows
     width = min(NOISE_BLOCK, n_steps)
-    dw_block = np.empty((m, width))
-    db_block = np.empty((m, width)) if need_b else None
+    draws = np.empty((m, width))
+    dw_rows = np.empty((width, m))
+    db_rows = np.empty((width, m)) if need_b else None
 
     def _record(slot: int, p: np.ndarray):
         err[:, slot] = np.sqrt(np.clip(1.0 - p[target], 0.0, 1.0))
@@ -398,18 +423,21 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
         rot = np.einsum("mk,kij->mij", np.concatenate([np.cos(angle), np.sin(angle)], axis=1), rot_basis)
         # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
         rot_t = np.ascontiguousarray(np.swapaxes(rot, -1, -2))
-        states[:, active] = pk.pack(rot @ pk.unpack(states[:, active]) @ rot_t)
+        cols = states.T
+        mats = cols[active][:, pk.rows].reshape(-1, n, n)
+        flat = (rot @ mats @ rot_t).reshape(-1, n * n)
+        cols[active] = 0.5 * (flat[:, pk.upper] + flat[:, pk.lower])
 
     step = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
         for i, g in enumerate(gens_w):
-            g.standard_normal(out=dw_block[i, :blen])
-        dw_block[:, :blen] *= sqdt
+            g.standard_normal(out=draws[i, :blen])
+        np.multiply(draws[:, :blen].T, sqdt, out=dw_rows[:blen])
         if need_b:
             for i, g in enumerate(gens_b):
-                g.standard_normal(out=db_block[i, :blen])
-            db_block[:, :blen] *= sqdt
+                g.standard_normal(out=draws[i, :blen])
+            np.multiply(draws[:, :blen].T, sqdt, out=db_rows[:blen])
         for j in range(blen):
             p_true = rho[:n]
             if estimator in ("truth", "full_observer"):
@@ -418,11 +446,10 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 p_est = p_hat
             else:
                 p_est = rho_hat[:n]
-            # the gain's only reduction is a max, exact in any order
-            sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
-            dv = sigma_app * db_block[:, j] if need_b else np.zeros(m)
+            sigma_app = buffer.push(_row_max_gain(p_est, ctrl))
+            dv = sigma_app * db_rows[j] if need_b else np.zeros(m)
 
-            dy = 2.0 * sqeta * dt * _rowsum(p_true, lvec) + dw_block[:, j]
+            dy = 2.0 * sqeta * dt * _rowsum(p_true, lvec) + dw_rows[j]
             mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
             rho *= factor
             _conjugate_rows(rho, dv)

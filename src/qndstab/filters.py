@@ -96,22 +96,44 @@ def _reduced_update(mats: np.ndarray, lvec: np.ndarray, eta: float, gen: np.ndar
     return out
 
 
+def _band_sum(delta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_{j != k} Delta_kj p_j for every row k of batch-last p, shape (d, m).
+
+    Only the off-diagonal bands of Delta with a nonzero entry are summed, in
+    ascending j; every skipped term is an exact zero, so the bits equal the
+    dense sum over j in ascending order.  The spin ladder has two bands.
+    """
+    d = delta.shape[0]
+    rows, cols = np.nonzero(delta)
+    total = np.zeros_like(p)
+    for b in sorted(set((cols - rows).tolist()) - {0}):
+        lo, hi = max(0, -b), min(d, d - b)
+        total[lo:hi] += np.diagonal(delta, b)[:, None] * p[lo + b : hi + b]
+    return total
+
+
 def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndarray, sigma, mvec, dt: float) -> np.ndarray:
     """Population filter update on batch-last populations p_hat, shape (d, m), one column per record.
 
     sigma holds one gain per column and mvec the (d, m) Kraus diagonal of
-    each column's record increment (core._kraus_diagonal).  Every sum over
-    the eigenspace index is a _rowsum, so a column's bits do not depend on
-    the batch width.
+    each column's record increment (core._kraus_diagonal).  With
+    s = sigma^2 dt, p_k becomes ((m_k + s Delta_kk / 2)^2 + (1 - eta) dt
+    lambda_k^2) p_k + s sum_{j != k} Delta_kj p_j, computed in place, then
+    each column is divided by its sum.  The Laplacian term runs over the
+    nonzero bands of Delta (_band_sum) and the column sum is a _rowsum, so
+    every sum over the eigenspace index has a fixed order and a column's
+    bits do not depend on the batch width.
     """
     lam = meas.dec.eigenvalues
     s = sigma * sigma * dt
-    diag = np.diagonal(delta)
-    kk = mvec + 0.5 * s * diag[:, None]
-    p_new = (kk * kk + (1.0 - meas.eta) * dt * (lam * lam)[:, None]) * p_hat
-    # the off-diagonal columns of Delta, as weights over the rows of p_hat
-    p_new += s * _rowsum(p_hat, (delta - np.diag(diag)).T[:, :, None])
-    return p_new / _rowsum(p_new)
+    p_new = np.diagonal(delta)[:, None] * (0.5 * s)
+    p_new += mvec
+    p_new *= p_new
+    p_new += (1.0 - meas.eta) * dt * (lam * lam)[:, None]
+    p_new *= p_hat
+    p_new += s * _band_sum(delta, p_hat)
+    p_new /= _rowsum(p_new)
+    return p_new
 
 
 def population_filter_step(

@@ -266,7 +266,9 @@ def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
 
     Each vertex block is led by its exact vertex.  Every other row draws u
     and then its Ginibre factor, so the draws stay in a loop; the states
-    are then built once per vertex block.
+    are then built once per vertex block.  u is drawn as a unit uniform r
+    and scaled after the loop: tv_radius * r is the double that
+    rng.uniform(0.0, tv_radius) returns from the same draw.
     """
     n = dec.n
     wrong = [k for k in range(dec.d) if k != target]
@@ -281,9 +283,11 @@ def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
         vert = dec.projectors[j] / dec.multiplicities[j]
         u = np.empty(block - 1)
         z = np.empty((block - 1, 2, n, n))
+        unit, normal = rng.random, rng.standard_normal
         for i in range(block - 1):
-            u[i] = rng.uniform(0.0, tv_radius)
-            rng.standard_normal(out=z[i])
+            u[i] = unit()
+            normal(out=z[i])
+        u *= tv_radius
         states[row] = vert
         states[row + 1 : row + block] = (
             (1.0 - u)[:, None, None] * vert + u[:, None, None] * ginibre_states(z)

@@ -14,6 +14,7 @@ from qndstab.core import (
 )
 from qndstab.dynamics import (
     StepInput,
+    _row_max_gain,
     closed_loop_step,
     control_setup,
     feedback_gain,
@@ -90,6 +91,33 @@ def test_feedback_gain_broadcasts(spin2_loose):
     assert out.shape == (3,)
     single = [feedback_gain(row, ctrl) for row in batch]
     assert np.array_equal(out, single)
+
+
+@pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
+@pytest.mark.parametrize("J", [2.0, 4.0])
+def test_row_max_gain_equals_feedback_gain(J, saturation):
+    """The engine's row-wise gain on batch-last populations equals feedback_gain bit for bit.
+
+    The rows cover random states, a tie between two wrong levels, a target
+    that holds the largest population, and a wrong population exactly at
+    p_min, exactly at p_max and between them.
+    """
+    meas, ctrl = spin2_preset(p_min=0.6, J=J, saturation=saturation)
+    d, t = meas.dec.d, ctrl.target
+    rng = default_rng(17)
+    p = rng.dirichlet(np.ones(d), size=40)
+    special = np.full((6, d), 0.2 / (d - 1))
+    for row, worst in enumerate((ctrl.p_min, ctrl.p_max, 0.5 * (ctrl.p_min + ctrl.p_max))):
+        special[row, (t + 1 + row) % d] = worst
+    special[3, t] = 0.9  # target largest, gain off
+    special[4, [(t + 1) % d, (t - 1) % d]] = 0.62  # tie between two wrong levels
+    special[5] = 1.0 / d
+    p = np.vstack([p, special])
+    expected = feedback_gain(p, ctrl)
+    out = _row_max_gain(np.ascontiguousarray(p.T), ctrl)
+    assert out.tobytes() == expected.tobytes()
+    assert np.any(expected == 0.0) and np.any(expected == ctrl.sigma_bar)
+    assert np.any((expected > 0.0) & (expected < ctrl.sigma_bar))
 
 
 # ------------------------------------------------------- measurement update

@@ -7,7 +7,14 @@ from numpy.random import default_rng
 from qndstab.core import _kraus_diagonal, dissipator, random_density_matrix, random_hermitian
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
-from qndstab.filters import _reduced_update, graph_connected, laplacian_matrix, population_filter_step
+from qndstab.filters import (
+    _band_sum,
+    _population_update,
+    _reduced_update,
+    graph_connected,
+    laplacian_matrix,
+    population_filter_step,
+)
 from qndstab.spin import spin2_preset
 
 SPIN2_DELTA = np.array(
@@ -230,6 +237,61 @@ def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, 
     reduced /= np.trace(reduced, axis1=1, axis2=2)[:, None, None]
     out = population_filter_step(p, meas, ctrl0, spin2_delta, dY=dY, dt=dt)
     assert np.max(np.abs(out - np.diagonal(reduced, axis1=1, axis2=2))) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma_bar", [2.0, 20.0])
+def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2_delta, sigma_bar):
+    """With the gain on, the population step is the reduced step's diagonal less its order-s^2 terms.
+
+    For rho = diag(p) the reduced filter's Kraus operator is diag(m) + (s/2) A^2
+    with s = sigma^2 dt and A = Im H, so its diagonal carries
+    (s/2)^2 sum_{j != k} ((A^2)_kj)^2 p_j, which the population filter drops;
+    every other term agrees.  Both sides are compared before normalization.
+    """
+    meas, ctrl = spin2_loose
+    lvec, gen = _lvec(meas), ctrl.H.imag
+    rng = default_rng(29)
+    p = np.vstack([[0.99, 0.0025, 0.0025, 0.0025, 0.0025], rng.dirichlet(np.ones(5), size=7)])
+    k = len(p)
+    dY, dt = np.concatenate([[0.0], rng.normal(scale=0.05, size=k - 1)]), 1e-3
+    sigma = np.full(k, sigma_bar)
+    mvec = _kraus_diagonal(lvec, meas.eta, dt, dY)
+    reduced = np.diagonal(_reduced_update(p[:, :, None] * np.eye(5), lvec, meas.eta, gen, sigma, mvec, dt), axis1=1, axis2=2)
+    a2 = gen @ gen
+    off = a2 * a2
+    np.fill_diagonal(off, 0.0)
+    dropped = (0.5 * sigma_bar**2 * dt) ** 2 * (p @ off.T)
+    assert np.min(dropped) > 1e-8
+    expected = reduced - dropped
+    out = _population_update(np.ascontiguousarray(p.T), meas, spin2_delta, sigma, mvec, dt).T
+    scale = np.sum(expected, axis=1, keepdims=True)
+    assert np.max(np.abs(out * scale - expected)) <= 1e-14
+
+
+def test_band_sum_equals_dense_sum(spin2_delta):
+    """The banded Laplacian sum equals the dense sum over j in ascending order, bit for bit.
+
+    The dense reference accumulates sum_{j != k} Delta_kj p_j one column j at
+    a time.  A Delta with every band nonzero (n = 5 and 9) checks the band
+    bookkeeping; the spin-2 ladder checks that skipping its zero bands is exact.
+    """
+    rng = default_rng(31)
+
+    def dense(delta, p):
+        off = delta - np.diag(np.diagonal(delta))
+        total = off[:, :1] * p[0]
+        for j in range(1, len(p)):
+            total += off[:, j : j + 1] * p[j]
+        return total
+
+    for d in (5, 9):
+        full = rng.random((d, d)) + 0.1
+        full = full + full.T
+        np.fill_diagonal(full, -np.sum(full, axis=1) + np.diagonal(full))
+        p = rng.dirichlet(np.ones(d), size=30).T.copy()
+        assert _band_sum(full, p).tobytes() == dense(full, p).tobytes()
+    p = rng.dirichlet(np.ones(5), size=30).T.copy()
+    assert _band_sum(spin2_delta, p).tobytes() == dense(spin2_delta, p).tobytes()
 
 
 def test_population_filter_safeguard_keeps_simplex(spin2_loose, spin2_delta):
