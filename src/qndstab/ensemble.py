@@ -19,19 +19,23 @@ repair, and every eigenstate of L is an exact fixed point (the update only
 rescales its one nonzero entry, and the trace division restores it).  A
 nonpositive or non-finite trace raises UnrecoverableStateError.  The engine
 is also specialized to purely imaginary control Hamiltonians H = iA (A = Im H
-real antisymmetric), so every control rotation exp(-iH x) = exp(A x) is a
-real orthogonal matrix; from a real initial state the state stays real
-symmetric.
+real antisymmetric) with a nondegenerate spectrum, so every control rotation
+exp(-iH x) = exp(A x) is a real orthogonal matrix; from a real initial state
+the state stays real symmetric.  eigh lists the spectrum of H in ascending
+order as +-w pairs around an optional zero mode, so pairing eigenvalue k
+with n-1-k builds exp(A x) from one (cos, sin) pair per rotation plane of A
+(_rotation_planes): n coefficients per rotation instead of 2n.
 
 States are float64, packed and batch-last: a chunk of m trajectories
 carries its n x n states as one (n(n+1)/2, m) array, the n diagonal entries
 first, then the upper triangle row by row, one trajectory per column (the
-population filter's estimate is a (d, m) array).  The measurement update,
-the trace, the record increment and the population filter are row
-operations on contiguous rows of m; the populations are the view [:n].
-Only the columns whose control angle is nonzero are unpacked to (k, n, n)
-matrices for the rotation, as are the reduced filter's states for its
-matrix products, and repacked after.
+population filter's estimate is a (d, m) array).  The noise draws, the
+gain, the measurement update, the trace, the record increment and the
+population filter are row operations on contiguous rows of m; the
+populations are the view [:n].  The rotation gathers only the columns whose
+control angle is nonzero, straight into (k, n, n) matrices, and scatters
+their symmetrized products back through the transposed view; the reduced
+filter unpacks its states for its matrix products and repacks them after.
 
 The full observer knows Y and B and starts at the true state, so its step
 is the plant's step with the same Kraus factor, dy and dB, and it stays on
@@ -52,8 +56,10 @@ Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
 W and (base_seed, 4*index + 1) for the control noise B, and every
 reduction over a state index takes a fixed order at every batch width: an
-explicit accumulation over rows, a per-matrix product, the per-row einsum
-that builds each rotation, a max, or v_open on an (m, n) C-order copy.
+explicit accumulation over rows, a banded sum over the nonzero bands of the
+actuation Laplacian in ascending index, a per-matrix product, the per-row
+einsum over one (cos, sin) pair per rotation plane that builds each
+rotation, a max, or v_open on an (m, n) C-order copy.
 numpy's own sums pick their order from the memory layout, and a width-1
 chunk is contiguous along the state axis, so they are not used over that
 axis.  A trajectory's bits therefore do not depend on which rows share its
@@ -72,7 +78,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
+from .core import DEGENERACY_TOL, UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, _row_max_gain
 from .filters import _population_update, _reduced_update, laplacian_matrix
 from .lyapunov import v_open
@@ -273,7 +279,7 @@ class _Packed:
         """(n(n+1)/2, k) -> (k, n, n)."""
         return cols.T[:, self.rows].reshape(-1, self.n, self.n)
 
-    def kraus_rows(self, lvec: np.ndarray, eta: float, dt: float, width: int):
+    def kraus_constants(self, lvec: np.ndarray, eta: float, dt: float, width: int):
         """The Kraus step's constant rows at this width, built on the first call for each (lvec, eta, dt, width).
 
         Returns core._kraus_rows(lvec, dt, width) and the packed rows of
@@ -296,7 +302,7 @@ def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _
     products m_i m_j are written one upper-triangle row slice at a time.
     """
     n = pk.n
-    rows, cross = pk.kraus_rows(lvec, eta, dt, dy.size)
+    rows, cross = pk.kraus_constants(lvec, eta, dt, dy.size)
     mvec = _kraus_diagonal(lvec, eta, dt, dy, rows)
     factor = np.empty_like(cross)
     np.multiply(mvec, mvec, out=factor[:n])
@@ -304,6 +310,48 @@ def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _
         np.multiply(mvec[i], mvec[i + 1 :], out=factor[pk.starts[i] : pk.starts[i + 1]])
     factor += cross
     return mvec, factor
+
+
+def _rotation_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and basis of the control rotations exp(-i h x) = exp(A x), for h = iA purely imaginary.
+
+    A is real antisymmetric, so eigh lists the spectrum of h in ascending
+    order with eigenvalue n-1-k equal to -w_k, w_k the k-th, and a zero
+    mode in the middle when n is odd.  The eigen-sum sum_k e^{-i w_k x} P_k,
+    P_k = v_k v_k^dagger, is real, so each pair (k, n-1-k), k < n // 2,
+    contributes cos(w_k x) Re(P_k + P_{n-1-k}) + sin(w_k x) Im(P_k - P_{n-1-k}):
+    one (cos, sin) pair per rotation plane of A, whose frequency is |w_k|.
+    The zero mode's term Re P does not move.  Returns w_k for k < n // 2
+    and the n basis matrices, shape (n, n, n): the zero mode (odd n), the
+    cos matrices, then the sin matrices.  Like the measurement operator, h
+    must have a nondegenerate spectrum, so each frequency names one plane.
+    """
+    n = h.shape[0]
+    w, v = np.linalg.eigh(h)
+    if np.any(np.diff(w) <= DEGENERACY_TOL):
+        raise ValueError("campaign integrator requires a control Hamiltonian with a nondegenerate spectrum (distinct rotation frequencies)")
+    outer = v.T[:, :, None] * np.conj(v.T)[:, None, :]
+    half = n // 2
+    low, high = outer[:half], outer[::-1][:half]
+    # outer takes the column-major layout of eigh's eigenvectors, and einsum
+    # runs the rotations about 2.5x slower on that layout than on a C-order copy
+    basis = np.concatenate([outer[half : n - half].real, (low + high).real, (low - high).imag])
+    return w[:half], np.ascontiguousarray(basis)
+
+
+def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """exp(A x) for each angle in x, shape (k, n, n), from _rotation_planes' eigenvalues and basis.
+
+    Each matrix is one per-row einsum over its n coefficients, so its bits
+    do not depend on k.
+    """
+    angle = np.multiply.outer(x, w)
+    fixed = basis.shape[0] - 2 * w.size
+    coef = np.empty((x.size, basis.shape[0]))
+    coef[:, :fixed] = 1.0
+    np.cos(angle, out=coef[:, fixed : fixed + w.size])
+    np.sin(angle, out=coef[:, fixed + w.size :])
+    return np.einsum("mk,kij->mij", coef, basis)
 
 
 def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
@@ -365,11 +413,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     eta, dt = meas.eta, cfg.dt
     sqeta = np.sqrt(eta)
     pk = _Packed(n)
-    # exp(-iH x) = sum_k e^{-i w_k x} v_k v_k^dagger is real for H = iA, so it is
-    # the real part sum_k cos(w_k x) Re(v_k v_k^dagger) + sin(w_k x) Im(v_k v_k^dagger)
-    hw, hv = np.linalg.eigh(h)
-    outer = hv.T[:, :, None] * np.conj(hv.T)[:, None, :]
-    rot_basis = np.concatenate([outer.real, outer.imag])
+    planes = _rotation_planes(h)
     need_b = ctrl.sigma_bar > 0.0
     estimator = cfg.estimator
 
@@ -419,8 +463,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
         active = np.flatnonzero(dv)
         if active.size == 0:
             return
-        angle = dv[active, None] * hw
-        rot = np.einsum("mk,kij->mij", np.concatenate([np.cos(angle), np.sin(angle)], axis=1), rot_basis)
+        rot = _rotations(dv[active], *planes)
         # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
         rot_t = np.ascontiguousarray(np.swapaxes(rot, -1, -2))
         cols = states.T

@@ -25,6 +25,7 @@ from qndstab.ensemble import (
 )
 from qndstab.filters import laplacian_matrix, population_filter_step
 from qndstab.lyapunov import v_open
+from qndstab.spin import build_spin_model
 
 SEED = 4242
 
@@ -441,6 +442,45 @@ def test_engine_rejects_control_hamiltonian_with_real_part(monkeypatch):
     monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas, ctrl_real))
     with pytest.raises(ValueError, match="purely imaginary"):
         run_trajectory(_small_cfg(), 0)
+
+
+def test_engine_rejects_degenerate_control_spectrum(monkeypatch):
+    """Two rotation planes at one frequency: the control rotation's pairing needs a nondegenerate spectrum."""
+    meas, ctrl = _small_cfg().setups()
+    gen = np.zeros((5, 5))
+    gen[0, 1] = gen[3, 4] = 1.0
+    h = 1j * (gen - gen.T)
+    assert np.allclose(np.linalg.eigvalsh(h), [-1.0, -1.0, 0.0, 1.0, 1.0])
+    ctrl_deg = control_setup(h, meas.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
+    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas, ctrl_deg))
+    with pytest.raises(ValueError, match="nondegenerate spectrum"):
+        run_trajectory(_small_cfg(), 0)
+
+
+@pytest.mark.parametrize("J", [0.5, 1.0, 2.0, 4.0, "random"])
+def test_plane_rotations_match_eigen_sum(J):
+    """One (cos, sin) pair per rotation plane gives the eigen-sum exp(-i H x) within 1e-14, orthogonal.
+
+    The reference is the full complex eigen-sum over all n eigenvalues.
+    Angles run from 0 to several turns; "random" is a dense purely
+    imaginary H at n = 6, with no zero mode.
+    """
+    rng = np.random.default_rng(41)
+    if J == "random":
+        a = rng.standard_normal((6, 6))
+        h = 1j * (a - a.T)
+    else:
+        h = build_spin_model(J).H
+    n = h.shape[0]
+    x = np.concatenate([[0.0, 1e-3, -2.5], rng.normal(scale=3.0, size=40)])
+    w, basis = ensemble._rotation_planes(h)
+    assert w.shape == (n // 2,) and basis.shape == (n, n, n)
+    rot = ensemble._rotations(x, w, basis)
+    hw, hv = np.linalg.eigh(h)
+    ref = (hv[None] * np.exp(-1j * x[:, None, None] * hw)) @ np.conj(hv.T)
+    assert np.max(np.abs(ref.imag)) <= 1e-14
+    assert np.max(np.abs(rot - ref.real)) <= 1e-14
+    assert np.max(np.abs(rot @ np.swapaxes(rot, 1, 2) - np.eye(n))) <= 1e-14
 
 
 def test_engine_rejects_unsupported_measurement_operator(monkeypatch):
