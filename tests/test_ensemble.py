@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, populations, trace, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, trace, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -296,6 +296,20 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
         expected = np.zeros(5)
         expected[level] = 1.0
         assert np.array_equal(result.final_populations, np.tile(expected, (3, 1))), level
+
+
+def test_kraus_factor_rows_match_outer_product():
+    """The packed factor's row slices hold m_i m_j + (1 - eta) dt l_i l_j at every (i, j), bit for bit."""
+    rng = np.random.default_rng(23)
+    for n in (2, 5, 9):
+        lvec = np.sort(rng.normal(size=n))[::-1].copy()
+        dy, eta, dt = rng.normal(scale=0.05, size=7), 0.7, 1e-3
+        pk = ensemble._Packed(n)
+        mvec, factor = ensemble._kraus_factor(lvec, eta, dt, dy, pk)
+        assert mvec.tobytes() == _kraus_diagonal(lvec, eta, dt, dy).tobytes()
+        cross = (1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j])
+        expected = mvec[pk.i] * mvec[pk.j] + cross[:, None]
+        assert factor.tobytes() == expected.tobytes(), n
 
 
 def test_kraus_step_stays_positive_where_euler_fails():
