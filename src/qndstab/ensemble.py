@@ -357,9 +357,8 @@ def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
     """Divide every packed column by its trace in place; a nonpositive or non-finite trace is unrecoverable."""
     tr = _rowsum(rho[:n])
-    ok = (tr > 0.0) & (tr < np.inf)
-    if not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
+    if not (tr.min() > 0.0 and tr.max() < np.inf):  # a NaN fails both
+        bad = int(np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0])
         raise UnrecoverableStateError(f"trajectory {start + bad} has trace {tr[bad]!r} after step {step}")
     rho /= tr
 
@@ -447,6 +446,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     draws = np.empty((m, width))
     dw_rows = np.empty((width, m))
     db_rows = np.empty((width, m)) if need_b else None
+    streams = [(gens_w, dw_rows), (gens_b, db_rows)] if need_b else [(gens_w, dw_rows)]
 
     def _record(slot: int, p: np.ndarray):
         err[:, slot] = np.sqrt(np.clip(1.0 - p[target], 0.0, 1.0))
@@ -460,7 +460,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     # unpacked (k, n, n) copies: a 2D BLAS gemm over the batch would round
     # differently at different widths
     def _conjugate_rows(states: np.ndarray, dv: np.ndarray) -> None:
-        active = np.flatnonzero(dv)
+        active = dv.nonzero()[0]
         if active.size == 0:
             return
         rot = _rotations(dv[active], *planes)
@@ -474,13 +474,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     step = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
-        for i, g in enumerate(gens_w):
-            g.standard_normal(out=draws[i, :blen])
-        np.multiply(draws[:, :blen].T, sqdt, out=dw_rows[:blen])
-        if need_b:
-            for i, g in enumerate(gens_b):
+        for gens, rows in streams:
+            for i, g in enumerate(gens):
                 g.standard_normal(out=draws[i, :blen])
-            np.multiply(draws[:, :blen].T, sqdt, out=db_rows[:blen])
+            # transposed in tiles of 64 trajectories, which stay in cache
+            for a in range(0, m, 64):
+                np.multiply(draws[a : a + 64, :blen].T, sqdt, out=rows[:blen, a : a + 64])
         for j in range(blen):
             p_true = rho[:n]
             if estimator in ("truth", "full_observer"):

@@ -105,10 +105,10 @@ def _band_sum(delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     d = delta.shape[0]
     rows, cols = np.nonzero(delta)
-    total = np.zeros_like(p)
+    total = np.zeros(p.shape)
     for b in sorted(set((cols - rows).tolist()) - {0}):
         lo, hi = max(0, -b), min(d, d - b)
-        total[lo:hi] += np.diagonal(delta, b)[:, None] * p[lo + b : hi + b]
+        total[lo:hi] += delta.diagonal(b)[:, None] * p[lo + b : hi + b]
     return total
 
 
@@ -126,7 +126,7 @@ def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndar
     """
     lam = meas.dec.eigenvalues
     s = sigma * sigma * dt
-    p_new = np.diagonal(delta)[:, None] * (0.5 * s)
+    p_new = delta.diagonal()[:, None] * (0.5 * s)
     p_new += mvec
     p_new *= p_new
     p_new += (1.0 - meas.eta) * dt * (lam * lam)[:, None]
