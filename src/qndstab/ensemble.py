@@ -339,11 +339,11 @@ def _rotation_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:half], np.ascontiguousarray(basis)
 
 
-def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray, out=None) -> np.ndarray:
     """exp(A x) for each angle in x, shape (k, n, n), from _rotation_planes' eigenvalues and basis.
 
     Each matrix is one per-row einsum over its n coefficients, so its bits
-    do not depend on k.
+    do not depend on k.  The matrices are written into out when it is given.
     """
     angle = np.multiply.outer(x, w)
     fixed = basis.shape[0] - 2 * w.size
@@ -351,7 +351,7 @@ def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     coef[:, :fixed] = 1.0
     np.cos(angle, out=coef[:, fixed : fixed + w.size])
     np.sin(angle, out=coef[:, fixed + w.size :])
-    return np.einsum("mk,kij->mij", coef, basis)
+    return np.einsum("mk,kij->mij", coef, basis, out=out)
 
 
 def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
@@ -458,17 +458,24 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
     # the rotation and the reduced filter's products run per matrix on
     # unpacked (k, n, n) copies: a 2D BLAS gemm over the batch would round
-    # differently at different widths
+    # differently at different widths.  The rotation's four (k, n, n) arrays
+    # live in buffers allocated once per chunk: as fresh temporaries of a
+    # varying size they made glibc hand heap pages back to the system and
+    # fault them in again, about 16 page faults per step.
+    work = np.empty((4, m, n, n))
+
     def _conjugate_rows(states: np.ndarray, dv: np.ndarray) -> None:
         active = dv.nonzero()[0]
         if active.size == 0:
             return
-        rot = _rotations(dv[active], *planes)
+        rot, rot_t, prod, flat = work[:, : active.size]
+        _rotations(dv[active], *planes, out=rot)
         # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
-        rot_t = np.ascontiguousarray(np.swapaxes(rot, -1, -2))
+        rot_t[...] = np.swapaxes(rot, -1, -2)
         cols = states.T
-        mats = cols[active][:, pk.rows].reshape(-1, n, n)
-        flat = (rot @ mats @ rot_t).reshape(-1, n * n)
+        np.matmul(rot, cols[active][:, pk.rows].reshape(-1, n, n), out=prod)
+        np.matmul(prod, rot_t, out=flat)
+        flat = flat.reshape(-1, n * n)
         cols[active] = 0.5 * (flat[:, pk.upper] + flat[:, pk.lower])
 
     step = 0
