@@ -236,8 +236,6 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
     (pairwise over a contiguous axis of 8 or more, SIMD kernels inside
     einsum), and a width-1 batch-last array is contiguous along the state
     axis; a fixed order keeps a trajectory's bits independent of the width.
-    The weights are scalars; a zero weight after the first adds an exact
-    zero, so its row is skipped.
     """
     if weights is None:
         total = rows[0].copy()
@@ -246,8 +244,7 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
         return total
     total = weights[0] * rows[0]
     for w, row in zip(weights[1:], rows[1:]):
-        if w != 0.0:
-            total += w * row
+        total += w * row
     return total
 
 

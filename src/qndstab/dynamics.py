@@ -146,39 +146,27 @@ class StepOutput:
     sigma_used: float | np.ndarray
 
 
-def _ramp(worst, ctrl: ControlSetup):
-    """sigma_bar * phi((worst - p_min) / (p_max - p_min)), phi the saturation shape of feedback_gain."""
-    s = (worst - ctrl.p_min) / (ctrl.p_max - ctrl.p_min)
-    s = np.clip(s, 0.0, 1.0)
-    if ctrl.saturation == "smoothstep":
-        s = s * s * (3.0 - 2.0 * s)
-    return ctrl.sigma_bar * s
-
-
 def feedback_gain(p: np.ndarray, ctrl: ControlSetup):
     """Gain sigma = sigma_bar * phi((max_{k != target} p_k - p_min) / (p_max - p_min)).
 
     phi is the saturation shape: a unit clamp for piecewise_linear, the
-    cubic smoothstep otherwise.  Broadcasts over leading axes of p.
+    cubic smoothstep otherwise.  Broadcasts over leading axes of p.  The
+    max runs over the wrong populations one at a time, with no masked
+    copy; a max is exact in any order, so the layout of p does not change
+    the bits.  The campaign engine passes the transpose of its batch-last
+    (d, m) populations, whose rows this reads in place.
     """
-    p = np.asarray(p)
-    masked = np.array(p, dtype=float, copy=True)
-    masked[..., ctrl.target] = -np.inf
-    out = _ramp(np.max(masked, axis=-1), ctrl)
+    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    worst = np.full(p.shape[1:], -np.inf)
+    for k in range(p.shape[0]):
+        if k != ctrl.target:
+            np.maximum(worst, p[k], out=worst)
+    s = (worst - ctrl.p_min) / (ctrl.p_max - ctrl.p_min)
+    s = np.clip(s, 0.0, 1.0)
+    if ctrl.saturation == "smoothstep":
+        s = s * s * (3.0 - 2.0 * s)
+    out = ctrl.sigma_bar * s
     return out if out.ndim else float(out)
-
-
-def _row_max_gain(p: np.ndarray, ctrl: ControlSetup) -> np.ndarray:
-    """feedback_gain of batch-last populations p, shape (d, m), one gain per column.
-
-    The max runs over the wrong rows in place, with no masked copy; a max
-    is exact in any order, so the gains equal feedback_gain(p.T) bit for bit.
-    """
-    wrong = [k for k in range(p.shape[0]) if k != ctrl.target]
-    worst = p[wrong[0]].copy()
-    for k in wrong[1:]:
-        np.maximum(worst, p[k], out=worst)
-    return _ramp(worst, ctrl)
 
 
 def _measurement_update(rho: np.ndarray, meas: MeasurementSetup, dt: float, dW) -> tuple[np.ndarray, np.ndarray]:

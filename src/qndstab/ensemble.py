@@ -79,7 +79,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DEGENERACY_TOL, UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
-from .dynamics import ControlSetup, MeasurementSetup, _row_max_gain
+from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import _population_update, _reduced_update, laplacian_matrix
 from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
@@ -456,6 +456,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
     _record(0, rho[:n])
 
+    # the record increment skips every row after the first whose eigenvalue
+    # of L is zero, since its term adds an exact zero; rho is updated in
+    # place, so these views of its rows stay current
+    lkeep = [0] + [i for i in range(1, n) if lvec[i] != 0.0]
+    lrows, lweights = [rho[i] for i in lkeep], lvec[lkeep]
+
     # the rotation and the reduced filter's products run per matrix on
     # unpacked (k, n, n) copies: a 2D BLAS gemm over the batch would round
     # differently at different widths.  The rotation's four (k, n, n) arrays
@@ -495,10 +501,10 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 p_est = p_hat
             else:
                 p_est = rho_hat[:n]
-            sigma_app = buffer.push(_row_max_gain(p_est, ctrl))
+            sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
             dv = sigma_app * db_rows[j] if need_b else np.zeros(m)
 
-            dy = 2.0 * sqeta * dt * _rowsum(p_true, lvec) + dw_rows[j]
+            dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
             mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
             rho *= factor
             _conjugate_rows(rho, dv)

@@ -20,6 +20,8 @@ depends on the state only through the populations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import SpectralDecomposition, _kraus_diagonal, _rowsum
@@ -96,6 +98,21 @@ def _reduced_update(mats: np.ndarray, lvec: np.ndarray, eta: float, gen: np.ndar
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _bands(raw: bytes, d: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
+    """(lo, hi, b, Delta_{k, k+b} for k in lo..hi-1 as a column) for each nonzero off-diagonal band b of Delta, b ascending.
+
+    Delta arrives as the bytes of its C-order float array, so a chunk's
+    steps share one entry.
+    """
+    delta = np.frombuffer(raw).reshape(d, d)
+    rows, cols = np.nonzero(delta)
+    return tuple(
+        (max(0, -b), min(d, d - b), b, delta.diagonal(b)[:, None].copy())
+        for b in sorted(set((cols - rows).tolist()) - {0})
+    )
+
+
 def _band_sum(delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_{j != k} Delta_kj p_j for every row k of batch-last p, shape (d, m).
 
@@ -103,12 +120,9 @@ def _band_sum(delta: np.ndarray, p: np.ndarray) -> np.ndarray:
     ascending j; every skipped term is an exact zero, so the bits equal the
     dense sum over j in ascending order.  The spin ladder has two bands.
     """
-    d = delta.shape[0]
-    rows, cols = np.nonzero(delta)
     total = np.zeros(p.shape)
-    for b in sorted(set((cols - rows).tolist()) - {0}):
-        lo, hi = max(0, -b), min(d, d - b)
-        total[lo:hi] += delta.diagonal(b)[:, None] * p[lo + b : hi + b]
+    for lo, hi, b, coeff in _bands(np.ascontiguousarray(delta, dtype=float).tobytes(), delta.shape[0]):
+        total[lo:hi] += coeff * p[lo + b : hi + b]
     return total
 
 

@@ -14,7 +14,6 @@ from qndstab.core import (
 )
 from qndstab.dynamics import (
     StepInput,
-    _row_max_gain,
     closed_loop_step,
     control_setup,
     feedback_gain,
@@ -95,12 +94,13 @@ def test_feedback_gain_broadcasts(spin2_loose):
 
 @pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
 @pytest.mark.parametrize("J", [2.0, 4.0])
-def test_row_max_gain_equals_feedback_gain(J, saturation):
-    """The engine's row-wise gain on batch-last populations equals feedback_gain bit for bit.
+def test_feedback_gain_layout_independent(J, saturation):
+    """feedback_gain gives the same bits on batch-last populations, a C-order batch and single rows.
 
-    The rows cover random states, a tie between two wrong levels, a target
-    that holds the largest population, and a wrong population exactly at
-    p_min, exactly at p_max and between them.
+    The engine passes the transpose of its (d, m) populations.  The rows
+    cover random states, a tie between two wrong levels, a target that
+    holds the largest population, and a wrong population exactly at p_min,
+    exactly at p_max and between them.
     """
     meas, ctrl = spin2_preset(p_min=0.6, J=J, saturation=saturation)
     d, t = meas.dec.d, ctrl.target
@@ -114,8 +114,8 @@ def test_row_max_gain_equals_feedback_gain(J, saturation):
     special[5] = 1.0 / d
     p = np.vstack([p, special])
     expected = feedback_gain(p, ctrl)
-    out = _row_max_gain(np.ascontiguousarray(p.T), ctrl)
-    assert out.tobytes() == expected.tobytes()
+    assert feedback_gain(np.ascontiguousarray(p.T).T, ctrl).tobytes() == expected.tobytes()
+    assert np.array([feedback_gain(row, ctrl) for row in p]).tobytes() == expected.tobytes()
     assert np.any(expected == 0.0) and np.any(expected == ctrl.sigma_bar)
     assert np.any((expected > 0.0) & (expected < ctrl.sigma_bar))
 
