@@ -15,6 +15,7 @@ random sampling takes an explicit numpy Generator so callers own seeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,11 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.projectors.shape[-1]
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The projectors as real weight rows for _expectations, built once."""
+        return _real_rows(self.projectors)
+
 
 def spectral_decomposition(op: np.ndarray) -> SpectralDecomposition:
     """Group the spectrum of a Hermitian operator into distinct eigenspaces.
@@ -145,12 +151,37 @@ def spectral_decomposition(op: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, projectors, multiplicities)
 
 
+def _real_rows(obs: np.ndarray) -> np.ndarray:
+    """Weight rows, shape (k, 2 n^2), that read Re tr(obs_k rho) off rho's real coordinates.
+
+    Row k interleaves Re obs_k^T and -Im obs_k^T in the order of the float64
+    view of a C-ordered complex rho, so Re(obs_k[j, i] rho[i, j]) is the
+    sum of the two products at rho[i, j]'s real and imaginary parts.
+    """
+    t = np.swapaxes(obs, -1, -2)
+    return np.stack([t.real, -t.imag], axis=-1).reshape(len(obs), -1)
+
+
+def _expectations(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Re tr(obs_k rho) for the rows of _real_rows(obs), shape (..., k), from one real einsum.
+
+    rho is complex, shape (..., n, n).  The einsum runs without optimize,
+    so no BLAS call sums over the batch axis.
+    """
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    x = rho.view(float).reshape(rho.shape[:-2] + (-1,))
+    return np.einsum("...x,kx->...k", x, rows)
+
+
 def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    """Eigenspace populations p_k = tr(rho Pi_k), shape (..., d), clipped to [0, 1]."""
+    """Eigenspace populations p_k = tr(rho Pi_k), shape (..., d), clipped to [0, 1].
+
+    The trace runs over rho's 2 n^2 real coordinates (_expectations).
+    """
     rho = np.asarray(rho)
     if rho.shape[-1] != dec.n:
         raise ValueError(f"state dim {rho.shape[-1]} does not match decomposition dim {dec.n}")
-    p = np.einsum("...ij,kji->...k", rho, dec.projectors).real
+    p = _expectations(rho, dec._rows)
     return np.clip(p, 0.0, 1.0)
 
 

@@ -20,7 +20,9 @@ For V_alpha the Markov generator evaluates in closed form as
 with w = tr(L rho).  c and m are linear in rho: by duality
 c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
-i [Pi_k, H].  certify_decay samples the state space in stratified
+i [Pi_k, H].  Like the populations, c and m are read off the states in
+float64 real arithmetic: one einsum over each state's 2 n^2 real
+coordinates against fixed weight rows (core._expectations).  certify_decay samples the state space in stratified
 fashion and reports the empirical contraction margin
 nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
 E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ginibre_states, populations
+from .core import _expectations, _real_rows, ginibre_states, populations
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
@@ -195,29 +197,34 @@ def generator_terms(
     """Evaluate f, g, h and AV at a state (or batch of states).
 
     c_k = tr(D_H*(Pi_k) rho) and m_k = tr(i [Pi_k, H] rho) are expectations
-    of 2d fixed n x n observables, read off the full states by one einsum;
-    a gemm there would round differently with the batch width and the BLAS
-    thread count.  A state's result is the same in every batch of two or
-    more states; a lone state (2-D input or a width-1 batch) takes other
-    reduction paths in numpy and may differ in the last bits.  For
-    non-diagonal rho, c differs from the Laplacian acting on the
+    of 2d fixed n x n observables.  Like the populations, they are read off
+    the states' 2 n^2 real coordinates by one real einsum
+    (core._expectations); a gemm there would round differently with the
+    batch width and the BLAS thread count.  A state's result is the same in
+    every batch of two or more states; a lone state (2-D input or a width-1
+    batch) takes other reduction paths in numpy and may differ in the last
+    bits.  For non-diagonal rho, c differs from the Laplacian acting on the
     population vector, which is exact only on eigenspace mixtures.
     Raises EvaluatedAtTargetError when p_target = 1, where the denominators
     sqrt(alpha_s . p) vanish.
     """
     rho = np.asarray(rho, dtype=complex)
-    dec = meas.dec
-    p = populations(rho, dec)
+    return _generator(rho, populations(rho, meas.dec), meas, ctrl, w)
+
+
+def _generator(rho, p, meas, ctrl, w) -> GeneratorTerms:
+    """generator_terms on complex states rho whose populations p the caller has computed."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
     if np.any(ap <= 0.0):
         raise EvaluatedAtTargetError("alpha-weighted populations vanished; state is at the target vertex")
+    dec = meas.dec
     sigma = np.asarray(feedback_gain(p, ctrl))
     hh, pi = ctrl.H, dec.projectors
     h2 = hh @ hh
     obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
-    cm = np.einsum("kij,...ji->...k", obs, rho).real
+    cm = _expectations(rho, _real_rows(obs))
     c, m = cm[..., : dec.d], cm[..., dec.d :]
     lam = dec.eigenvalues
     varpi = p @ lam
@@ -371,9 +378,9 @@ def certify_decay(
     clock = time.perf_counter()
     for name, batch, draws in _sample_strata(dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
         sampled = time.perf_counter()
-        terms = generator_terms(batch, meas, ctrl, w)
-        timing[name] = {"sample_s": sampled - clock, "generator_s": time.perf_counter() - sampled}
         p = populations(batch, dec)
+        terms = _generator(batch, p, meas, ctrl, w)
+        timing[name] = {"sample_s": sampled - clock, "generator_s": time.perf_counter() - sampled}
         ratio = -np.asarray(terms.AV) / v_alpha(p, w)
         worst = int(np.argmin(ratio))
         stratum_min = float(ratio[worst])

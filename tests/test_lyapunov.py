@@ -266,6 +266,48 @@ def test_generator_terms_do_not_depend_on_batch_mates(spin2_tight, spin2_weights
                     np.testing.assert_allclose(getattr(lone, name), getattr(whole, name)[i : i + 1], rtol=1e-12, atol=0)
 
 
+def _assert_complex_trace(values, obs, rho):
+    """values equal Re tr(obs_k rho) from the complex einsum within 1e-15 of the sum of |products|."""
+    ref = np.einsum("kij,...ji->...k", obs, rho).real
+    scale = np.einsum("kij,...ji->...k", np.abs(obs), np.abs(rho))
+    assert values.shape == ref.shape
+    assert np.all(np.abs(values - ref) <= 1e-15 * scale)
+
+
+def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_weights, rng):
+    general = _general_pair(rng)
+    # a measurement with complex eigenvectors, so the projectors' imaginary weights count
+    rotated = measurement_setup(random_hermitian(5, rng), eta=0.5)
+    assert np.max(np.abs(rotated.dec.projectors.imag)) > 0.1
+    read = []
+    real_expectations = lyapunov._expectations
+
+    def spy(rho, rows):
+        out = real_expectations(rho, rows)
+        read.append(out)
+        return out
+
+    monkeypatch.setattr(lyapunov, "_expectations", spy)
+    for meas, ctrl, w in ((*spin2_tight, spin2_weights), general):
+        dec, hh = meas.dec, ctrl.H
+        pi, h2 = dec.projectors, hh @ hh
+        obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
+        # the spin pair's observables are real; the general pair's H has a real part
+        assert (np.max(np.abs(obs.imag)) > 0.1) == (meas is general[0])
+        batch = _mixed_batch(dec, ctrl.target, rng, 24)
+        for rho in (batch, batch[5], batch[9:10]):
+            read.clear()
+            generator_terms(rho, meas, ctrl, w)
+            (cm,) = read
+            _assert_complex_trace(cm, obs, rho)
+            for m in (meas, rotated):
+                p = populations(rho, m.dec)
+                ref = np.clip(np.einsum("kij,...ji->...k", m.dec.projectors, rho).real, 0.0, 1.0)
+                scale = np.einsum("kij,...ji->...k", np.abs(m.dec.projectors), np.abs(rho))
+                assert p.shape == ref.shape
+                assert np.all(np.abs(p - ref) <= 1e-15 * scale)
+
+
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
     meas, ctrl = spin2_tight
     vertex = meas.dec.projectors[ctrl.target].astype(complex)
