@@ -154,15 +154,20 @@ def feedback_gain(p: np.ndarray, ctrl: ControlSetup):
     max runs over the wrong populations one at a time, with no masked
     copy; a max is exact in any order, so the layout of p does not change
     the bits.  The campaign engine passes the transpose of its batch-last
-    (d, m) populations, whose rows this reads in place.
+    (d, m) populations, whose rows this reads in place.  The ramp then runs
+    in place on that one copy; with a single level there is no wrong
+    population and the gain is 0.
     """
-    p = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    worst = np.full(p.shape[1:], -np.inf)
-    for k in range(p.shape[0]):
-        if k != ctrl.target:
-            np.maximum(worst, p[k], out=worst)
-    s = (worst - ctrl.p_min) / (ctrl.p_max - ctrl.p_min)
-    s = np.clip(s, 0.0, 1.0)
+    p = np.asarray(p, dtype=float)
+    p = p.transpose(-1, *range(p.ndim - 1))
+    rows = [p[k, ...] for k in range(len(p)) if k != ctrl.target]
+    s = rows[0].copy() if rows else np.zeros(p.shape[1:])
+    for row in rows[1:]:
+        np.maximum(s, row, out=s)
+    s -= ctrl.p_min
+    s /= ctrl.p_max - ctrl.p_min
+    np.maximum(s, 0.0, out=s)
+    np.minimum(s, 1.0, out=s)
     if ctrl.saturation == "smoothstep":
         s = s * s * (3.0 - 2.0 * s)
     out = ctrl.sigma_bar * s
