@@ -273,9 +273,11 @@ def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
 
     Each vertex block is led by its exact vertex.  Every other row draws u
     and then its Ginibre factor, so the draws stay in a loop; the states
-    are then built once per vertex block.  u is drawn as a unit uniform r
-    and scaled after the loop: tv_radius * r is the double that
-    rng.uniform(0.0, tv_radius) returns from the same draw.
+    are then built once per vertex block, in place in their rows of the
+    output: u rho, plus (1 - u) vertex, the same doubles as the sum in the
+    other order.  u is drawn as a unit uniform r and scaled after the loop:
+    tv_radius * r is the double that rng.uniform(0.0, tv_radius) returns
+    from the same draw.
     """
     n = dec.n
     wrong = [k for k in range(dec.d) if k != target]
@@ -296,9 +298,10 @@ def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
             normal(out=z[i])
         u *= tv_radius
         states[row] = vert
-        states[row + 1 : row + block] = (
-            (1.0 - u)[:, None, None] * vert + u[:, None, None] * ginibre_states(z)
-        )
+        mix = states[row + 1 : row + block]
+        mix[...] = ginibre_states(z)
+        mix *= u[:, None, None]
+        mix += (1.0 - u)[:, None, None] * vert
         row += block
     return states
 
