@@ -243,10 +243,17 @@ def ginibre_states(z: np.ndarray) -> np.ndarray:
 
     z holds real standard normals of shape (..., 2, n, rank); every leading
     index gives one state, bit for bit the state a lone (2, n, rank) draw gives.
+    With G = A + i B, G G^dag is built from real products: A A^T + B B^T
+    is written into the real part of the output and B A^T - A B^T into
+    its imaginary part, then both are divided by the real trace.
     """
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    m = g @ np.conj(np.swapaxes(g, -1, -2))
-    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[..., None, None]
+    a, b = z[..., 0, :, :], z[..., 1, :, :]
+    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+    m = np.empty(a.shape[:-1] + a.shape[-2:-1], dtype=complex)
+    np.add(a @ at, b @ bt, out=m.real)
+    np.subtract(b @ at, a @ bt, out=m.imag)
+    m /= np.trace(m.real, axis1=-2, axis2=-1)[..., None, None]
+    return m
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

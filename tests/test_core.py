@@ -223,3 +223,21 @@ def test_random_state_helpers(rng):
     assert np.linalg.matrix_rank(low, tol=1e-10) == 3
     h = random_hermitian(4, rng)
     validate_hermitian(h)
+
+
+@pytest.mark.parametrize("n, rank", [(5, 5), (6, 6), (5, 2), (6, 3)])
+def test_ginibre_states_real_products(rng, n, rank):
+    z = rng.standard_normal((3, 40, 2, n, rank))
+    states = ginibre_states(z)
+    assert states.shape == (3, 40, n, n) and states.dtype == complex
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    ref = g @ np.conj(np.swapaxes(g, -1, -2))
+    ref /= np.real(np.trace(ref, axis1=-2, axis2=-1))[..., None, None]
+    # within a few ulp of each state's largest entry (at most 4.0 measured at n <= 9)
+    ulp = np.spacing(np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
+    assert np.all(np.abs(states - ref) <= 8 * ulp)
+    # the real products make the state exactly Hermitian
+    assert np.array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
+    for i, j in ((0, 0), (1, 17), (2, 39)):
+        assert ginibre_states(z[i, j]).tobytes() == states[i, j].tobytes()
+    assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
