@@ -22,8 +22,10 @@ c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
 i [Pi_k, H].  Like the populations, c and m are read off the states in
 float64 real arithmetic: one einsum over each state's 2 n^2 real
-coordinates against fixed weight rows (core._expectations).  certify_decay samples the state space in stratified
-fashion and reports the empirical contraction margin
+coordinates against fixed weight rows (core._expectations).
+certify_decay samples the state space in stratified fashion, computes
+each stratum's populations once for the generator and the ratio, and
+reports the empirical contraction margin
 nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
 E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
 """

@@ -266,12 +266,9 @@ def test_generator_terms_do_not_depend_on_batch_mates(spin2_tight, spin2_weights
                     np.testing.assert_allclose(getattr(lone, name), getattr(whole, name)[i : i + 1], rtol=1e-12, atol=0)
 
 
-def _assert_complex_trace(values, obs, rho):
-    """values equal Re tr(obs_k rho) from the complex einsum within 1e-15 of the sum of |products|."""
-    ref = np.einsum("kij,...ji->...k", obs, rho).real
-    scale = np.einsum("kij,...ji->...k", np.abs(obs), np.abs(rho))
-    assert values.shape == ref.shape
-    assert np.all(np.abs(values - ref) <= 1e-15 * scale)
+def _complex_trace(obs, rho):
+    """Re tr(obs_k rho) from the complex einsum, and the sum of |products| that scales its rounding."""
+    return np.einsum("kij,...ji->...k", obs, rho).real, np.einsum("kij,...ji->...k", np.abs(obs), np.abs(rho))
 
 
 def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_weights, rng):
@@ -299,13 +296,14 @@ def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_
             read.clear()
             generator_terms(rho, meas, ctrl, w)
             (cm,) = read
-            _assert_complex_trace(cm, obs, rho)
+            ref, scale = _complex_trace(obs, rho)
+            assert cm.shape == ref.shape
+            assert np.all(np.abs(cm - ref) <= 1e-15 * scale)
             for m in (meas, rotated):
                 p = populations(rho, m.dec)
-                ref = np.clip(np.einsum("kij,...ji->...k", m.dec.projectors, rho).real, 0.0, 1.0)
-                scale = np.einsum("kij,...ji->...k", np.abs(m.dec.projectors), np.abs(rho))
+                ref, scale = _complex_trace(m.dec.projectors, rho)
                 assert p.shape == ref.shape
-                assert np.all(np.abs(p - ref) <= 1e-15 * scale)
+                assert np.all(np.abs(p - np.clip(ref, 0.0, 1.0)) <= 1e-15 * scale)
 
 
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
