@@ -32,23 +32,22 @@ first, then the upper triangle row by row, one trajectory per column (the
 population filter's estimate is a (d, m) array).  The noise draws, the
 gain, the measurement update, the trace, the record increment and the
 population filter are row operations on contiguous rows of m; the
-populations are the view [:n].  The rotation gathers only the columns whose
-control angle is nonzero, straight into (k, n, n) matrices, and scatters
-their symmetrized products back through the transposed view; the reduced
-filter unpacks its states for its matrix products and repacks them after.
+populations are the view [:n].
 
-The full observer knows Y and B and starts at the true state, so its step
-is the plant's step with the same Kraus factor, dy and dB, and it stays on
-the true state.  The engine therefore runs no copy of it: a full_observer
-campaign reads its gain from the true state and gives exactly the truth
-trajectories at the truth cost.  The two filters take the plant's Kraus
-diagonal m and the delayed gain.  The reduced filter's step
-(filters._reduced_update) adds the averaged control channel sigma^2 D_H as
-Kraus terms: M gains (sigma^2 dt / 2) A^2 and the sum gains
-sigma^2 dt A rho A^T.  The population filter's step
+Every state the engine carries takes the same two-stage step: it is
+multiplied by the plant's Schur factor, then its control stage runs.
+The matrix control stages run only on the columns where they are nonzero:
+_Packed.update_active unpacks those columns into (k, n, n) matrices and
+packs the stage's products back, symmetrized, so no other state is
+unpacked.  The full observer knows
+Y and B and starts at the true state, so its step is the plant's step with
+the same factor and dB: the engine runs no copy of it, and a full_observer
+campaign gives exactly the truth trajectories at the truth cost.  The two
+filters replace the rotation by its average under the delayed gain sigma:
+the reduced filter applies filters._averaged_control, and the population
+filter, on the factor's rows [:n], that channel's first-order diagonal
 (filters._population_update, which filters.population_filter_step runs
-too) is the diagonal of that step on a diagonal state, to first order in
-sigma^2 dt.
+too).  Where sigma = 0 both take exactly the plant's measurement stage.
 dynamics.closed_loop_step keeps Euler-Maruyama with the physicality
 projection as the reference scheme; both schemes are first order in dt.
 
@@ -80,7 +79,7 @@ import numpy as np
 
 from .core import DEGENERACY_TOL, UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
-from .filters import _population_update, _reduced_update, laplacian_matrix
+from .filters import _averaged_control, _bands, _population_update, laplacian_matrix
 from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
@@ -198,10 +197,6 @@ class CampaignConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
-    @property
-    def delay_steps(self) -> int:
-        return int(round(self.feedback_delay / self.dt))
-
 
 def resolve_setups(
     *, model: str, J: float, eta: float, p_min: float, p_max: float | None, sigma_bar: float | None, saturation: str
@@ -279,6 +274,15 @@ class _Packed:
         """(n(n+1)/2, k) -> (k, n, n)."""
         return cols.T[:, self.rows].reshape(-1, self.n, self.n)
 
+    def update_active(self, states: np.ndarray, coef: np.ndarray, update, *args) -> None:
+        """In place, replace each column of packed states whose coef is nonzero by update(mats, coef[active], *args).
+
+        mats are those columns unpacked; no other column is touched.
+        """
+        active = coef.nonzero()[0]
+        if active.size:
+            states[:, active] = self.pack(update(self.unpack(states[:, active]), coef[active], *args))
+
     def kraus_constants(self, lvec: np.ndarray, eta: float, dt: float, width: int):
         """The Kraus step's constant rows at this width, built on the first call for each (lvec, eta, dt, width).
 
@@ -293,11 +297,11 @@ class _Packed:
         return self._kraus[key]
 
 
-def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> np.ndarray:
     """Kraus measurement step for L = diag(lvec), one column per record increment in dy.
 
-    Returns the diagonal m of M, shape (n, k), and the packed Schur factor
-    m m^T + (1 - eta) dt l l^T, shape (n(n+1)/2, k), so that
+    Returns the packed Schur factor m m^T + (1 - eta) dt l l^T, shape
+    (n(n+1)/2, k), m the diagonal of M (core._kraus_diagonal), so that
     M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.  The
     products m_i m_j are written one upper-triangle row slice at a time.
     """
@@ -309,7 +313,7 @@ def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _
     for i in range(n - 1):
         np.multiply(mvec[i], mvec[i + 1 :], out=factor[pk.starts[i] : pk.starts[i + 1]])
     factor += cross
-    return mvec, factor
+    return factor
 
 
 def _rotation_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +356,17 @@ def _rotations(x: np.ndarray, w: np.ndarray, basis: np.ndarray, out=None) -> np.
     np.cos(angle, out=coef[:, fixed : fixed + w.size])
     np.sin(angle, out=coef[:, fixed + w.size :])
     return np.einsum("mk,kij->mij", coef, basis, out=out)
+
+
+def _rotate(mats: np.ndarray, x: np.ndarray, w: np.ndarray, basis: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """exp(A x) rho exp(A x)^T for each state rho of mats (k, n, n) and angle x, in the buffers work[:, :k]."""
+    rot, rot_t, prod, out = work[:, : x.size]
+    _rotations(x, w, basis, out=rot)
+    # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
+    rot_t[...] = np.swapaxes(rot, -1, -2)
+    np.matmul(rot, mats, out=prod)
+    np.matmul(prod, rot_t, out=out)
+    return out
 
 
 def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
@@ -427,6 +442,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
     if estimator == "population_filter":
         delta = laplacian_matrix(ctrl.H, dec)
+        bands = _bands(delta)
     gen = h.imag
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
@@ -462,27 +478,13 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     lkeep = [0] + [i for i in range(1, n) if lvec[i] != 0.0]
     lrows, lweights = [rho[i] for i in lkeep], lvec[lkeep]
 
-    # the rotation and the reduced filter's products run per matrix on
-    # unpacked (k, n, n) copies: a 2D BLAS gemm over the batch would round
-    # differently at different widths.  The rotation's four (k, n, n) arrays
+    # the control stages run per matrix on unpacked (k, n, n) copies of the
+    # active columns only: a 2D BLAS gemm over the batch would round
+    # differently at different widths.  Their four (k, n, n) work arrays
     # live in buffers allocated once per chunk: as fresh temporaries of a
     # varying size they made glibc hand heap pages back to the system and
     # fault them in again, about 16 page faults per step.
     work = np.empty((4, m, n, n))
-
-    def _conjugate_rows(states: np.ndarray, dv: np.ndarray) -> None:
-        active = dv.nonzero()[0]
-        if active.size == 0:
-            return
-        rot, rot_t, prod, flat = work[:, : active.size]
-        _rotations(dv[active], *planes, out=rot)
-        # numpy's stacked matmul is about 3x slower on a transposed view than on a copy
-        rot_t[...] = np.swapaxes(rot, -1, -2)
-        cols = states.T
-        np.matmul(rot, cols[active][:, pk.rows].reshape(-1, n, n), out=prod)
-        np.matmul(prod, rot_t, out=flat)
-        flat = flat.reshape(-1, n * n)
-        cols[active] = 0.5 * (flat[:, pk.upper] + flat[:, pk.lower])
 
     step = 0
     while step < n_steps:
@@ -505,16 +507,17 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             dv = sigma_app * db_rows[j] if need_b else np.zeros(m)
 
             dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
-            mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
+            factor = _kraus_factor(lvec, eta, dt, dy, pk)
             rho *= factor
-            _conjugate_rows(rho, dv)
+            pk.update_active(rho, dv, _rotate, *planes, work)
             _normalize(rho, n, start, step + 1)
 
             if estimator == "reduced_filter":
-                rho_hat = pk.pack(_reduced_update(pk.unpack(rho_hat), lvec, eta, gen, sigma_app, mvec, dt))
+                rho_hat *= factor
+                pk.update_active(rho_hat, sigma_app * sigma_app * dt, _averaged_control, gen, work)
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                p_hat = _population_update(p_hat, meas, delta, sigma_app, mvec, dt)
+                p_hat = _population_update(p_hat, factor[:n], sigma_app * sigma_app * dt, delta, bands)
 
             step += 1
             if step % stride == 0:

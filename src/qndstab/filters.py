@@ -5,12 +5,14 @@ filter updates the campaign engine (ensemble) runs beside its Kraus plant
 step (Rouchon and Ralph, Phys. Rev. A 91, 012118, 2015):
 
 1. reduced filter: a matrix-valued filter that discards knowledge of the
-   control noise B; the control channel enters only through its average
-   effect sigma^2 D_H, as Kraus terms next to the plant's measurement step;
+   control noise B.  It takes the plant's measurement stage (its Schur
+   factor), then, for a nonzero gain, the averaged control channel, the
+   Kraus form of rho + sigma^2 dt D_H(rho) (_averaged_control);
 2. population filter: a d-dimensional vector filter for the eigenspace
-   populations only, the diagonal of the reduced filter's step on a
-   diagonal state to first order in sigma^2 dt; in open loop (gain
-   identically zero) the two agree exactly.
+   populations only: the same two stages on the diagonal, the control
+   stage to first order in sigma^2 dt (_population_update).  In open loop
+   (gain identically zero) both take exactly the plant's measurement
+   stage, so the population filter is the reduced filter's diagonal.
 
 The full observer knows both Y and B and, started at the true state, is
 the plant itself, so it has no update of its own.  The population filter
@@ -19,8 +21,6 @@ depends on the state only through the populations.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -78,34 +78,30 @@ def graph_connected(delta: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _reduced_update(mats: np.ndarray, lvec: np.ndarray, eta: float, gen: np.ndarray, sigma, mvec, dt: float) -> np.ndarray:
-    """Reduced filter's Kraus step on real states mats, shape (k, n, n), before the trace division.
+def _averaged_control(mats: np.ndarray, s: np.ndarray, gen: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Reduced filter's control stage rho <- K rho K + s A rho A^T, K = I + (s/2) A^2, on real states mats (k, n, n).
 
-    The states are in the eigenbasis of L = diag(lvec), the control
-    Hamiltonian is H = i gen, and mvec is the (n, k) Kraus diagonal of the
-    record increments (core._kraus_diagonal).  With s = sigma^2 dt per state,
-    H rho H = A rho A^T and H^2 = -A^2 for A = gen, so the averaged control
-    channel s D_H adds (s/2) A^2 to M = diag(m) and s A rho A^T to the sum:
-
-        rho <- M rho M + (1 - eta) dt L rho L + s A rho A^T.
-
-    The products run per matrix, so a state's bits do not depend on the batch.
+    With H = i gen = i A and s = sigma^2 dt per state, this is the Kraus
+    form of rho + s D_H(rho), the averaged rotation to first order in s.
+    The result goes into the buffers work[:, :k]; the products run per
+    matrix, so a state's bits do not depend on the batch.
     """
-    s2dt = (sigma * sigma * dt)[:, None, None]
-    kraus = mvec.T[:, :, None] * np.eye(lvec.size) + 0.5 * s2dt * (gen @ gen)
-    out = kraus @ mats @ kraus + (1.0 - eta) * dt * (lvec[:, None] * mats * lvec)
-    out += s2dt * (gen @ mats @ gen.T)
+    kraus, prod, out, side = work[:, : s.size]
+    np.multiply((0.5 * s)[:, None, None], gen @ gen, out=kraus)
+    kraus += np.eye(gen.shape[0])
+    np.matmul(kraus, mats, out=prod)
+    np.matmul(prod, kraus, out=out)
+    np.matmul(gen, mats, out=side)
+    # numpy's stacked matmul is slower on a transposed view than on a copy
+    np.matmul(side, np.ascontiguousarray(gen.T), out=prod)
+    prod *= s[:, None, None]
+    out += prod
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _bands(raw: bytes, d: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
-    """(lo, hi, b, Delta_{k, k+b} for k in lo..hi-1 as a column) for each nonzero off-diagonal band b of Delta, b ascending.
-
-    Delta arrives as the bytes of its C-order float array, so a chunk's
-    steps share one entry.
-    """
-    delta = np.frombuffer(raw).reshape(d, d)
+def _bands(delta: np.ndarray) -> tuple[tuple[int, int, int, np.ndarray], ...]:
+    """(lo, hi, b, Delta_{k, k+b} for k in lo..hi-1 as a column) for each nonzero off-diagonal band b of Delta, b ascending."""
+    d = delta.shape[0]
     rows, cols = np.nonzero(delta)
     return tuple(
         (max(0, -b), min(d, d - b), b, delta.diagonal(b)[:, None].copy())
@@ -113,41 +109,40 @@ def _bands(raw: bytes, d: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
     )
 
 
-def _band_sum(delta: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_{j != k} Delta_kj p_j for every row k of batch-last p, shape (d, m).
+def _band_sum(bands, p: np.ndarray) -> np.ndarray:
+    """sum_{j != k} Delta_kj p_j for every row k of batch-last p, shape (d, m), over _bands(Delta).
 
     Only the off-diagonal bands of Delta with a nonzero entry are summed, in
     ascending j; every skipped term is an exact zero, so the bits equal the
     dense sum over j in ascending order.  The spin ladder has two bands.
     """
     total = np.zeros(p.shape)
-    for lo, hi, b, coeff in _bands(np.ascontiguousarray(delta, dtype=float).tobytes(), delta.shape[0]):
+    for lo, hi, b, coeff in bands:
         total[lo:hi] += coeff * p[lo + b : hi + b]
     return total
 
 
-def _population_update(p_hat: np.ndarray, meas: MeasurementSetup, delta: np.ndarray, sigma, mvec, dt: float) -> np.ndarray:
-    """Population filter update on batch-last populations p_hat, shape (d, m), one column per record.
+def _population_update(p_hat: np.ndarray, factor: np.ndarray, s, delta: np.ndarray, bands) -> np.ndarray:
+    """Population filter step on batch-last populations p_hat, shape (d, m), with s = sigma^2 dt per column.
 
-    sigma holds one gain per column and mvec the (d, m) Kraus diagonal of
-    each column's record increment (core._kraus_diagonal).  With
-    s = sigma^2 dt, p_k becomes ((m_k + s Delta_kk / 2)^2 + (1 - eta) dt
-    lambda_k^2) p_k + s sum_{j != k} Delta_kj p_j, computed in place, then
-    each column is divided by its sum.  The Laplacian term runs over the
-    nonzero bands of Delta (_band_sum) and the column sum is a _rowsum, so
-    every sum over the eigenspace index has a fixed order and a column's
-    bits do not depend on the batch width.
+    The measurement stage multiplies p_hat by factor, the rows [:d] of the
+    plant's Schur factor; the control stage is the averaged channel's
+    diagonal to first order in s, p_k <- (1 + s Delta_kk / 2)^2 p_k +
+    s sum_{j != k} Delta_kj p_j; then each column is divided by its sum.
+    Where s = 0 the control stage is an exact identity, so it runs on every
+    column (a gather of the active ones costs more than it saves).  Every
+    term is nonnegative, so no clamp is needed.  The sums over the
+    eigenspace index (_band_sum over bands = _bands(delta), _rowsum) have a
+    fixed order, so a column's bits do not depend on the batch width.
     """
-    lam = meas.dec.eigenvalues
-    s = sigma * sigma * dt
-    p_new = delta.diagonal()[:, None] * (0.5 * s)
-    p_new += mvec
-    p_new *= p_new
-    p_new += (1.0 - meas.eta) * dt * (lam * lam)[:, None]
-    p_new *= p_hat
-    p_new += s * _band_sum(delta, p_hat)
-    p_new /= _rowsum(p_new)
-    return p_new
+    p = p_hat * factor
+    out = delta.diagonal()[:, None] * (0.5 * s)
+    out += 1.0
+    out *= out
+    out *= p
+    out += s * _band_sum(bands, p)
+    out /= _rowsum(out)
+    return out
 
 
 def population_filter_step(
@@ -160,19 +155,14 @@ def population_filter_step(
 ) -> np.ndarray:
     """d-dimensional population filter step, on p_hat of shape (d,) or (m, d).
 
-    The diagonal of the reduced filter's Kraus step on diag(p_hat), with
-    the terms of order s^2 dropped, s = sigma(p)^2 dt:
-
-        p_k <- ((m_k + s Delta_kk / 2)^2 + (1 - eta) dt lambda_k^2) p_k
-               + s sum_{k' != k} Delta_kk' p_k',
-        m_k  = 1 - lambda_k^2 dt / 2 + sqrt(eta) lambda_k dY + (eta / 2) lambda_k^2 (dY^2 - dt),
-
-    then divided by its sum.  Every term is nonnegative, so the step stays
-    on the simplex with no clamp.  It is the campaign engine's update, with
-    sigma = feedback_gain(p_hat) undelayed.
+    The campaign engine's update (_population_update) with the undelayed
+    sigma = feedback_gain(p_hat), on the Schur factor's diagonal
+    m_k^2 + (1 - eta) dt lambda_k^2 with m = core._kraus_diagonal(lambda, eta, dt, dY).
     """
     p_hat = np.asarray(p_hat, dtype=float)
+    lam, eta = meas.dec.eigenvalues, meas.eta
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
-    mvec = _kraus_diagonal(meas.dec.eigenvalues, meas.eta, dt, np.asarray(dY, dtype=float))
-    cols = _population_update(np.atleast_2d(p_hat).T, meas, delta, sigma, mvec, dt)
+    mvec = _kraus_diagonal(lam, eta, dt, np.asarray(dY, dtype=float))
+    factor = mvec * mvec + ((1.0 - eta) * dt * (lam * lam))[:, None]
+    cols = _population_update(np.atleast_2d(p_hat).T, factor, sigma * sigma * dt, delta, _bands(delta))
     return cols.T.reshape(p_hat.shape)

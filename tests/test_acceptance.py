@@ -31,7 +31,7 @@ from qndstab.ensemble import (
     read_summary_csv,
     run_ensemble,
 )
-from qndstab.filters import _population_update, _reduced_update, laplacian_matrix
+from qndstab.filters import _averaged_control, _bands, _population_update, laplacian_matrix
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
 from qndstab.spin import spin2_preset
 
@@ -215,8 +215,10 @@ def test_criterion_09_certification(spin2_tight, spin2_delta):
 def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
     """The engine's reduced and population filter updates beside its Kraus plant, in open loop.
 
-    Spin-2's L = J_z is diagonal with descending eigenvalues, so the
-    engine's packed layout needs no reordering of the basis.
+    Each filter takes the plant's measurement stage, then its control stage
+    on the columns with a nonzero gain, as the engine runs them.  Spin-2's
+    L = J_z is diagonal with descending eigenvalues, so the engine's packed
+    layout needs no reordering of the basis.
     """
     meas, ctrl = spin2_loose
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
@@ -228,16 +230,20 @@ def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
     rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, m))
     rho_red = rho.copy()
     p_hat = np.full((n, m), 1.0 / n)
+    bands = _bands(spin2_delta)
+    work = np.empty((4, m, n, n))
     sup = 0.0
     for step in range(n_steps):
         dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(m) * np.sqrt(dt)
-        mvec, factor = _kraus_factor(lvec, eta, dt, dy, pk)
+        factor = _kraus_factor(lvec, eta, dt, dy, pk)
         rho *= factor
         _normalize(rho, n, 0, step + 1)
         sigma = feedback_gain(rho_red[:n].T, ctrl0)
-        rho_red = pk.pack(_reduced_update(pk.unpack(rho_red), lvec, eta, ctrl0.H.imag, sigma, mvec, dt))
+        rho_red *= factor
+        pk.update_active(rho_red, sigma * sigma * dt, _averaged_control, ctrl0.H.imag, work)
         _normalize(rho_red, n, 0, step + 1)
-        p_hat = _population_update(p_hat, meas, spin2_delta, feedback_gain(p_hat.T, ctrl0), mvec, dt)
+        sigma_pop = feedback_gain(p_hat.T, ctrl0)
+        p_hat = _population_update(p_hat, factor[:n], sigma_pop * sigma_pop * dt, spin2_delta, bands)
         sup = max(sup, float(np.max(np.abs(rho_red[:n] - p_hat))))
     _report(
         10, "reduced vs population filter", sup <= 1e-4,

@@ -141,7 +141,6 @@ def test_campaign_config_validation():
 def test_campaign_config_steps_properties():
     cfg = CampaignConfig(p_min=0.9, t_final=2.0, dt=1e-3, feedback_delay=0.5, fit_window=(0.5, 1.5))
     assert cfg.n_steps == 2000
-    assert cfg.delay_steps == 500
 
 
 # ---------------------------------------------------------------- integrator
@@ -162,24 +161,24 @@ def _small_cfg(**over):
     return CampaignConfig(**base)
 
 
-def _kraus_step(rho, meas, dy, dt, h=None, sigma=None):
+def _kraus_step(rho, meas, dy, dt):
     """Complex Rouchon-Ralph measurement step from core primitives, before the trace division.
 
     M rho M^dag + (1 - eta) dt L rho L^dag with M = I - L^2 dt / 2 + sqrt(eta) L dy
-    + (eta / 2) L^2 (dy^2 - dt); with h and sigma given, the averaged control
-    channel adds -(sigma^2 dt / 2) H^2 to M and sigma^2 dt H rho H^dag to the sum.
+    + (eta / 2) L^2 (dy^2 - dt).
     """
     L, eta = meas.L, meas.eta
     dy = np.asarray(dy, dtype=float)[..., None, None]
     l2 = L @ L
     kraus = np.eye(5) - 0.5 * dt * l2 + np.sqrt(eta) * dy * L + 0.5 * eta * (dy * dy - dt) * l2
-    if h is not None:
-        s2dt = (np.asarray(sigma) ** 2 * dt)[..., None, None]
-        kraus = kraus - 0.5 * s2dt * (h @ h)
-    out = kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2)) + (1.0 - eta) * dt * (L @ rho @ L)
-    if h is not None:
-        out = out + s2dt * (h @ rho @ h)
-    return out
+    return kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2)) + (1.0 - eta) * dt * (L @ rho @ L)
+
+
+def _averaged_control_step(rho, h, sigma, dt):
+    """Complex Kraus map of the averaged control channel: K rho K^dag + s H rho H^dag, K = I - (s/2) H^2, s = sigma^2 dt."""
+    s = (np.asarray(sigma) ** 2 * dt)[..., None, None]
+    kraus = np.eye(5) - 0.5 * s * (h @ h)
+    return kraus @ rho @ np.conj(np.swapaxes(kraus, -1, -2)) + s * (h @ rho @ h)
 
 
 def _record_increment(rho, meas, dw, dt):
@@ -221,8 +220,10 @@ def test_engine_matches_public_step_composition():
 def test_engine_reduced_filter_matches_complex_kraus_step():
     """The engine's real reduced filter agrees with its complex Kraus form built from core primitives.
 
-    The plant's gain is read from the filter, so any difference in the
-    filter moves the recorded errors of the true state.
+    The reference takes the complex Kraus measurement step, then the
+    averaged control channel's Kraus map.  The plant's gain is read from
+    the filter, so any difference in the filter moves the recorded errors
+    of the true state.
     """
     cfg = _small_cfg(estimator="reduced_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
     result = run_ensemble(cfg)
@@ -241,7 +242,7 @@ def test_engine_reduced_filter_matches_complex_kraus_step():
         dy = _record_increment(rho, meas, dw[:, j], cfg.dt)
         rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
         rho = rho / trace(rho)[:, None, None]
-        rho_hat = _kraus_step(rho_hat, meas, dy, cfg.dt, h=ctrl.H, sigma=sigma)
+        rho_hat = _averaged_control_step(_kraus_step(rho_hat, meas, dy, cfg.dt), ctrl.H, sigma, cfg.dt)
         rho_hat = rho_hat / trace(rho_hat)[:, None, None]
         errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
     assert engaged > steps  # the filter drives the plant on many steps
@@ -279,6 +280,31 @@ def test_engine_population_filter_matches_public_filter_step():
     assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
 
 
+def test_engine_filters_agree_bitwise_in_open_loop(monkeypatch):
+    """sigma_bar = 0: the reduced filter's diagonal is the population filter, bit for bit, on an engine chunk.
+
+    Both filters then take only the plant's measurement stage; the gain
+    reads each filter's estimate every step, so a spy on it records them.
+    """
+    seen = {}
+
+    def spy(estimator):
+        def gain(p, ctrl):
+            seen[estimator].append(np.array(p))
+            return feedback_gain(p, ctrl)
+
+        return gain
+
+    for estimator in ("reduced_filter", "population_filter"):
+        seen[estimator] = []
+        monkeypatch.setattr(ensemble, "feedback_gain", spy(estimator))
+        ensemble._integrate_chunk(_small_cfg(estimator=estimator, sigma_bar=0.0, trajectories=6), 0, 6)
+    reduced, population = np.array(seen["reduced_filter"]), np.array(seen["population_filter"])
+    assert reduced.shape == (500, 6, 5)
+    assert np.max(np.abs(reduced[-1] - reduced[0])) > 0.1  # the estimates move
+    assert reduced.tobytes() == population.tobytes()
+
+
 def test_engine_target_start_is_exact_fixed_point(monkeypatch):
     """Every eigenstate |k><k| of L, the target and each wrong one, is a bitwise fixed point in open loop.
 
@@ -305,8 +331,8 @@ def test_kraus_factor_rows_match_outer_product():
         lvec = np.sort(rng.normal(size=n))[::-1].copy()
         dy, eta, dt = rng.normal(scale=0.05, size=7), 0.7, 1e-3
         pk = ensemble._Packed(n)
-        mvec, factor = ensemble._kraus_factor(lvec, eta, dt, dy, pk)
-        assert mvec.tobytes() == _kraus_diagonal(lvec, eta, dt, dy).tobytes()
+        factor = ensemble._kraus_factor(lvec, eta, dt, dy, pk)
+        mvec = _kraus_diagonal(lvec, eta, dt, dy)
         cross = (1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j])
         expected = mvec[pk.i] * mvec[pk.j] + cross[:, None]
         assert factor.tobytes() == expected.tobytes(), n
@@ -324,7 +350,7 @@ def test_kraus_step_stays_positive_where_euler_fails():
     assert np.min(np.linalg.eigvalsh(euler)) < -1e-12
     dy = np.array([2.0 * ex * dt + dw])
     pk = ensemble._Packed(5)
-    _, factor = ensemble._kraus_factor(lvec, 1.0, dt, dy, pk)
+    factor = ensemble._kraus_factor(lvec, 1.0, dt, dy, pk)
     kraus = pk.pack(rho[None]) * factor
     ensemble._normalize(kraus, 5, 0, 1)
     kraus = pk.unpack(kraus)[0]

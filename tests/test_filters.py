@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from qndstab.core import _kraus_diagonal, dissipator, random_density_matrix, random_hermitian
+from qndstab.core import dissipator, random_density_matrix, random_hermitian
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
 from qndstab.filters import (
+    _averaged_control,
     _band_sum,
+    _bands,
     _population_update,
-    _reduced_update,
     graph_connected,
     laplacian_matrix,
     population_filter_step,
@@ -106,20 +107,31 @@ def _lvec(meas):
 
 
 def _plant_step(rho, meas, dy, dt):
-    """The engine's open-loop Kraus step on packed states, in place; returns the Kraus diagonal.
+    """The engine's open-loop Kraus step on packed states, in place; returns the Schur factor.
 
     Started at the true state, the full observer takes this very step.
     """
-    mvec, factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
+    factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
     rho *= factor
     _normalize(rho, 5, 0, 1)
-    return mvec
+    return factor
 
 
-def _reduced_step(rho_hat, meas, ctrl, mvec, dt):
+def _reduced_stages(rho_hat, ctrl, factor, sigma, dt):
+    """The engine's reduced filter step on packed states before the trace division.
+
+    The plant's Schur factor, then the averaged control channel on the
+    columns with a nonzero gain.
+    """
+    out = rho_hat * factor
+    PK.update_active(out, sigma * sigma * dt, _averaged_control, ctrl.H.imag, np.empty((4, out.shape[1], 5, 5)))
+    return out
+
+
+def _reduced_step(rho_hat, ctrl, factor, dt):
     """The engine's reduced filter step on packed states, with the undelayed gain of rho_hat."""
     sigma = np.atleast_1d(feedback_gain(rho_hat[:5].T, ctrl))
-    out = PK.pack(_reduced_update(PK.unpack(rho_hat), _lvec(meas), meas.eta, ctrl.H.imag, sigma, mvec, dt))
+    out = _reduced_stages(rho_hat, ctrl, factor, sigma, dt)
     _normalize(out, 5, 0, 1)
     return out
 
@@ -153,24 +165,27 @@ def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose):
     rho_hat = np.diag([0.3, 0.25, 0.2, 0.15, 0.1])
     rho_hat[0, 4] = rho_hat[4, 0] = 0.05
     packed = PK.pack(rho_hat[None])
-    sigma = feedback_gain(packed[:5].T, ctrl)
-    assert np.array_equal(sigma, [0.0])
+    assert np.array_equal(feedback_gain(packed[:5].T, ctrl), [0.0])
     dt = 1e-3
-    mvec, factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.array([0.21]), PK)
-    reduced = _reduced_update(PK.unpack(packed), _lvec(meas), meas.eta, ctrl.H.imag, sigma, mvec, dt)
-    assert np.allclose(reduced, PK.unpack(packed * factor), atol=1e-15, rtol=0.0)
+    plant = packed.copy()
+    factor = _plant_step(plant, meas, 0.21, dt)
+    assert _reduced_step(packed, ctrl, factor, dt).tobytes() == plant.tobytes()
 
 
 def test_reduced_filter_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
     vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
-    mvec = _kraus_diagonal(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]))
-    out = _reduced_step(vertex, meas, ctrl, mvec, 1e-3)
+    factor = _kraus_factor(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]), PK)
+    out = _reduced_step(vertex, ctrl, factor, 1e-3)
     assert np.array_equal(out, vertex)
 
 
 def test_reduced_filter_applies_average_control_drift(spin2_loose):
-    """The sigma_bar step minus the sigma = 0 step on one record is sigma^2 dt D_H(rho) + O(dt^2)."""
+    """The sigma_bar step minus the sigma = 0 step on one record is sigma^2 dt D_H(rho') + O(dt^2).
+
+    The control stage acts on the measured state, so rho' is the sigma = 0
+    step of rho.
+    """
     meas, ctrl = spin2_loose
     rho_hat = np.diag([0.7, 0.1, 0.1, 0.05, 0.05])
     sigma = feedback_gain(np.diag(rho_hat), ctrl)
@@ -180,15 +195,16 @@ def test_reduced_filter_applies_average_control_drift(spin2_loose):
     def step(sig, dt):
         # zero innovation record
         dy = np.array([2.0 * np.sqrt(meas.eta) * (lvec @ np.diag(rho_hat)) * dt])
-        mvec = _kraus_diagonal(lvec, meas.eta, dt, dy)
-        out = _reduced_update(rho_hat[None], lvec, meas.eta, ctrl.H.imag, np.array([sig]), mvec, dt)[0]
+        factor = _kraus_factor(lvec, meas.eta, dt, dy, PK)
+        out = PK.unpack(_reduced_stages(PK.pack(rho_hat[None]), ctrl, factor, np.array([sig]), dt))[0]
         return out / np.trace(out)
 
     errs = []
     for dt in (1e-3, 5e-4):
-        drift = sigma**2 * dissipator(ctrl.H, rho_hat.astype(complex)) * dt
+        measured = step(0.0, dt)
+        drift = sigma**2 * dissipator(ctrl.H, measured.astype(complex)) * dt
         assert np.max(np.abs(drift.imag)) == 0.0
-        errs.append(np.max(np.abs(step(sigma, dt) - step(0.0, dt) - drift.real)))
+        errs.append(np.max(np.abs(step(sigma, dt) - measured - drift.real)))
     assert errs[0] <= 10.0 * 1e-3**2
     assert 3.5 <= errs[0] / errs[1] <= 4.5  # second order in dt
     assert np.linalg.norm(step(sigma, 1e-3) - rho_hat) > 1e-4
@@ -217,9 +233,13 @@ def test_population_filter_hand_recursion():
     # Kraus diagonal 1 - l^2 dt/2 + sqrt(eta) l dY + (eta/2) l^2 (dY^2 - dt) at l = +1/2 and -1/2
     m_up = 1.0 - 0.125 * dt + 0.5 * x + 0.125 * (x * x - 0.8 * dt)
     m_down = 1.0 - 0.125 * dt - 0.5 * x + 0.125 * (x * x - 0.8 * dt)
+    # measurement stage: the diagonal m^2 + (1 - eta) dt l^2 of the Schur factor
+    meas_up = (m_up**2 + 0.2 * dt * 0.25) * 0.37
+    meas_down = (m_down**2 + 0.2 * dt * 0.25) * 0.63
+    # control stage: (1 + s Delta_kk / 2)^2 p_k + s Delta_kj p_j, Delta_kk = -1/4, Delta_kj = 1/4
     s = sigma**2 * dt
-    up = ((m_up - 0.125 * s) ** 2 + 0.2 * dt * 0.25) * 0.37 + 0.25 * s * 0.63
-    down = ((m_down - 0.125 * s) ** 2 + 0.2 * dt * 0.25) * 0.63 + 0.25 * s * 0.37
+    up = (1.0 - 0.125 * s) ** 2 * meas_up + 0.25 * s * meas_down
+    down = (1.0 - 0.125 * s) ** 2 * meas_down + 0.25 * s * meas_up
     expected = np.array([up, down]) / (up + down)
     out = population_filter_step(p, meas, ctrl, delta, dY=dY, dt=dt)
     assert np.allclose(out, expected, atol=1e-14, rtol=0.0)
@@ -231,22 +251,24 @@ def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, 
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     p = rng.dirichlet(np.ones(5), size=20)
     dY, dt = rng.normal(scale=0.05, size=20), 1e-3
-    mvec = _kraus_diagonal(_lvec(meas), meas.eta, dt, dY)
-    mats = p[:, :, None] * np.eye(5)
-    reduced = _reduced_update(mats, _lvec(meas), meas.eta, ctrl.H.imag, np.zeros(20), mvec, dt)
-    reduced /= np.trace(reduced, axis1=1, axis2=2)[:, None, None]
+    factor = _kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
+    reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl0, factor, np.zeros(20), dt)
+    _normalize(reduced, 5, 0, 1)
     out = population_filter_step(p, meas, ctrl0, spin2_delta, dY=dY, dt=dt)
-    assert np.max(np.abs(out - np.diagonal(reduced, axis1=1, axis2=2))) <= 1e-15
+    assert np.max(np.abs(out - reduced[:5].T)) <= 1e-15
 
 
 @pytest.mark.parametrize("sigma_bar", [2.0, 20.0])
 def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2_delta, sigma_bar):
     """With the gain on, the population step is the reduced step's diagonal less its order-s^2 terms.
 
-    For rho = diag(p) the reduced filter's Kraus operator is diag(m) + (s/2) A^2
-    with s = sigma^2 dt and A = Im H, so its diagonal carries
-    (s/2)^2 sum_{j != k} ((A^2)_kj)^2 p_j, which the population filter drops;
-    every other term agrees.  Both sides are compared before normalization.
+    Both filters first multiply by the plant's Schur factor, which takes
+    diag(p) to diag(p') with p' = p * factor[:5].  The reduced filter's
+    control Kraus operator is then K = I + (s/2) A^2 with s = sigma^2 dt and
+    A = Im H, so the diagonal of K diag(p') K carries
+    (s/2)^2 sum_{j != k} ((A^2)_kj)^2 p'_j, which the population filter
+    drops; every other term agrees.  Both sides are compared before
+    normalization.
     """
     meas, ctrl = spin2_loose
     lvec, gen = _lvec(meas), ctrl.H.imag
@@ -255,17 +277,18 @@ def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2
     k = len(p)
     dY, dt = np.concatenate([[0.0], rng.normal(scale=0.05, size=k - 1)]), 1e-3
     sigma = np.full(k, sigma_bar)
-    mvec = _kraus_diagonal(lvec, meas.eta, dt, dY)
-    reduced = np.diagonal(_reduced_update(p[:, :, None] * np.eye(5), lvec, meas.eta, gen, sigma, mvec, dt), axis1=1, axis2=2)
+    factor = _kraus_factor(lvec, meas.eta, dt, dY, PK)
+    reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl, factor, sigma, dt)[:5].T
     a2 = gen @ gen
     off = a2 * a2
     np.fill_diagonal(off, 0.0)
-    dropped = (0.5 * sigma_bar**2 * dt) ** 2 * (p @ off.T)
+    measured = p * factor[:5].T
+    dropped = (0.5 * sigma_bar**2 * dt) ** 2 * (measured @ off.T)
     assert np.min(dropped) > 1e-8
     expected = reduced - dropped
-    out = _population_update(np.ascontiguousarray(p.T), meas, spin2_delta, sigma, mvec, dt).T
+    out = _population_update(np.ascontiguousarray(p.T), factor[:5], sigma * sigma * dt, spin2_delta, _bands(spin2_delta))
     scale = np.sum(expected, axis=1, keepdims=True)
-    assert np.max(np.abs(out * scale - expected)) <= 1e-14
+    assert np.max(np.abs(out.T * scale - expected)) <= 1e-14
 
 
 def test_band_sum_equals_dense_sum(spin2_delta):
@@ -289,9 +312,9 @@ def test_band_sum_equals_dense_sum(spin2_delta):
         full = full + full.T
         np.fill_diagonal(full, -np.sum(full, axis=1) + np.diagonal(full))
         p = rng.dirichlet(np.ones(d), size=30).T.copy()
-        assert _band_sum(full, p).tobytes() == dense(full, p).tobytes()
+        assert _band_sum(_bands(full), p).tobytes() == dense(full, p).tobytes()
     p = rng.dirichlet(np.ones(5), size=30).T.copy()
-    assert _band_sum(spin2_delta, p).tobytes() == dense(spin2_delta, p).tobytes()
+    assert _band_sum(_bands(spin2_delta), p).tobytes() == dense(spin2_delta, p).tobytes()
 
 
 def test_population_filter_safeguard_keeps_simplex(spin2_loose, spin2_delta):
@@ -336,8 +359,8 @@ def test_filters_agree_in_open_loop(spin2_loose, spin2_delta):
     dt = 1e-3
     for _ in range(1000):
         dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5, 0]) * dt + rng.normal(scale=np.sqrt(dt))
-        mvec = _plant_step(rho, meas, dy, dt)
-        rho_red = _reduced_step(rho_red, meas, ctrl0, mvec, dt)
+        factor = _plant_step(rho, meas, dy, dt)
+        rho_red = _reduced_step(rho_red, ctrl0, factor, dt)
         p_hat = population_filter_step(p_hat, meas, ctrl0, spin2_delta, dy, dt)
     assert np.max(np.abs(rho_red[:5, 0] - rho[:5, 0])) < 1e-6
     assert np.max(np.abs(p_hat - rho_red[:5, 0])) < 1e-6
@@ -362,7 +385,7 @@ def test_full_observer_identifies_state_from_record(spin2_loose):
     overlap0 = overlap()
     for _ in range(n_steps):
         dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5]) * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
-        _, factor = _kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
+        factor = _kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
         rho *= factor
         rho_hat *= factor
         _normalize(rho, 5, 0, 1)

@@ -519,7 +519,7 @@ def test_xi_dynamics_check(spin2_tight):
     resid_sqsum = np.zeros(n)
     for step in range(n_steps):
         dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(trajectories) * np.sqrt(dt)
-        _, factor = _kraus_factor(lvec, eta, dt, dy, pk)
+        factor = _kraus_factor(lvec, eta, dt, dy, pk)
         rho *= factor
         _normalize(rho, n, 0, step + 1)
         xi_next = np.sqrt(rho[:n])
