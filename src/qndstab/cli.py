@@ -113,14 +113,13 @@ class ConfigError(ValueError):
     """Configuration document rejected; message lists field-level problems."""
 
 
-def _check_fields(doc: dict, schema: dict, required: tuple[str, ...]) -> list[str]:
+def _check_fields(doc: dict, schema: dict) -> list[str]:
     problems = []
     unknown = sorted(set(doc) - set(schema))
     if unknown:
         problems.append(f"unknown keys: {', '.join(unknown)}")
-    for key in required:
-        if key not in doc:
-            problems.append(f"{key}: required key missing")
+    if "p_min" not in doc:
+        problems.append("p_min: required key missing")
     for key, value in doc.items():
         if key not in schema:
             continue
@@ -137,17 +136,23 @@ def _check_fields(doc: dict, schema: dict, required: tuple[str, ...]) -> list[st
     return problems
 
 
-def parse_config(text: str) -> CampaignConfig:
-    """Parse and validate a JSON campaign document; unknown keys are rejected."""
+def _load(text: str, schema: dict, kind: str) -> dict:
+    """Decode a JSON object and check its keys and types against schema; kind names the config in errors."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    problems = _check_fields(doc, _CAMPAIGN_KEYS, required=("p_min",))
+    problems = _check_fields(doc, schema)
     if problems:
-        raise ConfigError("invalid campaign config:\n  " + "\n  ".join(problems))
+        raise ConfigError(f"invalid {kind} config:\n  " + "\n  ".join(problems))
+    return doc
+
+
+def parse_config(text: str) -> CampaignConfig:
+    """Parse and validate a JSON campaign document; unknown keys are rejected."""
+    doc = _load(text, _CAMPAIGN_KEYS, "campaign")
     kwargs = {k: v for k, v in doc.items() if k != "seed"}
     if "seed" in doc:
         kwargs["base_seed"] = doc["seed"]
@@ -160,16 +165,7 @@ def parse_config(text: str) -> CampaignConfig:
 
 def parse_certify_config(text: str) -> dict:
     """Parse and validate a JSON certification document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    problems = _check_fields(doc, _CERTIFY_KEYS, required=("p_min",))
-    if problems:
-        raise ConfigError("invalid certification config:\n  " + "\n  ".join(problems))
-    out = {**_CERTIFY_DEFAULTS, **doc}
+    out = {**_CERTIFY_DEFAULTS, **_load(text, _CERTIFY_KEYS, "certification")}
     _certify_setups(out)
     if "broken_link" in out:
         n_couplings = int(round(2 * out["J"]))
@@ -353,9 +349,9 @@ def main(argv=None) -> int:
     p_repro.add_argument("figure", choices=sorted(FIGURE_PRESETS), help="benchmark id")
     p_repro.add_argument("--trajectories", type=int, default=None, help="override ensemble size (testing)")
 
-    for p in (p_run, p_certify, p_repro):
+    for p, seed in ((p_run, DEFAULT_SEED), (p_certify, _CERTIFY_DEFAULTS["seed"]), (p_repro, DEFAULT_SEED)):
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUT} or ./qndstab_out)")
-        p.add_argument("--seed", type=int, default=None, help=f"base seed (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, default=None, help=f"base seed (default {seed})")
     for p in (p_run, p_repro):
         p.add_argument("--workers", type=int, default=None, help="worker processes (does not affect results)")
         p.add_argument("--dt", type=float, default=None, help="integration step override")

@@ -33,7 +33,6 @@ __all__ = [
     "unitary_conjugate",
     "project_to_physical",
     "random_density_matrix",
-    "random_hermitian",
 ]
 
 HERMITIAN_TOL = 1e-12  # entrywise |M - M^dag| allowed by validate_hermitian
@@ -261,12 +260,6 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return ginibre_states(rng.standard_normal((2, n, n)))
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE-style random Hermitian matrix with entries of order one."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(a)
-
-
 def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
     """sum_r weights[r] * rows[r] over the leading (state) axis, accumulated in row order.
 
@@ -297,16 +290,16 @@ def _kraus_rows(lvec: np.ndarray, dt: float, width: int) -> tuple[np.ndarray, np
     return tuple(np.repeat(cols[:, :, None], width, axis=2))
 
 
-def _kraus_diagonal(lvec: np.ndarray, eta: float, dt: float, dy, rows=None) -> np.ndarray:
+def _kraus_diagonal(eta: float, dt: float, dy, rows) -> np.ndarray:
     """Diagonal m of the Kraus operator M = I - L^2 dt/2 + sqrt(eta) L dy + (eta/2) L^2 (dy^2 - dt), L = diag(lvec).
 
     This is the measurement step of Rouchon and Ralph (Phys. Rev. A 91,
     012118, 2015); m has shape (n, k), one column per record increment in
-    dy.  rows, when given, is _kraus_rows(lvec, dt, k) built once by the
-    caller; each entry is (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2 with
-    x = sqrt(eta) dy either way.
+    dy, and rows is _kraus_rows(lvec, dt, width) at width k or 1 (both give
+    the same products).  Each entry is (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2
+    with x = sqrt(eta) dy.
     """
-    lrow, l2row, c0row = _kraus_rows(lvec, dt, 1) if rows is None else rows
+    lrow, l2row, c0row = rows
     x = np.sqrt(eta) * dy
     m = lrow * x
     m += c0row

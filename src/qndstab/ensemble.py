@@ -263,7 +263,6 @@ class _Packed:
         self.rows = rows.ravel()
         self.upper = self.i * n + self.j
         self.lower = self.j * n + self.i
-        self._kraus = {}
 
     def pack(self, mats: np.ndarray) -> np.ndarray:
         """(k, n, n) -> (n(n+1)/2, k), symmetrized: entry (i, j) becomes (a_ij + a_ji) / 2."""
@@ -283,31 +282,19 @@ class _Packed:
         if active.size:
             states[:, active] = self.pack(update(self.unpack(states[:, active]), coef[active], *args))
 
-    def kraus_constants(self, lvec: np.ndarray, eta: float, dt: float, width: int):
-        """The Kraus step's constant rows at this width, built on the first call for each (lvec, eta, dt, width).
 
-        Returns core._kraus_rows(lvec, dt, width) and the packed rows of
-        (1 - eta) dt l_i l_j, shape (n(n+1)/2, width).  A chunk builds one
-        _Packed, so a campaign builds them once per chunk.
-        """
-        key = (lvec.tobytes(), eta, dt, width)
-        if key not in self._kraus:
-            cross = (1.0 - eta) * dt * (lvec[self.i] * lvec[self.j])
-            self._kraus[key] = (_kraus_rows(lvec, dt, width), np.repeat(cross[:, None], width, axis=1))
-        return self._kraus[key]
-
-
-def _kraus_factor(lvec: np.ndarray, eta: float, dt: float, dy: np.ndarray, pk: _Packed) -> np.ndarray:
+def _kraus_factor(eta: float, dt: float, dy: np.ndarray, pk: _Packed, rows, cross: np.ndarray) -> np.ndarray:
     """Kraus measurement step for L = diag(lvec), one column per record increment in dy.
 
+    rows is core._kraus_rows(lvec, dt, k) and cross the packed rows of
+    (1 - eta) dt l_i l_j tiled to (n(n+1)/2, k), both built once per chunk.
     Returns the packed Schur factor m m^T + (1 - eta) dt l l^T, shape
     (n(n+1)/2, k), m the diagonal of M (core._kraus_diagonal), so that
     M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.  The
     products m_i m_j are written one upper-triangle row slice at a time.
     """
     n = pk.n
-    rows, cross = pk.kraus_constants(lvec, eta, dt, dy.size)
-    mvec = _kraus_diagonal(lvec, eta, dt, dy, rows)
+    mvec = _kraus_diagonal(eta, dt, dy, rows)
     factor = np.empty_like(cross)
     np.multiply(mvec, mvec, out=factor[:n])
     for i in range(n - 1):
@@ -443,7 +430,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     if estimator == "population_filter":
         delta = laplacian_matrix(ctrl.H, dec)
         bands = _bands(delta)
+    # the step's constants, built once per chunk: the Kraus factor's rows
+    # and the averaged control's operands
+    krows = _kraus_rows(lvec, dt, m)
+    cross = np.repeat(((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None], m, axis=1)
     gen = h.imag
+    averaged = (gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(n))
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -507,14 +499,14 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             dv = sigma_app * db_rows[j] if need_b else np.zeros(m)
 
             dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
-            factor = _kraus_factor(lvec, eta, dt, dy, pk)
+            factor = _kraus_factor(eta, dt, dy, pk, krows, cross)
             rho *= factor
             pk.update_active(rho, dv, _rotate, *planes, work)
             _normalize(rho, n, start, step + 1)
 
             if estimator == "reduced_filter":
                 rho_hat *= factor
-                pk.update_active(rho_hat, sigma_app * sigma_app * dt, _averaged_control, gen, work)
+                pk.update_active(rho_hat, sigma_app * sigma_app * dt, _averaged_control, *averaged, work)
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
                 p_hat = _population_update(p_hat, factor[:n], sigma_app * sigma_app * dt, delta, bands)

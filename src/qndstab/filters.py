@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralDecomposition, _kraus_diagonal, _rowsum
+from .core import SpectralDecomposition, _kraus_diagonal, _kraus_rows, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 
 __all__ = [
@@ -78,22 +78,23 @@ def graph_connected(delta: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _averaged_control(mats: np.ndarray, s: np.ndarray, gen: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _averaged_control(mats, s, gen, gen2, gen_t, eye, work) -> np.ndarray:
     """Reduced filter's control stage rho <- K rho K + s A rho A^T, K = I + (s/2) A^2, on real states mats (k, n, n).
 
     With H = i gen = i A and s = sigma^2 dt per state, this is the Kraus
     form of rho + s D_H(rho), the averaged rotation to first order in s.
-    The result goes into the buffers work[:, :k]; the products run per
-    matrix, so a state's bits do not depend on the batch.
+    The caller builds gen2 = A^2, gen_t = A^T as a C-order copy (numpy's
+    stacked matmul is slower on a transposed view) and eye = I once per
+    chunk.  The result goes into the buffers work[:, :k]; the products run
+    per matrix, so a state's bits do not depend on the batch.
     """
     kraus, prod, out, side = work[:, : s.size]
-    np.multiply((0.5 * s)[:, None, None], gen @ gen, out=kraus)
-    kraus += np.eye(gen.shape[0])
+    np.multiply((0.5 * s)[:, None, None], gen2, out=kraus)
+    kraus += eye
     np.matmul(kraus, mats, out=prod)
     np.matmul(prod, kraus, out=out)
     np.matmul(gen, mats, out=side)
-    # numpy's stacked matmul is slower on a transposed view than on a copy
-    np.matmul(side, np.ascontiguousarray(gen.T), out=prod)
+    np.matmul(side, gen_t, out=prod)
     prod *= s[:, None, None]
     out += prod
     return out
@@ -157,12 +158,12 @@ def population_filter_step(
 
     The campaign engine's update (_population_update) with the undelayed
     sigma = feedback_gain(p_hat), on the Schur factor's diagonal
-    m_k^2 + (1 - eta) dt lambda_k^2 with m = core._kraus_diagonal(lambda, eta, dt, dY).
+    m_k^2 + (1 - eta) dt lambda_k^2 with m the Kraus diagonal (core._kraus_diagonal).
     """
     p_hat = np.asarray(p_hat, dtype=float)
     lam, eta = meas.dec.eigenvalues, meas.eta
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
-    mvec = _kraus_diagonal(lam, eta, dt, np.asarray(dY, dtype=float))
+    mvec = _kraus_diagonal(eta, dt, np.asarray(dY, dtype=float), _kraus_rows(lam, dt, 1))
     factor = mvec * mvec + ((1.0 - eta) * dt * (lam * lam))[:, None]
     cols = _population_update(np.atleast_2d(p_hat).T, factor, sigma * sigma * dt, delta, _bands(delta))
     return cols.T.reshape(p_hat.shape)

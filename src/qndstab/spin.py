@@ -13,29 +13,17 @@ which is what makes every eigenstate a reachable stabilization target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import ControlSetup, MeasurementSetup, control_setup, measurement_setup
 
-__all__ = ["SpinModel", "build_spin_model", "spin2_preset", "DEFAULT_EFFICIENCY"]
+__all__ = ["build_spin_model", "spin2_preset", "DEFAULT_EFFICIENCY"]
 
 DEFAULT_EFFICIENCY = 0.8
 
 
-@dataclass(frozen=True)
-class SpinModel:
-    """Spin quantum number, dimension n = 2J+1, and the (L, H) operator pair."""
-
-    J: float
-    n: int
-    L: np.ndarray
-    H: np.ndarray
-
-
-def build_spin_model(J: float) -> SpinModel:
-    """Construct the spin-J measurement operator and ladder Hamiltonian.
+def build_spin_model(J: float) -> tuple[np.ndarray, np.ndarray]:
+    """The spin-J measurement operator L and ladder Hamiltonian H, each (2J+1, 2J+1).
 
     J must be a positive integer or half-integer.
     """
@@ -51,7 +39,7 @@ def build_spin_model(J: float) -> SpinModel:
     # -c/(2i) = +0.5i c on the superdiagonal, Hermitian conjugate below
     H[m, m + 1] = 0.5j * c
     H[m + 1, m] = -0.5j * c
-    return SpinModel(J=float(J), n=n, L=L, H=H)
+    return L, H
 
 
 def spin2_preset(
@@ -68,15 +56,15 @@ def spin2_preset(
     eigenvalue closest to zero, sigma_bar = sqrt(n eta) (= 2 for the spin-2
     case), p_max = p_min + 0.05.
     """
-    model = build_spin_model(J)
-    meas = measurement_setup(model.L, eta)
+    L, H = build_spin_model(J)
+    meas = measurement_setup(L, eta)
     target = int(np.argmin(np.abs(meas.dec.eigenvalues)))
     if sigma_bar is None:
-        sigma_bar = float(np.sqrt(model.n * eta))
+        sigma_bar = float(np.sqrt(meas.dec.n * eta))
     if p_max is None:
         p_max = p_min + 0.05
     ctrl = control_setup(
-        model.H,
+        H,
         meas.dec,
         target=target,
         sigma_bar=sigma_bar,

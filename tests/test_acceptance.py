@@ -35,6 +35,8 @@ from qndstab.filters import _averaged_control, _bands, _population_update, lapla
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
 from qndstab.spin import spin2_preset
 
+from conftest import averaged_operands, kraus_constants
+
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 VERDICTS: list[str] = []
@@ -231,16 +233,18 @@ def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
     rho_red = rho.copy()
     p_hat = np.full((n, m), 1.0 / n)
     bands = _bands(spin2_delta)
+    rows, cross = kraus_constants(lvec, eta, dt, pk, m)
+    averaged = averaged_operands(ctrl0.H.imag)
     work = np.empty((4, m, n, n))
     sup = 0.0
     for step in range(n_steps):
         dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(m) * np.sqrt(dt)
-        factor = _kraus_factor(lvec, eta, dt, dy, pk)
+        factor = _kraus_factor(eta, dt, dy, pk, rows, cross)
         rho *= factor
         _normalize(rho, n, 0, step + 1)
         sigma = feedback_gain(rho_red[:n].T, ctrl0)
         rho_red *= factor
-        pk.update_active(rho_red, sigma * sigma * dt, _averaged_control, ctrl0.H.imag, work)
+        pk.update_active(rho_red, sigma * sigma * dt, _averaged_control, *averaged, work)
         _normalize(rho_red, n, 0, step + 1)
         sigma_pop = feedback_gain(p_hat.T, ctrl0)
         p_hat = _population_update(p_hat, factor[:n], sigma_pop * sigma_pop * dt, spin2_delta, bands)

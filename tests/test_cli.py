@@ -291,6 +291,15 @@ def test_figure_presets_cover_benchmark_campaigns():
         assert lo < preset["target"] < hi
 
 
+@pytest.mark.parametrize("verb, seed", [("run", DEFAULT_SEED), ("certify", 7), ("reproduce", DEFAULT_SEED)])
+def test_help_gives_each_verb_its_seed_default(capsys, verb, seed):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"base seed (default {seed})" in text
+
+
 def test_cmd_certify_paths(tmp_path, capsys):
     out = tmp_path / "cert"
     cfg_path = _write_config(tmp_path, {"p_min": 0.9, "samples": 60})

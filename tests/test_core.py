@@ -12,13 +12,14 @@ from qndstab.core import (
     populations,
     project_to_physical,
     random_density_matrix,
-    random_hermitian,
     spectral_decomposition,
     trace,
     unitary_conjugate,
     validate_density_matrix,
     validate_hermitian,
 )
+
+from conftest import random_hermitian
 
 
 def _expm_series(a: np.ndarray, terms: int = 25) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, trace, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _kraus_diagonal, _kraus_rows, populations, trace, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -26,6 +26,8 @@ from qndstab.ensemble import (
 from qndstab.filters import laplacian_matrix, population_filter_step
 from qndstab.lyapunov import v_open
 from qndstab.spin import build_spin_model
+
+from conftest import kraus_factor
 
 SEED = 4242
 
@@ -331,8 +333,8 @@ def test_kraus_factor_rows_match_outer_product():
         lvec = np.sort(rng.normal(size=n))[::-1].copy()
         dy, eta, dt = rng.normal(scale=0.05, size=7), 0.7, 1e-3
         pk = ensemble._Packed(n)
-        factor = ensemble._kraus_factor(lvec, eta, dt, dy, pk)
-        mvec = _kraus_diagonal(lvec, eta, dt, dy)
+        factor = kraus_factor(lvec, eta, dt, dy, pk)
+        mvec = _kraus_diagonal(eta, dt, dy, _kraus_rows(lvec, dt, 1))
         cross = (1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j])
         expected = mvec[pk.i] * mvec[pk.j] + cross[:, None]
         assert factor.tobytes() == expected.tobytes(), n
@@ -350,7 +352,7 @@ def test_kraus_step_stays_positive_where_euler_fails():
     assert np.min(np.linalg.eigvalsh(euler)) < -1e-12
     dy = np.array([2.0 * ex * dt + dw])
     pk = ensemble._Packed(5)
-    factor = ensemble._kraus_factor(lvec, 1.0, dt, dy, pk)
+    factor = kraus_factor(lvec, 1.0, dt, dy, pk)
     kraus = pk.pack(rho[None]) * factor
     ensemble._normalize(kraus, 5, 0, 1)
     kraus = pk.unpack(kraus)[0]
@@ -510,7 +512,7 @@ def test_plane_rotations_match_eigen_sum(J):
         a = rng.standard_normal((6, 6))
         h = 1j * (a - a.T)
     else:
-        h = build_spin_model(J).H
+        _, h = build_spin_model(J)
     n = h.shape[0]
     x = np.concatenate([[0.0, 1e-3, -2.5], rng.normal(scale=3.0, size=40)])
     w, basis = ensemble._rotation_planes(h)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from qndstab.core import dissipator, random_density_matrix, random_hermitian
+from qndstab.core import dissipator, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain
-from qndstab.ensemble import _kraus_factor, _normalize, _Packed
+from qndstab.ensemble import _normalize, _Packed
 from qndstab.filters import (
     _averaged_control,
     _band_sum,
@@ -17,6 +17,8 @@ from qndstab.filters import (
     population_filter_step,
 )
 from qndstab.spin import spin2_preset
+
+from conftest import averaged_operands, kraus_factor, random_hermitian
 
 SPIN2_DELTA = np.array(
     [
@@ -111,7 +113,7 @@ def _plant_step(rho, meas, dy, dt):
 
     Started at the true state, the full observer takes this very step.
     """
-    factor = _kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
+    factor = kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
     rho *= factor
     _normalize(rho, 5, 0, 1)
     return factor
@@ -124,7 +126,8 @@ def _reduced_stages(rho_hat, ctrl, factor, sigma, dt):
     columns with a nonzero gain.
     """
     out = rho_hat * factor
-    PK.update_active(out, sigma * sigma * dt, _averaged_control, ctrl.H.imag, np.empty((4, out.shape[1], 5, 5)))
+    work = np.empty((4, out.shape[1], 5, 5))
+    PK.update_active(out, sigma * sigma * dt, _averaged_control, *averaged_operands(ctrl.H.imag), work)
     return out
 
 
@@ -175,7 +178,7 @@ def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose):
 def test_reduced_filter_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
     vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
-    factor = _kraus_factor(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]), PK)
+    factor = kraus_factor(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]), PK)
     out = _reduced_step(vertex, ctrl, factor, 1e-3)
     assert np.array_equal(out, vertex)
 
@@ -195,7 +198,7 @@ def test_reduced_filter_applies_average_control_drift(spin2_loose):
     def step(sig, dt):
         # zero innovation record
         dy = np.array([2.0 * np.sqrt(meas.eta) * (lvec @ np.diag(rho_hat)) * dt])
-        factor = _kraus_factor(lvec, meas.eta, dt, dy, PK)
+        factor = kraus_factor(lvec, meas.eta, dt, dy, PK)
         out = PK.unpack(_reduced_stages(PK.pack(rho_hat[None]), ctrl, factor, np.array([sig]), dt))[0]
         return out / np.trace(out)
 
@@ -251,11 +254,31 @@ def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, 
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     p = rng.dirichlet(np.ones(5), size=20)
     dY, dt = rng.normal(scale=0.05, size=20), 1e-3
-    factor = _kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
+    factor = kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
     reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl0, factor, np.zeros(20), dt)
     _normalize(reduced, 5, 0, 1)
     out = population_filter_step(p, meas, ctrl0, spin2_delta, dY=dY, dt=dt)
     assert np.max(np.abs(out - reduced[:5].T)) <= 1e-15
+
+
+def test_population_filter_step_is_engine_update(spin2_loose, spin2_delta):
+    """population_filter_step is the engine's _population_update on the rows [:5] of its Kraus factor, bit for bit.
+
+    The engine's factor comes from Kraus rows tiled to the chunk width,
+    population_filter_step's from width-1 rows that broadcast; both give the
+    same products.  The gain is on for some columns and off for the rest.
+    """
+    meas, ctrl = spin2_loose
+    rng = default_rng(37)
+    p = rng.dirichlet(np.ones(5), size=16)
+    p[::2] = rng.dirichlet([8.0, 1.0, 1.0, 1.0, 1.0], size=8)
+    sigma = feedback_gain(p, ctrl)
+    assert 0 < np.count_nonzero(sigma) < len(p)
+    dY, dt = rng.normal(scale=0.05, size=len(p)), 1e-3
+    factor = kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
+    engine = _population_update(np.ascontiguousarray(p.T), factor[:5], sigma * sigma * dt, spin2_delta, _bands(spin2_delta))
+    out = population_filter_step(p, meas, ctrl, spin2_delta, dY=dY, dt=dt)
+    assert out.tobytes() == engine.T.tobytes()
 
 
 @pytest.mark.parametrize("sigma_bar", [2.0, 20.0])
@@ -277,7 +300,7 @@ def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2
     k = len(p)
     dY, dt = np.concatenate([[0.0], rng.normal(scale=0.05, size=k - 1)]), 1e-3
     sigma = np.full(k, sigma_bar)
-    factor = _kraus_factor(lvec, meas.eta, dt, dY, PK)
+    factor = kraus_factor(lvec, meas.eta, dt, dY, PK)
     reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl, factor, sigma, dt)[:5].T
     a2 = gen @ gen
     off = a2 * a2
@@ -385,7 +408,7 @@ def test_full_observer_identifies_state_from_record(spin2_loose):
     overlap0 = overlap()
     for _ in range(n_steps):
         dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5]) * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
-        factor = _kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
+        factor = kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
         rho *= factor
         rho_hat *= factor
         _normalize(rho, 5, 0, 1)

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix, random_hermitian
+from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
 from qndstab import lyapunov
@@ -26,6 +26,8 @@ from qndstab.lyapunov import (
     v_open,
 )
 from qndstab.spin import spin2_preset
+
+from conftest import kraus_constants, random_hermitian
 
 
 def _diss(a, rho):
@@ -510,6 +512,7 @@ def test_xi_dynamics_check(spin2_tight):
     n_steps = int(round(horizons.max() / dt))
     drift_steps = int(round(0.1 / dt))
     pk = _Packed(n)
+    rows, cross = kraus_constants(lvec, eta, dt, pk, trajectories)
     rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, trajectories))
     rng = np.random.default_rng(11)
     prod_means = np.empty((n_steps + 1, len(pairs)))
@@ -519,7 +522,7 @@ def test_xi_dynamics_check(spin2_tight):
     resid_sqsum = np.zeros(n)
     for step in range(n_steps):
         dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(trajectories) * np.sqrt(dt)
-        factor = _kraus_factor(lvec, eta, dt, dy, pk)
+        factor = _kraus_factor(eta, dt, dy, pk, rows, cross)
         rho *= factor
         _normalize(rho, n, 0, step + 1)
         xi_next = np.sqrt(rho[:n])

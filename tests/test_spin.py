@@ -9,41 +9,43 @@ from qndstab.spin import build_spin_model, spin2_preset
 
 
 def test_spin2_measurement_operator():
-    model = build_spin_model(2)
-    assert model.n == 5
-    assert np.array_equal(np.diag(model.L).real, [2.0, 1.0, 0.0, -1.0, -2.0])
-    assert np.all(model.L == np.diag(np.diag(model.L)))
+    L, _ = build_spin_model(2)
+    assert L.shape == (5, 5)
+    assert np.array_equal(np.diag(L).real, [2.0, 1.0, 0.0, -1.0, -2.0])
+    assert np.all(L == np.diag(np.diag(L)))
 
 
 def test_spin2_hamiltonian_entrywise():
     # superdiagonal couplings sqrt((m+1)(2J-m)) = (2, sqrt6, sqrt6, 2), each
     # divided by 2i with a minus sign, i.e. +0.5i c above the diagonal
-    model = build_spin_model(2)
+    _, H = build_spin_model(2)
     c = np.array([2.0, np.sqrt(6.0), np.sqrt(6.0), 2.0])
     expected = np.zeros((5, 5), dtype=complex)
     for m in range(4):
         expected[m, m + 1] = 0.5j * c[m]
         expected[m + 1, m] = -0.5j * c[m]
-    assert np.array_equal(model.H, expected)
+    assert np.array_equal(H, expected)
 
 
 def test_spin_half_hand_values():
-    model = build_spin_model(0.5)
-    assert np.array_equal(np.diag(model.L).real, [0.5, -0.5])
-    assert np.array_equal(model.H, np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
+    L, H = build_spin_model(0.5)
+    assert np.array_equal(np.diag(L).real, [0.5, -0.5])
+    assert np.array_equal(H, np.array([[0.0, 0.5j], [-0.5j, 0.0]]))
 
 
 @pytest.mark.parametrize("J", [0.5, 1, 1.5, 2, 2.5, 3, 4])
 def test_spin_family_hermitian_and_connected(J):
-    model = build_spin_model(J)
-    assert np.array_equal(model.L, model.L.conj().T)
-    assert np.array_equal(model.H, model.H.conj().T)
+    L, H = build_spin_model(J)
+    n = L.shape[0]
+    assert H.shape == (n, n)
+    assert np.array_equal(L, L.conj().T)
+    assert np.array_equal(H, H.conj().T)
     meas, ctrl = spin2_preset(p_min=0.6, J=J)
     delta = laplacian_matrix(ctrl.H, meas.dec)
     assert graph_connected(delta)
     # the actuation graph is the path graph: only nearest-neighbour edges
     off = delta - np.diag(np.diag(delta))
-    assert np.all(off[np.abs(np.subtract.outer(np.arange(model.n), np.arange(model.n))) > 1] == 0.0)
+    assert np.all(off[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1] == 0.0)
 
 
 @pytest.mark.parametrize("J", [0, -1, 0.7, 2.3])
