@@ -271,40 +271,22 @@ class CertificateReport:
 
 
 def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
-    """count mixtures (1 - u) vertex + u rho, split over the wrong vertices.
+    """count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
 
-    Each vertex block is led by its exact vertex.  Every other row draws u
-    and then its Ginibre factor, so the draws stay in a loop; the states
-    are then built once per vertex block, in place in their rows of the
-    output: u rho, plus (1 - u) vertex, the same doubles as the sum in the
-    other order.  u is drawn as a unit uniform r and scaled after the loop:
-    tv_radius * r is the double that rng.uniform(0.0, tv_radius) returns
-    from the same draw.
+    Each nonempty vertex block of k rows is led by its exact vertex; its
+    other k - 1 rows draw their weights u in [0, tv_radius) in one call,
+    then their Ginibre factors rho in another.
     """
     n = dec.n
     wrong = [k for k in range(dec.d) if k != target]
-    per_vertex = [count // len(wrong)] * len(wrong)
-    for i in range(count - sum(per_vertex)):
-        per_vertex[i] += 1
     states = np.empty((count, n, n), dtype=complex)
-    row = 0
-    for j, block in zip(wrong, per_vertex):
-        if block == 0:
+    for j, block in zip(wrong, np.array_split(states, len(wrong))):
+        if len(block) == 0:
             continue
         vert = dec.projectors[j] / dec.multiplicities[j]
-        u = np.empty(block - 1)
-        z = np.empty((block - 1, 2, n, n))
-        unit, normal = rng.random, rng.standard_normal
-        for i in range(block - 1):
-            u[i] = unit()
-            normal(out=z[i])
-        u *= tv_radius
-        states[row] = vert
-        mix = states[row + 1 : row + block]
-        mix[...] = ginibre_states(z)
-        mix *= u[:, None, None]
-        mix += (1.0 - u)[:, None, None] * vert
-        row += block
+        u = rng.uniform(0.0, tv_radius, len(block) - 1)[:, None, None]
+        block[0] = vert
+        block[1:] = (1.0 - u) * vert + u * ginibre_states(rng.standard_normal((len(block) - 1, 2, n, n)))
     return states
 
 
@@ -364,12 +346,13 @@ def certify_decay(
     the target).  nu_hat is the global minimum ratio; certification
     requires nu_hat > 0.
 
-    All three strata draw from one generator seeded by seed, in this
-    order: near-vertex, then bulk, then diagonal.  Near-vertex rows draw
-    their mixing weight u and then their Ginibre factor, so those draws
-    stay in a per-row loop.  Bulk and diagonal candidates are drawn in
-    rounds of exactly the missing count and screened as one batch, which
-    reads the stream exactly as drawing and screening one state at a time.
+    A seed fixes every sampled state.  All three strata draw from one
+    np.random.default_rng(seed) stream, in this order: near-vertex, then
+    bulk, then diagonal.  Each near-vertex block draws all its mixing
+    weights, then all its Ginibre factors.  Bulk and diagonal candidates
+    are drawn in rounds of exactly the missing count and screened as one
+    batch, which reads the stream exactly as drawing and screening one
+    state at a time.
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")

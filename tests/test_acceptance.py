@@ -33,7 +33,6 @@ from qndstab.ensemble import (
 )
 from qndstab.filters import _averaged_control, _bands, _population_update, laplacian_matrix
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
-from qndstab.spin import spin2_preset
 
 from conftest import averaged_operands, kraus_constants
 

@@ -5,8 +5,6 @@ import pytest
 from numpy.random import default_rng
 
 from qndstab.core import (
-    dissipator,
-    innovation_superop,
     populations,
     project_to_physical,
     random_density_matrix,

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix
+from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix, validate_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
 from qndstab import lyapunov
@@ -25,7 +25,6 @@ from qndstab.lyapunov import (
     v_alpha,
     v_open,
 )
-from qndstab.spin import spin2_preset
 
 from conftest import kraus_constants, random_hermitian
 
@@ -377,7 +376,11 @@ def test_certify_decay_rejects_tiny_sample_budget(spin2_loose, spin2_weights):
 
 
 def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
-    """One-state-at-a-time sampler: each candidate is drawn, screened and kept alone."""
+    """Reference sampler: bulk and diagonal candidates are drawn, screened and kept one at a time.
+
+    Each near-vertex block draws its mixing weights in one call and its
+    Ginibre factors in another, and each state is then mixed alone.
+    """
     rng = np.random.default_rng(seed)
     wrong = [k for k in range(dec.d) if k != target]
     n_near, n_bulk = samples // 3, samples // 3
@@ -386,13 +389,13 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
         per_vertex[i] += 1
     near = []
     for j, count in zip(wrong, per_vertex):
+        if count == 0:
+            continue
         vert = dec.projectors[j] / dec.multiplicities[j]
-        for i in range(count):
-            if i == 0:
-                near.append(vert)
-                continue
-            u = rng.uniform(0.0, tv_radius)
-            near.append((1.0 - u) * vert + u * random_density_matrix(dec.n, rng))
+        u = rng.uniform(0.0, tv_radius, count - 1)
+        z = rng.standard_normal((count - 1, 2, dec.n, dec.n))
+        near.append(vert)
+        near.extend((1.0 - u[i]) * vert + u[i] * ginibre_states(z[i]) for i in range(count - 1))
 
     rejected = 0
 
@@ -458,6 +461,29 @@ def test_certify_decay_matches_sequential_sampler(
     if target_exclusion == 0.9:
         # the rejection rounds ran: the reference rejected, and redrew, at least once
         assert rejected > 0
+
+
+@pytest.mark.parametrize("pair, samples", [("spin2_tight", 4), ("spin2_tight", 3000), ("general", 1000)])
+def test_near_vertex_stratum_specification(request, rng, pair, samples):
+    """The near-vertex stratum's recipe, checked on the states alone and not on their draw order."""
+    meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
+    dec, target = meas.dec, ctrl.target
+    name, states, draws = next(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
+    count = samples // 3
+    assert name == "near_vertex" and len(states) == draws == count
+    wrong = [k for k in range(dec.d) if k != target]
+    vertices = dec.projectors[wrong] / dec.multiplicities[wrong, None, None]
+    # blocks split count evenly over the wrong vertices, the first blocks one row longer
+    sizes = [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))]
+    # every state lies within TV_RADIUS of its own block's vertex, in trace distance
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(states[:, None] - vertices)).sum(axis=-1)
+    owner = np.repeat(np.arange(len(wrong)), sizes)
+    assert np.array_equal(np.argmin(dist, axis=1), owner)
+    assert np.all(dist[np.arange(count), owner] <= lyapunov.TV_RADIUS + 1e-12)
+    # each nonempty block is led by its exact vertex
+    for start, size, vert in zip(np.cumsum([0] + sizes[:-1]), sizes, vertices):
+        assert size == 0 or states[start].tobytes() == vert.tobytes()
+    validate_density_matrix(states)
 
 
 def test_certify_decay_counts_draws(monkeypatch, spin2_tight, spin2_weights):
