@@ -244,10 +244,13 @@ def ginibre_states(z: np.ndarray) -> np.ndarray:
     index gives one state, bit for bit the state a lone (2, n, rank) draw gives.
     With G = A + i B, G G^dag is built from real products: A A^T + B B^T
     is written into the real part of the output and B A^T - A B^T into
-    its imaginary part, then both are divided by the real trace.
+    its imaginary part, then both are divided by the real trace.  The
+    transposed factors come from one C-order copy: a stacked matmul on a
+    swapaxes view runs several times slower, with the same bits.
     """
     a, b = z[..., 0, :, :], z[..., 1, :, :]
-    at, bt = np.swapaxes(a, -1, -2), np.swapaxes(b, -1, -2)
+    zt = np.ascontiguousarray(np.swapaxes(z, -1, -2))
+    at, bt = zt[..., 0, :, :], zt[..., 1, :, :]
     m = np.empty(a.shape[:-1] + a.shape[-2:-1], dtype=complex)
     np.add(a @ at, b @ bt, out=m.real)
     np.subtract(b @ at, a @ bt, out=m.imag)

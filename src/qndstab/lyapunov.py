@@ -62,6 +62,7 @@ __all__ = [
 # certify_decay's sampling recipe
 TV_RADIUS = 0.05  # trace distance of the near-vertex mixtures from their wrong vertex, at most
 TARGET_EXCLUSION = 1e-6  # bulk and diagonal samples keep 1 - p_target >= this
+BLOCK = 2048  # states sampled and evaluated at a time, so certify_decay's memory does not grow with samples
 
 
 class CertificationImpossibleError(RuntimeError):
@@ -270,57 +271,78 @@ class CertificateReport:
     timing: dict = field(default_factory=dict)  # per stratum: wall seconds sample_s, generator_s
 
 
-def _near_vertex_states(dec, target, count, tv_radius, rng) -> np.ndarray:
-    """count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
+def _blocks(count):
+    """Near-equal block sizes, each at most BLOCK, that add up to count (as ensemble._chunk_bounds cuts).
 
-    Each nonempty vertex block of k rows is led by its exact vertex; its
-    other k - 1 rows draw their weights u in [0, tv_radius) in one call,
-    then their Ginibre factors rho in another.
+    With BLOCK >= 3 no block holds a lone state unless the whole stratum
+    does, so the cut changes no state's generator bits (see generator_terms).
+    """
+    k = -(-count // BLOCK)
+    return [count * (i + 1) // k - count * i // k for i in range(k)]
+
+
+def _near_vertex_states(dec, target, count, tv_radius, rng):
+    """Yield blocks of count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
+
+    Each nonempty vertex segment of k rows is led by its exact vertex.  Where
+    it starts it draws its other k - 1 rows' weights u in [0, tv_radius) in
+    one call; then each block it meets draws its share of their Ginibre
+    factors in one call, and these calls read the stream as one call does.
     """
     n = dec.n
     wrong = [k for k in range(dec.d) if k != target]
-    states = np.empty((count, n, n), dtype=complex)
-    for j, block in zip(wrong, np.array_split(states, len(wrong))):
-        if len(block) == 0:
-            continue
-        vert = dec.projectors[j] / dec.multiplicities[j]
-        u = rng.uniform(0.0, tv_radius, len(block) - 1)[:, None, None]
-        block[0] = vert
-        block[1:] = (1.0 - u) * vert + u * ginibre_states(rng.standard_normal((len(block) - 1, 2, n, n)))
-    return states
+    seg = np.cumsum([0] + [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))])
+    start = 0
+    for size in _blocks(count):
+        block = np.empty((size, n, n), dtype=complex)
+        for j, s0, s1 in zip(wrong, seg[:-1], seg[1:]):
+            lo, hi = max(s0, start), min(s1, start + size)
+            if lo >= hi:
+                continue
+            vert = dec.projectors[j] / dec.multiplicities[j]
+            if lo == s0:  # only a block's last segment runs on into the next block, so u carries over
+                u = rng.uniform(0.0, tv_radius, s1 - s0 - 1)[:, None, None]
+                block[lo - start] = vert
+                lo += 1
+            z, w = rng.standard_normal((hi - lo, 2, n, n)), u[lo - s0 - 1 : hi - s0 - 1]
+            block[lo - start : hi - start] = (1.0 - w) * vert + w * ginibre_states(z)
+        yield "near_vertex", block, size
+        start += size
 
 
-def _screened_states(draw, count, dec, target, target_exclusion) -> tuple[np.ndarray, int]:
-    """count states with 1 - p_target >= target_exclusion, and the candidates drawn.
+def _screened_states(name, draw, count, dec, target, target_exclusion):
+    """Yield (name, states, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
 
-    Each round draws exactly the missing count and keeps its admissible rows
-    in order.  Sequential rejection would draw at least that many more, so
-    the random stream is consumed exactly as one-at-a-time rejection does.
+    Each round draws exactly the block's missing count and keeps its
+    admissible rows in order.  Sequential rejection would draw at least that
+    many more, so the random stream is consumed exactly as one-at-a-time
+    rejection does.
     """
-    states = np.empty((count, dec.n, dec.n), dtype=complex)
-    kept = draws = 0
-    while kept < count:
-        batch = draw(count - kept)
-        draws += len(batch)
-        batch = batch[1.0 - populations(batch, dec)[:, target] >= target_exclusion]
-        states[kept : kept + len(batch)] = batch
-        kept += len(batch)
-    return states, draws
+    for size in _blocks(count):
+        states = np.empty((size, dec.n, dec.n), dtype=complex)
+        kept = draws = 0
+        while kept < size:
+            batch = draw(size - kept)
+            draws += len(batch)
+            batch = batch[1.0 - populations(batch, dec)[:, target] >= target_exclusion]
+            states[kept : kept + len(batch)] = batch
+            kept += len(batch)
+        yield name, states, draws
 
 
 def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
-    """Yield (name, states, draws) for the near-vertex, bulk and diagonal strata, in draw order."""
+    """Yield (name, states, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order."""
     rng = np.random.default_rng(seed)
     d, n = dec.d, dec.n
     n_near = samples // 3
     n_bulk = samples // 3
-    yield "near_vertex", _near_vertex_states(dec, target, n_near, tv_radius, rng), n_near
-    yield "bulk", *_screened_states(
-        lambda k: ginibre_states(rng.standard_normal((k, 2, n, n))),
+    yield from _near_vertex_states(dec, target, n_near, tv_radius, rng)
+    yield from _screened_states(
+        "bulk", lambda k: ginibre_states(rng.standard_normal((k, 2, n, n))),
         n_bulk, dec, target, target_exclusion,
     )
-    yield "diagonal", *_screened_states(
-        lambda k: np.einsum(
+    yield from _screened_states(
+        "diagonal", lambda k: np.einsum(
             "...k,kij->...ij",
             (rng.dirichlet(np.ones(d), k) / dec.multiplicities).astype(complex),
             dec.projectors,
@@ -346,49 +368,52 @@ def certify_decay(
     the target).  nu_hat is the global minimum ratio; certification
     requires nu_hat > 0.
 
-    A seed fixes every sampled state.  All three strata draw from one
-    np.random.default_rng(seed) stream, in this order: near-vertex, then
-    bulk, then diagonal.  Each near-vertex block draws all its mixing
-    weights, then all its Ginibre factors.  Bulk and diagonal candidates
-    are drawn in rounds of exactly the missing count and screened as one
-    batch, which reads the stream exactly as drawing and screening one
-    state at a time.
+    Each stratum is sampled and evaluated in near-equal blocks of at most
+    BLOCK states, so memory does not grow with samples; the blocks fold
+    into the stratum's result in draw order, and the report does not
+    depend on BLOCK (at least 3, see _blocks).  A seed fixes every sampled state.  All three strata
+    draw from one np.random.default_rng(seed) stream, in this order:
+    near-vertex, then bulk, then diagonal.  Each wrong vertex draws all its
+    mixing weights, then its Ginibre factors.  Bulk and diagonal candidates
+    are drawn in rounds of exactly the block's missing count and screened
+    as one batch, which reads the stream exactly as drawing and screening
+    one state at a time.
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
     dec = meas.dec
-    strata = []
+    strata = {}
     timing = {}
-    global_min = np.inf
-    global_worst = None
     clock = time.perf_counter()
     for name, batch, draws in _sample_strata(dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
         sampled = time.perf_counter()
         p = populations(batch, dec)
         terms = _generator(batch, p, meas, ctrl, w)
-        timing[name] = {"sample_s": sampled - clock, "generator_s": time.perf_counter() - sampled}
+        lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})
+        lap["sample_s"] += sampled - clock
+        lap["generator_s"] += time.perf_counter() - sampled
         ratio = -np.asarray(terms.AV) / v_alpha(p, w)
         worst = int(np.argmin(ratio))
-        stratum_min = float(ratio[worst])
-        worst_p = p[worst].copy()
-        strata.append(
-            StratumResult(
-                name=name, samples=len(batch), min_ratio=stratum_min,
-                worst_populations=worst_p, draws=draws,
-            )
+        # blocks fold in draw order; strict < keeps the first occurrence of a tie, as argmin does
+        prev = strata.get(name, StratumResult(name, 0, np.inf, None, 0))
+        first = ratio[worst] < prev.min_ratio
+        strata[name] = StratumResult(
+            name=name, samples=prev.samples + len(batch),
+            min_ratio=float(ratio[worst]) if first else prev.min_ratio,
+            worst_populations=p[worst].copy() if first else prev.worst_populations,
+            draws=prev.draws + draws,
         )
-        if stratum_min < global_min:
-            global_min = stratum_min
-            global_worst = worst_p
         clock = time.perf_counter()
+    strata = list(strata.values())
+    worst = min(strata, key=lambda s: s.min_ratio)  # the first stratum on a tie
     c_low, c_high = equivalence_constants(w)
     return CertificateReport(
-        nu_hat=float(global_min),
-        certified=bool(global_min > 0.0),
+        nu_hat=worst.min_ratio,
+        certified=bool(worst.min_ratio > 0.0),
         samples=samples,
-        worst_populations=global_worst,
+        worst_populations=worst.worst_populations,
         strata=strata,
         c_low=c_low,
         c_high=c_high,

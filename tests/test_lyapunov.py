@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,14 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     return [("near_vertex", np.stack(near)), ("bulk", np.stack(bulk)), ("diagonal", np.stack(diag))], rejected
 
 
+def _strata_states(blocks):
+    """Each stratum's states: the blocks _sample_strata yields, concatenated in order."""
+    strata = {}
+    for name, states, _ in blocks:
+        strata.setdefault(name, []).append(states)
+    return {name: np.concatenate(parts) for name, parts in strata.items()}
+
+
 def _certificate_csv(strata, meas, ctrl, w, samples):
     lines = ["stratum,samples,min_ratio,worst_populations"]
     best, best_p = np.inf, None
@@ -447,10 +456,10 @@ def test_certify_decay_matches_sequential_sampler(
     meas, ctrl = request.getfixturevalue(preset)
     args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
     expected, rejected = _sequential_strata(*args)
-    batched = list(_sample_strata(*args))
+    batched = _strata_states(_sample_strata(*args))
     # every state, bit for bit, not just the worst one the certificate prints
-    assert [name for name, _, _ in batched] == [name for name, _ in expected]
-    for (_, states, _), (_, ref) in zip(batched, expected):
+    assert list(batched) == [name for name, _ in expected]
+    for states, (_, ref) in zip(batched.values(), expected):
         assert states.shape == ref.shape
         assert states.tobytes() == ref.tobytes()
     monkeypatch.setattr(lyapunov, "TV_RADIUS", tv_radius)
@@ -468,9 +477,11 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     """The near-vertex stratum's recipe, checked on the states alone and not on their draw order."""
     meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
     dec, target = meas.dec, ctrl.target
-    name, states, draws = next(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
+    blocks = list(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
+    states = _strata_states(blocks)["near_vertex"]
+    draws = sum(draws for name, _, draws in blocks if name == "near_vertex")
     count = samples // 3
-    assert name == "near_vertex" and len(states) == draws == count
+    assert blocks[0][0] == "near_vertex" and len(states) == draws == count
     wrong = [k for k in range(dec.d) if k != target]
     vertices = dec.projectors[wrong] / dec.multiplicities[wrong, None, None]
     # blocks split count evenly over the wrong vertices, the first blocks one row longer
@@ -484,6 +495,58 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     for start, size, vert in zip(np.cumsum([0] + sizes[:-1]), sizes, vertices):
         assert size == 0 or states[start].tobytes() == vert.tobytes()
     validate_density_matrix(states)
+
+
+@pytest.mark.parametrize("pair, target_exclusion", [("spin2_tight", 0.9), ("general", 1e-6), ("zero_noise", 1e-6)])
+def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_weights, pair, target_exclusion):
+    """Strata cut into blocks of BLOCK, 2, 3 or 7 states give the same states, draw counts and certificate."""
+    if pair == "general":
+        meas, ctrl, w = _general_pair(rng)
+    else:
+        (meas, ctrl), w = request.getfixturevalue("spin2_tight"), spin2_weights
+    if pair == "zero_noise":
+        # the generator vanishes at every exact wrong vertex: the near-vertex minimum 0 ties across blocks
+        ctrl = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
+    monkeypatch.setattr(lyapunov, "TARGET_EXCLUSION", target_exclusion)
+    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS, target_exclusion)
+    # 300 samples make strata of 100 states.  Blocks of 2 hold no lone state, whose generator bits may
+    # differ (generator_terms); blocks of 3 and 7 are uneven and cut across the near-vertex segments.
+    runs = []
+    for block in (lyapunov.BLOCK, 2, 3, 7):
+        monkeypatch.setattr(lyapunov, "BLOCK", block)
+        report = certify_decay(meas, ctrl, w, samples=300, seed=5)
+        counts = [(s.name, s.samples, s.draws) for s in report.strata]
+        states = {name: batch.tobytes() for name, batch in _strata_states(_sample_strata(*args)).items()}
+        runs.append((certificate_to_csv(report), counts, states))
+    (csv_text, counts, states), *cut = runs
+    for block, (other_csv, other_counts, other_states) in zip((2, 3, 7), cut):
+        assert other_counts == counts, block
+        assert other_states == states, block
+        assert other_csv == csv_text, block
+    if target_exclusion == 0.9:
+        # the screening rounds ran: the bulk and diagonal strata rejected, and redrew, some candidates
+        assert all(draws > samples for name, samples, draws in counts[1:])
+    if pair == "zero_noise":
+        assert report.strata[0].min_ratio == 0.0
+
+
+def test_certify_decay_memory_does_not_grow_with_samples(spin2_tight, spin2_weights):
+    """Traced peak memory at 4x the samples stays within 1.5x: numpy reports its buffers to tracemalloc."""
+    meas, ctrl = spin2_tight
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks = []
+    try:
+        for samples in (30_000, 120_000):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            certify_decay(meas, ctrl, spin2_weights, samples=samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_certify_decay_counts_draws(monkeypatch, spin2_tight, spin2_weights):
