@@ -161,15 +161,16 @@ def _real_rows(obs: np.ndarray) -> np.ndarray:
     return np.stack([t.real, -t.imag], axis=-1).reshape(len(obs), -1)
 
 
-def _expectations(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _expectations(rho: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
     """Re tr(obs_k rho) for the rows of _real_rows(obs), shape (..., k), from one real einsum.
 
     rho is complex, shape (..., n, n).  The einsum runs without optimize,
-    so no BLAS call sums over the batch axis.
+    so no BLAS call sums over the batch axis.  The result is written into
+    out when given.
     """
     rho = np.ascontiguousarray(rho, dtype=complex)
     x = rho.view(float).reshape(rho.shape[:-2] + (-1,))
-    return np.einsum("...x,kx->...k", x, rows)
+    return np.einsum("...x,kx->...k", x, rows, out=out)
 
 
 def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
@@ -180,8 +181,12 @@ def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-1] != dec.n:
         raise ValueError(f"state dim {rho.shape[-1]} does not match decomposition dim {dec.n}")
-    p = _expectations(rho, dec._rows)
-    return np.clip(p, 0.0, 1.0)
+    return _populations(rho, dec)
+
+
+def _populations(rho: np.ndarray, dec: SpectralDecomposition, out=None) -> np.ndarray:
+    """populations without the dimension check, written into out (shape (..., d)) when given."""
+    return np.clip(_expectations(rho, dec._rows, out), 0.0, 1.0, out=out)
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -241,21 +246,42 @@ def ginibre_states(z: np.ndarray) -> np.ndarray:
     """States G G^dag / tr(G G^dag) with G = z[..., 0, :, :] + i z[..., 1, :, :].
 
     z holds real standard normals of shape (..., 2, n, rank); every leading
-    index gives one state, bit for bit the state a lone (2, n, rank) draw gives.
+    index gives one state, bit for bit the state a lone (2, n, rank) draw
+    gives.  This allocates the states and the workspace of _ginibre_into,
+    the one Ginibre kernel, which callers that build states block after
+    block run on buffers of their own.
+    """
+    lead, n = z.shape[:-3], z.shape[-2]
+    out = np.empty(lead + (n, n), dtype=complex)
+    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), np.empty((2,) + out.shape), np.empty(lead))
+    return out
+
+
+def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, prod: np.ndarray, tr: np.ndarray) -> None:
+    """Write ginibre_states(z) into out, complex (..., n, n) with a contiguous last axis, allocating nothing.
+
     With G = A + i B, G G^dag is built from real products: A A^T + B B^T
-    is written into the real part of the output and B A^T - A B^T into
-    its imaginary part, then both are divided by the real trace.  The
-    transposed factors come from one C-order copy: a stacked matmul on a
-    swapaxes view runs several times slower, with the same bits.
+    is written into the real part of out and B A^T - A B^T into its
+    imaginary part, then both are multiplied by the reciprocal of the real
+    trace, which is what numpy's complex-by-real division computes, so the
+    bits are those of the division.  Workspace: zt, shape (..., 2, rank, n),
+    takes a C-order copy of the transposed factors (a stacked matmul on a
+    swapaxes view runs several times slower, with the same bits); prod,
+    shape (2, ..., n, n), takes the products; tr, shape (...), the trace.
     """
     a, b = z[..., 0, :, :], z[..., 1, :, :]
-    zt = np.ascontiguousarray(np.swapaxes(z, -1, -2))
+    np.copyto(zt, np.swapaxes(z, -1, -2))
     at, bt = zt[..., 0, :, :], zt[..., 1, :, :]
-    m = np.empty(a.shape[:-1] + a.shape[-2:-1], dtype=complex)
-    np.add(a @ at, b @ bt, out=m.real)
-    np.subtract(b @ at, a @ bt, out=m.imag)
-    m /= np.trace(m.real, axis1=-2, axis2=-1)[..., None, None]
-    return m
+    np.matmul(a, at, out=prod[0])
+    np.matmul(b, bt, out=prod[1])
+    np.add(prod[0], prod[1], out=out.real)
+    np.matmul(b, at, out=prod[0])
+    np.matmul(a, bt, out=prod[1])
+    np.subtract(prod[0], prod[1], out=out.imag)
+    np.trace(out.real, axis1=-2, axis2=-1, out=tr)
+    np.divide(1.0, tr, out=tr)
+    x = out.view(float)
+    x *= tr[..., None, None]
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,20 +24,21 @@ i [Pi_k, H].  Like the populations, c and m are read off the states in
 float64 real arithmetic: one einsum over each state's 2 n^2 real
 coordinates against fixed weight rows (core._expectations).
 certify_decay samples the state space in stratified fashion, computes
-each stratum's populations once for the generator and the ratio, and
-reports the empirical contraction margin
+each state's populations once (the sampler's screen, whose values the
+generator and the ratio reuse), and reports the empirical contraction margin
 nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
 E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _expectations, _real_rows, ginibre_states, populations
+from .core import _expectations, _ginibre_into, _populations, _real_rows, populations
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
@@ -212,11 +213,18 @@ def generator_terms(
     sqrt(alpha_s . p) vanish.
     """
     rho = np.asarray(rho, dtype=complex)
-    return _generator(rho, populations(rho, meas.dec), meas, ctrl, w)
+    return _generator(rho, populations(rho, meas.dec), _cm_rows(meas.dec, ctrl), meas, ctrl, w)
 
 
-def _generator(rho, p, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms on complex states rho whose populations p the caller has computed."""
+def _cm_rows(dec, ctrl):
+    """_real_rows of the 2d observables D_H*(Pi_k) and i [Pi_k, H], whose expectations are c and m."""
+    hh, pi = ctrl.H, dec.projectors
+    h2 = hh @ hh
+    return _real_rows(np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)]))
+
+
+def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
+    """generator_terms on complex states rho whose populations p and observable rows _cm_rows the caller has computed."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
@@ -224,10 +232,7 @@ def _generator(rho, p, meas, ctrl, w) -> GeneratorTerms:
         raise EvaluatedAtTargetError("alpha-weighted populations vanished; state is at the target vertex")
     dec = meas.dec
     sigma = np.asarray(feedback_gain(p, ctrl))
-    hh, pi = ctrl.H, dec.projectors
-    h2 = hh @ hh
-    obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
-    cm = _expectations(rho, _real_rows(obs))
+    cm = _expectations(rho, rows)
     c, m = cm[..., : dec.d], cm[..., dec.d :]
     lam = dec.eigenvalues
     varpi = p @ lam
@@ -281,73 +286,102 @@ def _blocks(count):
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _near_vertex_states(dec, target, count, tv_radius, rng):
+def _near_vertex_states(dec, target, count, tv_radius, rng, ginibre, states, p):
     """Yield blocks of count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
 
-    Each nonempty vertex segment of k rows is led by its exact vertex.  Where
-    it starts it draws its other k - 1 rows' weights u in [0, tv_radius) in
-    one call; then each block it meets draws its share of their Ginibre
-    factors in one call, and these calls read the stream as one call does.
+    Each nonempty vertex segment of k rows is led by its exact vertex.  Its
+    other k - 1 rows' weights u in [0, tv_radius) come block by block from a
+    copy of the stream taken where the segment starts, and the stream itself
+    advances past those k - 1 draws; so u reads the stream as one call for
+    all k - 1 weights does, and is never held whole.  Each block a segment
+    meets then draws its share of the Ginibre factors in one call, and these
+    calls read the stream as one call does.  The mixture u rho + (1 - u) vertex
+    is formed in place on the real view of the states.
     """
-    n = dec.n
     wrong = [k for k in range(dec.d) if k != target]
     seg = np.cumsum([0] + [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))])
     start = 0
     for size in _blocks(count):
-        block = np.empty((size, n, n), dtype=complex)
         for j, s0, s1 in zip(wrong, seg[:-1], seg[1:]):
             lo, hi = max(s0, start), min(s1, start + size)
             if lo >= hi:
                 continue
             vert = dec.projectors[j] / dec.multiplicities[j]
-            if lo == s0:  # only a block's last segment runs on into the next block, so u carries over
-                u = rng.uniform(0.0, tv_radius, s1 - s0 - 1)[:, None, None]
-                block[lo - start] = vert
+            if lo == s0:  # only a block's last segment runs on into the next block, so weights carries over
+                weights = copy.deepcopy(rng)
+                rng.bit_generator.advance(int(s1 - s0 - 1))
+                states[lo - start] = vert
                 lo += 1
-            z, w = rng.standard_normal((hi - lo, 2, n, n)), u[lo - s0 - 1 : hi - s0 - 1]
-            block[lo - start : hi - start] = (1.0 - w) * vert + w * ginibre_states(z)
-        yield "near_vertex", block, size
+            if lo == hi:
+                continue
+            u = weights.uniform(0.0, tv_radius, hi - lo)[:, None, None]
+            work = ginibre(slice(lo - start, hi - start))
+            x = states[lo - start : hi - start].view(float)
+            x *= u
+            x += np.multiply(1.0 - u, vert.view(float), out=work)
+        _populations(states[:size], dec, out=p[:size])
+        yield "near_vertex", states[:size], p[:size], size
         start += size
 
 
-def _screened_states(name, draw, count, dec, target, target_exclusion):
-    """Yield (name, states, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
+def _screened_states(name, draw, count, dec, target, target_exclusion, states, p):
+    """Yield (name, states, populations, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
 
-    Each round draws exactly the block's missing count and keeps its
-    admissible rows in order.  Sequential rejection would draw at least that
-    many more, so the random stream is consumed exactly as one-at-a-time
-    rejection does.
+    Each round draws exactly the block's missing count into the rows after
+    the kept ones, and moves its admissible rows up, in order.  Sequential
+    rejection would draw at least that many more, so the random stream is
+    consumed exactly as one-at-a-time rejection does.
     """
     for size in _blocks(count):
-        states = np.empty((size, dec.n, dec.n), dtype=complex)
         kept = draws = 0
         while kept < size:
-            batch = draw(size - kept)
-            draws += len(batch)
-            batch = batch[1.0 - populations(batch, dec)[:, target] >= target_exclusion]
-            states[kept : kept + len(batch)] = batch
-            kept += len(batch)
-        yield name, states, draws
+            rows = slice(kept, size)
+            draw(rows)
+            draws += size - kept
+            _populations(states[rows], dec, out=p[rows])
+            ok = 1.0 - p[rows, target] >= target_exclusion
+            if ok.all():  # the usual round: nothing to move
+                kept = size
+                continue
+            new = kept + int(np.count_nonzero(ok))
+            states[kept:new], p[kept:new] = states[rows][ok], p[rows][ok]
+            kept = new
+        yield name, states[:size], p[:size], draws
 
 
 def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
-    """Yield (name, states, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order."""
+    """Yield (name, states, populations, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order.
+
+    Every buffer is allocated once per call, as large as the largest block,
+    and refilled in place block after block: the yielded states and
+    populations are views that stay valid only until the next block is
+    drawn, so a caller that keeps a block must copy it.  States are built
+    in float64 on the real and imaginary views of the complex state buffer.
+    """
     rng = np.random.default_rng(seed)
     d, n = dec.d, dec.n
     n_near = samples // 3
     n_bulk = samples // 3
-    yield from _near_vertex_states(dec, target, n_near, tv_radius, rng)
+    size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
+    states, p = np.empty((size, n, n), dtype=complex), np.empty((size, d))
+    z, zt, prod, tr = np.empty((size, 2, n, n)), np.empty((size, 2, n, n)), np.empty((2, size, n, n)), np.empty(size)
+
+    def ginibre(rows):
+        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace, real (k, n, 2n)."""
+        k = rows.stop - rows.start
+        rng.standard_normal(out=z[:k])
+        _ginibre_into(z[:k], states[rows], zt[:k], prod[:, :k], tr[:k])
+        return zt[:k].reshape(k, n, 2 * n)
+
+    def diagonal(rows):
+        weights = rng.dirichlet(np.ones(d), rows.stop - rows.start) / dec.multiplicities
+        np.einsum("...k,kij->...ij", weights, dec.projectors.real, out=states[rows].real)
+        np.einsum("...k,kij->...ij", weights, dec.projectors.imag, out=states[rows].imag)
+
+    yield from _near_vertex_states(dec, target, n_near, tv_radius, rng, ginibre, states, p)
+    yield from _screened_states("bulk", ginibre, n_bulk, dec, target, target_exclusion, states, p)
     yield from _screened_states(
-        "bulk", lambda k: ginibre_states(rng.standard_normal((k, 2, n, n))),
-        n_bulk, dec, target, target_exclusion,
-    )
-    yield from _screened_states(
-        "diagonal", lambda k: np.einsum(
-            "...k,kij->...ij",
-            (rng.dirichlet(np.ones(d), k) / dec.multiplicities).astype(complex),
-            dec.projectors,
-        ),
-        samples - n_near - n_bulk, dec, target, target_exclusion,
+        "diagonal", diagonal, samples - n_near - n_bulk, dec, target, target_exclusion, states, p
     )
 
 
@@ -373,8 +407,9 @@ def certify_decay(
     into the stratum's result in draw order, and the report does not
     depend on BLOCK (at least 3, see _blocks).  A seed fixes every sampled state.  All three strata
     draw from one np.random.default_rng(seed) stream, in this order:
-    near-vertex, then bulk, then diagonal.  Each wrong vertex draws all its
-    mixing weights, then its Ginibre factors.  Bulk and diagonal candidates
+    near-vertex, then bulk, then diagonal.  Each wrong vertex's mixing
+    weights read the stream ahead of its Ginibre factors, as if drawn in
+    one call.  Bulk and diagonal candidates
     are drawn in rounds of exactly the block's missing count and screened
     as one batch, which reads the stream exactly as drawing and screening
     one state at a time.
@@ -383,14 +418,13 @@ def certify_decay(
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
-    dec = meas.dec
+    rows = _cm_rows(meas.dec, ctrl)
     strata = {}
     timing = {}
     clock = time.perf_counter()
-    for name, batch, draws in _sample_strata(dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
+    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
         sampled = time.perf_counter()
-        p = populations(batch, dec)
-        terms = _generator(batch, p, meas, ctrl, w)
+        terms = _generator(batch, p, rows, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})
         lap["sample_s"] += sampled - clock
         lap["generator_s"] += time.perf_counter() - sampled

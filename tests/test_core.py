@@ -5,6 +5,7 @@ import pytest
 
 from qndstab.core import (
     UnrecoverableStateError,
+    _ginibre_into,
     dissipator,
     ginibre_states,
     hermitian_part,
@@ -242,3 +243,17 @@ def test_ginibre_states_real_products(rng, n, rank):
     for i, j in ((0, 0), (1, 17), (2, 39)):
         assert ginibre_states(z[i, j]).tobytes() == states[i, j].tobytes()
     assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
+
+
+def test_ginibre_workspace_reuse_matches_fresh_states(rng):
+    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh ginibre_states' bytes."""
+    n, rows = 5, 40
+    out = np.full((rows, n, n), np.nan, dtype=complex)
+    zt, prod, tr = np.full(rows * 2 * n * n, np.nan), np.full(2 * rows * n * n, np.nan), np.full(rows, np.nan)
+    for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
+        z = rng.standard_normal((k, 2, n, rank))
+        block = out[:k]
+        _ginibre_into(
+            z, block, zt[: k * 2 * rank * n].reshape(k, 2, rank, n), prod[: 2 * k * n * n].reshape(2, k, n, n), tr[:k]
+        )
+        assert block.tobytes() == ginibre_states(z).tobytes(), (k, rank)

@@ -421,11 +421,15 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
 
 
 def _strata_states(blocks):
-    """Each stratum's states: the blocks _sample_strata yields, concatenated in order."""
-    strata = {}
-    for name, states, _ in blocks:
-        strata.setdefault(name, []).append(states)
-    return {name: np.concatenate(parts) for name, parts in strata.items()}
+    """Each stratum's states and candidate draws: the blocks _sample_strata yields, copied and concatenated in order.
+
+    _sample_strata refills one buffer block after block, so each block is copied before the next is drawn.
+    """
+    strata, draws = {}, {}
+    for name, states, _, drawn in blocks:
+        strata.setdefault(name, []).append(states.copy())
+        draws[name] = draws.get(name, 0) + drawn
+    return {name: np.concatenate(parts) for name, parts in strata.items()}, draws
 
 
 def _certificate_csv(strata, meas, ctrl, w, samples):
@@ -456,7 +460,7 @@ def test_certify_decay_matches_sequential_sampler(
     meas, ctrl = request.getfixturevalue(preset)
     args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
     expected, rejected = _sequential_strata(*args)
-    batched = _strata_states(_sample_strata(*args))
+    batched, _ = _strata_states(_sample_strata(*args))
     # every state, bit for bit, not just the worst one the certificate prints
     assert list(batched) == [name for name, _ in expected]
     for states, (_, ref) in zip(batched.values(), expected):
@@ -477,11 +481,10 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     """The near-vertex stratum's recipe, checked on the states alone and not on their draw order."""
     meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
     dec, target = meas.dec, ctrl.target
-    blocks = list(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
-    states = _strata_states(blocks)["near_vertex"]
-    draws = sum(draws for name, _, draws in blocks if name == "near_vertex")
+    strata, draws = _strata_states(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
+    states = strata["near_vertex"]
     count = samples // 3
-    assert blocks[0][0] == "near_vertex" and len(states) == draws == count
+    assert list(strata)[0] == "near_vertex" and len(states) == draws["near_vertex"] == count
     wrong = [k for k in range(dec.d) if k != target]
     vertices = dec.projectors[wrong] / dec.multiplicities[wrong, None, None]
     # blocks split count evenly over the wrong vertices, the first blocks one row longer
@@ -516,7 +519,7 @@ def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_
         monkeypatch.setattr(lyapunov, "BLOCK", block)
         report = certify_decay(meas, ctrl, w, samples=300, seed=5)
         counts = [(s.name, s.samples, s.draws) for s in report.strata]
-        states = {name: batch.tobytes() for name, batch in _strata_states(_sample_strata(*args)).items()}
+        states = {name: batch.tobytes() for name, batch in _strata_states(_sample_strata(*args))[0].items()}
         runs.append((certificate_to_csv(report), counts, states))
     (csv_text, counts, states), *cut = runs
     for block, (other_csv, other_counts, other_states) in zip((2, 3, 7), cut):
@@ -539,6 +542,32 @@ def test_certify_decay_memory_does_not_grow_with_samples(spin2_tight, spin2_weig
     peaks = []
     try:
         for samples in (30_000, 120_000):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            certify_decay(meas, ctrl, spin2_weights, samples=samples, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_certify_decay_memory_does_not_grow_with_samples_in_small_blocks(monkeypatch, spin2_tight, spin2_weights):
+    """With blocks of 64 states, traced peak memory at 4x the samples still stays within 1.5x.
+
+    The blocks' own buffers are then small, so any array that grows with the
+    samples, such as one wrong vertex's near-vertex mixing weights drawn in
+    one call, shows in the peak.
+    """
+    meas, ctrl = spin2_tight
+    monkeypatch.setattr(lyapunov, "BLOCK", 64)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks = []
+    try:
+        certify_decay(meas, ctrl, spin2_weights, samples=300, seed=5)  # first-call allocations stay out of the peaks
+        for samples in (60_000, 240_000):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             certify_decay(meas, ctrl, spin2_weights, samples=samples, seed=5)
