@@ -188,9 +188,11 @@ def _certify_setups(doc: dict):
 class RunManifest:
     """Record of one invocation: resolved config, output directory, artifact checksums.
 
-    counters holds deterministic run counts; certify fills it with each
-    stratum's draws and accepted samples.  timing holds wall seconds (certify:
-    each stratum's sampling and generator evaluation), so it varies by run.
+    counters holds deterministic run counts: a campaign's steps, trajectories,
+    the column-steps on which its control rotation ran and their mean per
+    step; certify's draws and accepted samples per stratum.  timing holds
+    wall seconds (certify: each stratum's sampling and generator
+    evaluation), so it varies by run.
     """
 
     command: str
@@ -239,6 +241,12 @@ def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str)
         config=_manifest_config(cfg),
         out_dir=out_dir,
         checksums={os.path.basename(p): _sha256(p) for p in (series, summary)},
+        counters={
+            "steps": cfg.n_steps,
+            "trajectories": cfg.trajectories,
+            "engaged_column_steps": result.engaged_column_steps,
+            "mean_active_columns": result.engaged_column_steps / cfg.n_steps,
+        },
     )
     _write_manifest(manifest, os.path.join(out_dir, f"{prefix}_manifest.json"))
     return result

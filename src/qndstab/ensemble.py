@@ -53,7 +53,12 @@ projection as the reference scheme; both schemes are first order in dt.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
-W and (base_seed, 4*index + 1) for the control noise B, and every
+W and (base_seed, 4*index + 1) for the control noise B.  A chunk draws them
+NOISE_BLOCK steps at a time into (step, trajectory) rows, one tile of
+NOISE_TILE trajectories at a time: each tile is transposed into the rows
+while it is still in cache, so no (m, NOISE_BLOCK) draw buffer exists.  Each trajectory reads its own streams in order, and a stream's
+normals do not depend on how its draws are split, so neither size changes
+a bit.  Every
 reduction over a state index takes a fixed order at every batch width: an
 explicit accumulation over rows, a banded sum over the nonzero bands of the
 actuation Laplacian in ascending index, a per-matrix product, the per-row
@@ -72,7 +77,6 @@ order.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,7 +117,11 @@ ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 # CHUNK)) contiguous, near-equal chunks, so every worker gets a chunk; no
 # layout changes the bits of any trajectory.
 CHUNK = 1000
-NOISE_BLOCK = 512
+# Steps of noise drawn per block, and trajectories per tile of the draw (see
+# _integrate_chunk): the noise buffers take 2 * NOISE_BLOCK * m + NOISE_TILE *
+# NOISE_BLOCK doubles for a chunk of m trajectories.
+NOISE_BLOCK = 256
+NOISE_TILE = 64
 # Trajectory resamples behind estimate_rate's bootstrap confidence interval.
 BOOTSTRAP_RESAMPLES = 200
 
@@ -273,14 +281,16 @@ class _Packed:
         """(n(n+1)/2, k) -> (k, n, n)."""
         return cols.T[:, self.rows].reshape(-1, self.n, self.n)
 
-    def update_active(self, states: np.ndarray, coef: np.ndarray, update, *args) -> None:
+    def update_active(self, states: np.ndarray, coef: np.ndarray, update, *args) -> int:
         """In place, replace each column of packed states whose coef is nonzero by update(mats, coef[active], *args).
 
-        mats are those columns unpacked; no other column is touched.
+        mats are those columns unpacked; no other column is touched.  Returns
+        the number of columns updated.
         """
         active = coef.nonzero()[0]
         if active.size:
             states[:, active] = self.pack(update(self.unpack(states[:, active]), coef[active], *args))
+        return active.size
 
 
 def _kraus_factor(eta: float, dt: float, dy: np.ndarray, pk: _Packed, rows, cross: np.ndarray) -> np.ndarray:
@@ -391,10 +401,16 @@ class EnsembleResult:
     final_populations: np.ndarray
     fitted_rate: float
     fit_ci: tuple[float, float]
+    # column-steps on which the plant's control rotation ran, over all trajectories
+    engaged_column_steps: int = 0
 
 
 def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
-    """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring."""
+    """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring.
+
+    Returns the recorded errors and v_open values (m, n_rec), the final
+    populations (m, n) and the number of column-steps the plant rotated.
+    """
     meas, ctrl = cfg.setups()
     dec = meas.dec
     n = dec.n
@@ -448,10 +464,11 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     sqdt = np.sqrt(dt)
     # allocated once and refilled in place, so a chunk's peak memory does not
     # depend on where the allocator puts the rotation's data-dependent arrays;
-    # each trajectory's stream fills one row of draws, and each block is scaled
-    # into (block, m) buffers, so a step reads contiguous rows
+    # each trajectory's stream fills one row of a tile of NOISE_TILE
+    # trajectories, which is transposed into the (block, m) rows while it is
+    # still in cache, so a step reads contiguous rows
     width = min(NOISE_BLOCK, n_steps)
-    draws = np.empty((m, width))
+    tile = np.empty((min(m, NOISE_TILE), width))
     dw_rows = np.empty((width, m))
     db_rows = np.empty((width, m)) if need_b else None
     streams = [(gens_w, dw_rows), (gens_b, db_rows)] if need_b else [(gens_w, dw_rows)]
@@ -478,15 +495,17 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     # fault them in again, about 16 page faults per step.
     work = np.empty((4, m, n, n))
 
-    step = 0
+    step = engaged = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
         for gens, rows in streams:
-            for i, g in enumerate(gens):
-                g.standard_normal(out=draws[i, :blen])
-            # transposed in tiles of 64 trajectories, which stay in cache
-            for a in range(0, m, 64):
-                np.multiply(draws[a : a + 64, :blen].T, sqdt, out=rows[:blen, a : a + 64])
+            for a in range(0, m, NOISE_TILE):
+                draws = tile[: min(NOISE_TILE, m - a), :blen]
+                for g, row in zip(gens[a : a + NOISE_TILE], draws):
+                    g.standard_normal(out=row)
+                rows[:blen, a : a + NOISE_TILE] = draws.T
+            # one contiguous pass; a strided multiply into the tile's columns costs more
+            rows[:blen] *= sqdt
         for j in range(blen):
             p_true = rho[:n]
             if estimator in ("truth", "full_observer"):
@@ -501,7 +520,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
             factor = _kraus_factor(eta, dt, dy, pk, krows, cross)
             rho *= factor
-            pk.update_active(rho, dv, _rotate, *planes, work)
+            engaged += pk.update_active(rho, dv, _rotate, *planes, work)
             _normalize(rho, n, start, step + 1)
 
             if estimator == "reduced_filter":
@@ -515,7 +534,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             if step % stride == 0:
                 _record(step // stride, rho[:n])
 
-    return err, vop, np.ascontiguousarray(rho[:n].T)
+    return err, vop, np.ascontiguousarray(rho[:n].T), engaged
 
 
 def _chunk_task(args):
@@ -531,7 +550,7 @@ def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     """
     if not 0 <= index < cfg.trajectories:
         raise ValueError(f"trajectory index {index} outside 0..{cfg.trajectories - 1}")
-    err, vop, final_p = _integrate_chunk(cfg, index, index + 1)
+    err, vop, final_p, _ = _integrate_chunk(cfg, index, index + 1)
     times = np.arange(err.shape[-1]) * cfg.dt * cfg.record_stride
     return TrajectoryTrace(times=times, error=err[0], v_open=vop[0], final_populations=final_p[0])
 
@@ -546,6 +565,9 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     """Run all trajectories of a campaign and aggregate statistics in index order."""
     bounds = _chunk_bounds(cfg.trajectories, cfg.workers)
     if cfg.workers > 1 and len(bounds) > 1:
+        # imported here, so single-worker campaigns never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(bounds))) as pool:
             parts = list(pool.map(_chunk_task, [(cfg, a, b) for a, b in bounds]))
     else:
@@ -570,6 +592,7 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         final_populations=final_p,
         fitted_rate=np.nan,
         fit_ci=(np.nan, np.nan),
+        engaged_column_steps=sum(p[3] for p in parts),
     )
     try:
         nu, ci = estimate_rate(result)

@@ -185,8 +185,24 @@ def test_cmd_run_emits_artifacts(tmp_path, capsys):
     for name, digest in manifest["checksums"].items():
         assert _sha256(out / name) == digest
     assert set(manifest["checksums"]) == {"run_series.csv", "run_summary.csv"}
-    assert manifest["counters"] == {}
+    counters = manifest["counters"]
+    assert list(counters) == ["engaged_column_steps", "mean_active_columns", "steps", "trajectories"]
+    assert counters["steps"] == 2000 and counters["trajectories"] == 4
+    assert 0 < counters["engaged_column_steps"] <= 4 * 2000
+    assert counters["mean_active_columns"] == counters["engaged_column_steps"] / 2000
     assert manifest["timing"] == {}
+
+
+def test_cmd_run_counters_do_not_depend_on_workers(tmp_path):
+    cfg_path = _write_config(tmp_path, SMALL_CAMPAIGN)
+    manifests = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--workers", workers]) == 0
+        manifests.append(json.loads((out / "run_manifest.json").read_text()))
+    assert manifests[0]["checksums"] == manifests[1]["checksums"]
+    assert manifests[0]["counters"] == manifests[1]["counters"]
+    assert manifests[0]["counters"]["engaged_column_steps"] > 0
 
 
 def test_cmd_run_cli_overrides(tmp_path):
@@ -273,6 +289,7 @@ def test_cmd_reproduce_smoke(tmp_path, capsys):
     assert (out / "fig2_summary.csv").exists()
     manifest = json.loads((out / "fig2_manifest.json").read_text())
     assert manifest["command"] == "reproduce fig2"
+    assert manifest["counters"]["steps"] == 50000 and manifest["counters"]["trajectories"] == 4
     summary = read_summary_csv(str(out / "fig2_summary.csv"))
     assert line.split("nu_hat=", 1)[1].split(" ", 1)[0] == summary["nu_hat"]
     assert summary["estimator"] == "truth"

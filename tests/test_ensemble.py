@@ -446,6 +446,50 @@ def test_ensemble_chunked_workers_deterministic(monkeypatch):
     assert np.array_equal(r1.error_traces, r3.error_traces)
 
 
+def test_noise_tiles_and_block_edges_keep_every_trajectory():
+    """130 trajectories draw their noise in tiles of 64, 64 and 2, over 700 steps that NOISE_BLOCK does not divide.
+
+    Members at both edges of each tile equal their width-1 twins, and
+    workers 2 and 3 (chunks of 65 and of 43-44 rows, one tile each) give
+    the same bytes and the same engaged column-steps.
+    """
+    assert 700 % ensemble.NOISE_BLOCK != 0 and -(-130 // ensemble.NOISE_TILE) == 3
+    fields = ("error_traces", "v_open_traces", "final_populations")
+    for estimator in ("truth", "population_filter"):
+        cfg = _small_cfg(
+            trajectories=130, t_final=0.7, record_stride=10, p_min=0.51, p_max=0.56,
+            feedback_delay=0.05, estimator=estimator, fit_window=(0.1, 0.6),
+        )
+        r1 = run_ensemble(cfg)
+        assert r1.engaged_column_steps > 0
+        for index in (0, 63, 64, 127, 128, 129):
+            twin = run_trajectory(cfg, index)
+            assert twin.error.tobytes() == r1.error_traces[index].tobytes(), (estimator, index)
+            assert twin.v_open.tobytes() == r1.v_open_traces[index].tobytes(), (estimator, index)
+            assert twin.final_populations.tobytes() == r1.final_populations[index].tobytes(), (estimator, index)
+        for workers in (2, 3):
+            rw = run_ensemble(replace(cfg, workers=workers))
+            for field in fields:
+                assert getattr(rw, field).tobytes() == getattr(r1, field).tobytes(), (estimator, workers, field)
+            assert rw.engaged_column_steps == r1.engaged_column_steps, (estimator, workers)
+
+
+def test_engaged_column_steps_count_the_rotated_columns(monkeypatch):
+    """The engine's counter equals the columns its rotation stage receives, and is zero in open loop."""
+    rotated = []
+    rotate = ensemble._rotate
+
+    def counting_rotate(mats, x, *args):
+        rotated.append(x.size)
+        return rotate(mats, x, *args)
+
+    monkeypatch.setattr(ensemble, "_rotate", counting_rotate)
+    cfg = _small_cfg(trajectories=6, p_min=0.51, p_max=0.56, feedback_delay=0.1, estimator="reduced_filter")
+    result = run_ensemble(cfg)
+    assert 0 < result.engaged_column_steps == sum(rotated) < cfg.trajectories * cfg.n_steps
+    assert run_ensemble(replace(cfg, sigma_bar=0.0)).engaged_column_steps == 0
+
+
 def test_ensemble_layout_invariant_at_nine_levels(monkeypatch):
     """J = 4 (n = 9): numpy sums 8 or more contiguous terms pairwise, which a width-1 chunk must not reach.
 

@@ -1,6 +1,9 @@
-"""Every name that the package or its tests import is used in the importing file."""
+"""Imports: every imported name is used, and importing the CLI loads no process pool."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +32,11 @@ def test_every_imported_name_is_used():
     assert ROOT / "src" / "qndstab" / "lyapunov.py" in FILES and Path(__file__).resolve() in FILES
     unused = [entry for path in FILES for entry in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a multi-worker campaign imports the pool, so single-worker runs and certify never load multiprocessing."""
+    code = "import sys, qndstab.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
