@@ -6,10 +6,11 @@ Verbs:
     reproduce  named benchmark campaign (fig1..fig4); nonzero exit if the
                fitted rate leaves the target band
 
-Every invocation writes a manifest.json with the resolved configuration
-and sha256 checksums of the emitted artifacts.  The default output
-directory is $QNDSTAB_OUT or ./qndstab_out.  Worker count changes nothing
-but wall time: artifacts are a pure function of the configuration.
+Every invocation writes a manifest.json with the resolved configuration,
+sha256 checksums of the emitted artifacts and the environment that made
+them.  The default output directory is $QNDSTAB_OUT or ./qndstab_out.
+Worker count changes nothing but wall time: artifacts are a pure function
+of the configuration.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+
+import numpy as np
 
 from .dynamics import control_setup
 from .ensemble import (
@@ -192,7 +196,9 @@ class RunManifest:
     the column-steps on which its control rotation ran and their mean per
     step; certify's draws and accepted samples per stratum.  timing holds
     wall seconds (certify: each stratum's sampling and generator
-    evaluation), so it varies by run.
+    evaluation), so it varies by run.  environment names the python,
+    numpy and BLAS builds, the platform and the processor count, which
+    the artifacts' last bits may depend on (see _environment).
     """
 
     command: str
@@ -201,6 +207,27 @@ class RunManifest:
     checksums: dict
     counters: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
+
+
+def _environment() -> dict:
+    """The python, numpy and BLAS builds, the platform and the processor count of this process.
+
+    The platform is read from uname alone: platform.platform() also scans
+    the python binary for its libc, which takes milliseconds.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):  # a numpy without show_config's dict mode
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+        "nproc": os.cpu_count(),
+    }
 
 
 def _sha256(path: str) -> str:
@@ -247,6 +274,7 @@ def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str)
             "engaged_column_steps": result.engaged_column_steps,
             "mean_active_columns": result.engaged_column_steps / cfg.n_steps,
         },
+        environment=_environment(),
     )
     _write_manifest(manifest, os.path.join(out_dir, f"{prefix}_manifest.json"))
     return result
@@ -318,6 +346,7 @@ def _cmd_certify(args) -> int:
         checksums={"certificate.csv": _sha256(cert_path)},
         counters={s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata},
         timing=report.timing,
+        environment=_environment(),
     )
     _write_manifest(manifest, os.path.join(out_dir, "certificate_manifest.json"))
     flag = "certified" if report.certified else "NOT certified"

@@ -1,9 +1,9 @@
 """Density-matrix primitives for diffusive quantum measurement models.
 
 States are complex ndarrays of shape (n, n), or batches with arbitrary
-leading axes, shape (..., n, n).  Every operation here broadcasts over the
-leading axes, so trajectory ensembles can be pushed through as a single
-array.  The measurement operator is Hermitian throughout; its spectral
+leading axes, shape (..., n, n); populations also reads real states.
+Every operation here broadcasts over the leading axes, so trajectory
+ensembles can be pushed through as a single array.  The measurement operator is Hermitian throughout; its spectral
 decomposition (distinct eigenvalues, descending, with orthogonal
 projectors) is the object the rest of the package consumes, because the
 eigenspace populations are what the feedback laws act on.
@@ -164,19 +164,25 @@ def _real_rows(obs: np.ndarray) -> np.ndarray:
 def _expectations(rho: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
     """Re tr(obs_k rho) for the rows of _real_rows(obs), shape (..., k), from one real einsum.
 
-    rho is complex, shape (..., n, n).  The einsum runs without optimize,
-    so no BLAS call sums over the batch axis.  The result is written into
-    out when given.
+    rho is complex or real, shape (..., n, n), and the einsum reads the
+    float64 view of whichever it is: a complex rho's 2 n^2 coordinates
+    against the full rows, a real rho's n^2 against their even columns,
+    the weights Re obs_k^T.  The einsum runs without optimize, so no BLAS
+    call sums over the batch axis.  The result is written into out when
+    given.
     """
-    rho = np.ascontiguousarray(rho, dtype=complex)
+    rho = np.ascontiguousarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
     x = rho.view(float).reshape(rho.shape[:-2] + (-1,))
+    if x.shape[-1] < rows.shape[-1]:
+        rows = np.ascontiguousarray(rows[:, ::2])
     return np.einsum("...x,kx->...k", x, rows, out=out)
 
 
 def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     """Eigenspace populations p_k = tr(rho Pi_k), shape (..., d), clipped to [0, 1].
 
-    The trace runs over rho's 2 n^2 real coordinates (_expectations).
+    rho is complex or real; the trace runs over the real coordinates of
+    either (_expectations).
     """
     rho = np.asarray(rho)
     if rho.shape[-1] != dec.n:
@@ -257,27 +263,36 @@ def ginibre_states(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, prod: np.ndarray, tr: np.ndarray) -> None:
-    """Write ginibre_states(z) into out, complex (..., n, n) with a contiguous last axis, allocating nothing.
+def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, prod, tr: np.ndarray) -> None:
+    """Write the states G G^dag / tr(G G^dag) of the factors in z into out, allocating nothing.
 
-    With G = A + i B, G G^dag is built from real products: A A^T + B B^T
-    is written into the real part of out and B A^T - A B^T into its
-    imaginary part, then both are multiplied by the reciprocal of the real
-    trace, which is what numpy's complex-by-real division computes, so the
-    bits are those of the division.  Workspace: zt, shape (..., 2, rank, n),
-    takes a C-order copy of the transposed factors (a stacked matmul on a
-    swapaxes view runs several times slower, with the same bits); prod,
-    shape (2, ..., n, n), takes the products; tr, shape (...), the trace.
+    out is real or complex, (..., n, n) with a contiguous last axis.  A
+    real out takes real factors G = z, shape (..., n, rank), and G G^T is
+    one stacked product written into out.  A complex out takes the pairs
+    of ginibre_states, G = A + i B with A, B = z[..., 0, :, :], z[..., 1, :, :],
+    and G G^dag is built from real products: A A^T + B B^T is written into
+    the real part of out and B A^T - A B^T into its imaginary part.  Either
+    way the state is then multiplied by the reciprocal of the real trace,
+    which is what numpy's complex-by-real division computes, so the bits
+    are those of the division.  Workspace: zt, the shape of z with its
+    last two axes swapped, takes a C-order copy of the transposed factors
+    (a stacked matmul on a swapaxes view runs several times slower, with
+    the same bits); prod, shape (2, ..., n, n), takes a complex pair's
+    products (a real out needs none, and prod may be None); tr, shape
+    (...), the trace.
     """
-    a, b = z[..., 0, :, :], z[..., 1, :, :]
     np.copyto(zt, np.swapaxes(z, -1, -2))
-    at, bt = zt[..., 0, :, :], zt[..., 1, :, :]
-    np.matmul(a, at, out=prod[0])
-    np.matmul(b, bt, out=prod[1])
-    np.add(prod[0], prod[1], out=out.real)
-    np.matmul(b, at, out=prod[0])
-    np.matmul(a, bt, out=prod[1])
-    np.subtract(prod[0], prod[1], out=out.imag)
+    if np.iscomplexobj(out):
+        a, b = z[..., 0, :, :], z[..., 1, :, :]
+        at, bt = zt[..., 0, :, :], zt[..., 1, :, :]
+        np.matmul(a, at, out=prod[0])
+        np.matmul(b, bt, out=prod[1])
+        np.add(prod[0], prod[1], out=out.real)
+        np.matmul(b, at, out=prod[0])
+        np.matmul(a, bt, out=prod[1])
+        np.subtract(prod[0], prod[1], out=out.imag)
+    else:
+        np.matmul(z, zt, out=out)
     np.trace(out.real, axis1=-2, axis2=-1, out=tr)
     np.divide(1.0, tr, out=tr)
     x = out.view(float)

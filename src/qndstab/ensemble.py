@@ -473,8 +473,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     db_rows = np.empty((width, m)) if need_b else None
     streams = [(gens_w, dw_rows), (gens_b, db_rows)] if need_b else [(gens_w, dw_rows)]
 
+    wrong = [k for k in range(n) if k != target]
+
     def _record(slot: int, p: np.ndarray):
-        err[:, slot] = np.sqrt(np.clip(1.0 - p[target], 0.0, 1.0))
+        # the error is the root of the summed wrong populations, which keep
+        # their full relative precision where 1 - p_target rounds to 0
+        err[:, slot] = np.sqrt(np.clip(_rowsum([p[k] for k in wrong]), 0.0, 1.0))
         # v_open sums over its last axis; an (m, n) C-order copy keeps that
         # sum's order the same at every width
         vop[:, slot] = v_open(np.ascontiguousarray(p.T))

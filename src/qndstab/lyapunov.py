@@ -21,8 +21,8 @@ with w = tr(L rho).  c and m are linear in rho: by duality
 c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
 i [Pi_k, H].  Like the populations, c and m are read off the states in
-float64 real arithmetic: one einsum over each state's 2 n^2 real
-coordinates against fixed weight rows (core._expectations).
+float64 real arithmetic: one einsum over each state's real coordinates
+against fixed weight rows (core._expectations).
 certify_decay samples the state space in stratified fashion, computes
 each state's populations once (the sampler's screen, whose values the
 generator and the ratio reuse), and reports the empirical contraction margin
@@ -202,9 +202,9 @@ def generator_terms(
 
     c_k = tr(D_H*(Pi_k) rho) and m_k = tr(i [Pi_k, H] rho) are expectations
     of 2d fixed n x n observables.  Like the populations, they are read off
-    the states' 2 n^2 real coordinates by one real einsum
-    (core._expectations); a gemm there would round differently with the
-    batch width and the BLAS thread count.  A state's result is the same in
+    the states' real coordinates, 2 n^2 of a complex rho and n^2 of a real
+    one, by one real einsum (core._expectations); a gemm there would round
+    differently with the batch width and the BLAS thread count.  A state's result is the same in
     every batch of two or more states; a lone state (2-D input or a width-1
     batch) takes other reduction paths in numpy and may differ in the last
     bits.  For non-diagonal rho, c differs from the Laplacian acting on the
@@ -212,7 +212,7 @@ def generator_terms(
     Raises EvaluatedAtTargetError when p_target = 1, where the denominators
     sqrt(alpha_s . p) vanish.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
     return _generator(rho, populations(rho, meas.dec), _cm_rows(meas.dec, ctrl), meas, ctrl, w)
 
 
@@ -223,8 +223,19 @@ def _cm_rows(dec, ctrl):
     return _real_rows(np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)]))
 
 
+def _state_dtype(dec, rows):
+    """float when the projectors and the observables behind rows (_cm_rows) are all real, else complex.
+
+    An observable's imaginary part fills the odd columns of its _real_rows.
+    When all of them vanish, every expectation the certificate reads, and
+    so the ratio, is the same at rho and at Re rho, itself a density
+    matrix: the real states reach every ratio the complex ones do.
+    """
+    return complex if np.concatenate([dec._rows, rows])[:, 1::2].any() else float
+
+
 def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms on complex states rho whose populations p and observable rows _cm_rows the caller has computed."""
+    """generator_terms on states rho, real or complex, whose populations p and observable rows _cm_rows the caller has computed."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
@@ -286,7 +297,7 @@ def _blocks(count):
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _near_vertex_states(dec, target, count, tv_radius, rng, ginibre, states, p):
+def _near_vertex_states(dec, proj, target, count, tv_radius, rng, ginibre, states, p):
     """Yield blocks of count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
 
     Each nonempty vertex segment of k rows is led by its exact vertex.  Its
@@ -296,7 +307,8 @@ def _near_vertex_states(dec, target, count, tv_radius, rng, ginibre, states, p):
     all k - 1 weights does, and is never held whole.  Each block a segment
     meets then draws its share of the Ginibre factors in one call, and these
     calls read the stream as one call does.  The mixture u rho + (1 - u) vertex
-    is formed in place on the real view of the states.
+    is formed in place on the real view of the states.  The vertices are
+    proj / multiplicity, with proj the projectors in the states' dtype.
     """
     wrong = [k for k in range(dec.d) if k != target]
     seg = np.cumsum([0] + [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))])
@@ -306,7 +318,7 @@ def _near_vertex_states(dec, target, count, tv_radius, rng, ginibre, states, p):
             lo, hi = max(s0, start), min(s1, start + size)
             if lo >= hi:
                 continue
-            vert = dec.projectors[j] / dec.multiplicities[j]
+            vert = proj[j] / dec.multiplicities[j]
             if lo == s0:  # only a block's last segment runs on into the next block, so weights carries over
                 weights = copy.deepcopy(rng)
                 rng.bit_generator.advance(int(s1 - s0 - 1))
@@ -349,36 +361,44 @@ def _screened_states(name, draw, count, dec, target, target_exclusion, states, p
         yield name, states[:size], p[:size], draws
 
 
-def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
+def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
     """Yield (name, states, populations, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order.
 
     Every buffer is allocated once per call, as large as the largest block,
     and refilled in place block after block: the yielded states and
     populations are views that stay valid only until the next block is
-    drawn, so a caller that keeps a block must copy it.  States are built
-    in float64 on the real and imaginary views of the complex state buffer.
+    drawn, so a caller that keeps a block must copy it.  The states have
+    the given dtype (_state_dtype).  Real states come from real Ginibre
+    factors, one (k, n, n) draw per call, and real vertices; complex ones
+    from complex pairs, one (k, 2, n, n) draw, built in float64 on the
+    real and imaginary views of the state buffer.
     """
     rng = np.random.default_rng(seed)
     d, n = dec.d, dec.n
     n_near = samples // 3
     n_bulk = samples // 3
     size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
-    states, p = np.empty((size, n, n), dtype=complex), np.empty((size, d))
-    z, zt, prod, tr = np.empty((size, 2, n, n)), np.empty((size, 2, n, n)), np.empty((2, size, n, n)), np.empty(size)
+    real = dtype is float
+    proj = dec.projectors.real if real else dec.projectors
+    factor = (n, n) if real else (2, n, n)
+    states, p = np.empty((size, n, n), dtype=dtype), np.empty((size, d))
+    z, zt, tr = np.empty((size,) + factor), np.empty((size,) + factor), np.empty(size)
+    prod = None if real else np.empty((2, size, n, n))
 
     def ginibre(rows):
-        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace, real (k, n, 2n)."""
+        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace, shaped as their real view."""
         k = rows.stop - rows.start
         rng.standard_normal(out=z[:k])
-        _ginibre_into(z[:k], states[rows], zt[:k], prod[:, :k], tr[:k])
-        return zt[:k].reshape(k, n, 2 * n)
+        _ginibre_into(z[:k], states[rows], zt[:k], None if real else prod[:, :k], tr[:k])
+        return zt[:k].reshape(states[rows].view(float).shape)
 
     def diagonal(rows):
         weights = rng.dirichlet(np.ones(d), rows.stop - rows.start) / dec.multiplicities
-        np.einsum("...k,kij->...ij", weights, dec.projectors.real, out=states[rows].real)
-        np.einsum("...k,kij->...ij", weights, dec.projectors.imag, out=states[rows].imag)
+        np.einsum("...k,kij->...ij", weights, proj.real, out=states[rows].real)
+        if not real:
+            np.einsum("...k,kij->...ij", weights, proj.imag, out=states[rows].imag)
 
-    yield from _near_vertex_states(dec, target, n_near, tv_radius, rng, ginibre, states, p)
+    yield from _near_vertex_states(dec, proj, target, n_near, tv_radius, rng, ginibre, states, p)
     yield from _screened_states("bulk", ginibre, n_bulk, dec, target, target_exclusion, states, p)
     yield from _screened_states(
         "diagonal", diagonal, samples - n_near - n_bulk, dec, target, target_exclusion, states, p
@@ -395,9 +415,14 @@ def certify_decay(
     """Stratified sampling of the contraction ratio -A V_alpha / V_alpha.
 
     Strata: one third of the samples near the wrong vertices (within trace
-    distance TV_RADIUS, including the exact vertices), one third
-    Hilbert-Schmidt-uniform bulk states, one third diagonal mixtures of
-    the eigenspaces.  States with 1 - p_target < TARGET_EXCLUSION are
+    distance TV_RADIUS, including the exact vertices), one third bulk
+    states G G^dag / tr from full-rank Ginibre factors G, one third
+    diagonal mixtures of the eigenspaces.  When the projectors and the
+    observables of c and m are all real (the spin model: L real diagonal,
+    H = i A with A real), the ratio at rho equals the ratio at Re rho, so
+    every stratum samples real states, with real Ginibre factors; otherwise
+    the states are complex and the bulk is Hilbert-Schmidt-uniform (see
+    _state_dtype).  States with 1 - p_target < TARGET_EXCLUSION are
     excluded from the bulk and diagonal strata (the ratio is singular at
     the target).  nu_hat is the global minimum ratio; certification
     requires nu_hat > 0.
@@ -419,10 +444,11 @@ def certify_decay(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
     rows = _cm_rows(meas.dec, ctrl)
+    dtype = _state_dtype(meas.dec, rows)
     strata = {}
     timing = {}
     clock = time.perf_counter()
-    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
+    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION, dtype):
         sampled = time.perf_counter()
         terms = _generator(batch, p, rows, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})

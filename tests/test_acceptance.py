@@ -296,3 +296,17 @@ def test_threshold_monotonicity(fig_artifacts):
     s2 = _fig_summary(fig_artifacts, "fig2")
     assert float(s2["nu_hat"]) > float(s1["nu_hat"])
     assert float(s2["ci_low"]) > float(s1["ci_high"])
+
+
+def test_recorded_error_quantiles_are_positive(fig_artifacts):
+    """The error is recorded to full precision: no quantile row of fig1-fig4 rounds to 0.
+
+    The errors fall far below 1e-8 once most trajectories have converged,
+    where 1 - p_target rounds to 0 in float64; the summed wrong populations
+    do not.
+    """
+    for fig in FIGURES:
+        series = read_series_csv(str(fig_artifacts[fig] / f"{fig}_series.csv"))
+        for q in ("q10", "q50", "q90"):
+            zero = np.flatnonzero(series[q] <= 0.0)
+            assert zero.size == 0, f"{fig} {q}: {zero.size} rows at 0, first at t = {series['t'][zero[0]]}"

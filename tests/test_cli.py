@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from qndstab import cli
 from qndstab.cli import (
     FIGURE_PRESETS,
     ConfigError,
@@ -387,6 +388,41 @@ def test_cmd_certify_samples_override(tmp_path):
     cert = (out / "certificate.csv").read_text().strip().splitlines()
     assert cert[0] == "stratum,samples,min_ratio,worst_populations"
     assert cert[-1].startswith("all,33,")
+
+
+def test_manifests_record_the_environment_outside_the_csvs(tmp_path, monkeypatch):
+    """run, reproduce and certify manifests carry an environment block; no CSV byte depends on it."""
+    run_cfg = _write_config(tmp_path, SMALL_CAMPAIGN, "run.json")
+    cert_cfg = _write_config(tmp_path, {"p_min": 0.9, "samples": 60}, "certify.json")
+    commands = {
+        "run_manifest.json": ["run", "--config", run_cfg],
+        "fig2_manifest.json": ["reproduce", "fig2", "--trajectories", "2", "--dt", "0.01"],
+        "certificate_manifest.json": ["certify", "--config", cert_cfg],
+    }
+    faked = {"python": "0.0", "numpy": "0.0", "blas": "none 0.0", "platform": "nowhere", "nproc": 1}
+    runs = []
+    for environment in (None, faked):
+        if environment is not None:
+            monkeypatch.setattr(cli, "_environment", lambda: dict(faked))
+        out = tmp_path / ("real" if environment is None else "faked")
+        manifests = {}
+        for name, argv in commands.items():
+            assert main(argv + ["--out", str(out)]) in (0, 1)  # 2 trajectories need not land in fig2's band
+            manifests[name] = json.loads((out / name).read_text())
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert len(csvs) == 5
+        for manifest in manifests.values():
+            assert set(manifest["environment"]) == {"python", "numpy", "blas", "platform", "nproc"}
+            for name, digest in manifest["checksums"].items():
+                assert _sha256(out / name) == digest
+        runs.append((manifests, csvs))
+    (real, real_csvs), (fake, fake_csvs) = runs
+    assert real["run_manifest.json"]["environment"]["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert real["certificate_manifest.json"]["environment"]["nproc"] == os.cpu_count()
+    assert all(manifest["environment"] == faked for manifest in fake.values())
+    assert fake_csvs == real_csvs
+    for name in commands:
+        assert fake[name]["checksums"] == real[name]["checksums"]
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):

@@ -245,15 +245,45 @@ def test_ginibre_states_real_products(rng, n, rank):
     assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
 
 
+def _real_ginibre(z):
+    """_ginibre_into's real states from real factors z, shape (..., n, rank), on fresh buffers."""
+    out = np.empty(z.shape[:-1] + z.shape[-2:-1])
+    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), None, np.empty(z.shape[:-2]))
+    return out
+
+
+@pytest.mark.parametrize("n, rank", [(5, 5), (7, 7), (5, 2)])
+def test_ginibre_real_factor_states(rng, n, rank):
+    z = rng.standard_normal((3, 40, n, rank))
+    states = _real_ginibre(z)
+    assert states.shape == (3, 40, n, n) and states.dtype == float
+    ref = z @ np.swapaxes(z, -1, -2)
+    ref /= np.trace(ref, axis1=-2, axis2=-1)[..., None, None]
+    ulp = np.spacing(np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
+    assert np.all(np.abs(states - ref) <= 8 * ulp)
+    # one product of the factor with its transposed copy gives an exactly symmetric state
+    assert np.array_equal(states, np.swapaxes(states, -1, -2))
+    for i, j in ((0, 0), (1, 17), (2, 39)):
+        assert _real_ginibre(z[i, j]).tobytes() == states[i, j].tobytes()
+    validate_density_matrix(states[0])
+    assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
+
+
 def test_ginibre_workspace_reuse_matches_fresh_states(rng):
-    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh ginibre_states' bytes."""
+    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh buffers' bytes.
+
+    A complex out takes (A, B) pairs and is compared with ginibre_states; a
+    real out takes real factors and needs no product workspace.
+    """
     n, rows = 5, 40
-    out = np.full((rows, n, n), np.nan, dtype=complex)
-    zt, prod, tr = np.full(rows * 2 * n * n, np.nan), np.full(2 * rows * n * n, np.nan), np.full(rows, np.nan)
-    for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
-        z = rng.standard_normal((k, 2, n, rank))
-        block = out[:k]
-        _ginibre_into(
-            z, block, zt[: k * 2 * rank * n].reshape(k, 2, rank, n), prod[: 2 * k * n * n].reshape(2, k, n, n), tr[:k]
-        )
-        assert block.tobytes() == ginibre_states(z).tobytes(), (k, rank)
+    for real in (False, True):
+        out = np.full((rows, n, n), np.nan, dtype=float if real else complex)
+        pair = () if real else (2,)
+        zt, prod, tr = np.full(rows * 2 * n * n, np.nan), np.full(2 * rows * n * n, np.nan), np.full(rows, np.nan)
+        for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
+            z = rng.standard_normal((k,) + pair + (n, rank))
+            block = out[:k]
+            work = zt[: z.size].reshape((k,) + pair + (rank, n))
+            _ginibre_into(z, block, work, None if real else prod[: 2 * k * n * n].reshape(2, k, n, n), tr[:k])
+            fresh = _real_ginibre(z) if real else ginibre_states(z)
+            assert block.tobytes() == fresh.tobytes(), (real, k, rank)

@@ -9,13 +9,16 @@ import pytest
 
 from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix, validate_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
+from qndstab.spin import spin2_preset
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
 from qndstab import lyapunov
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import (
     CertificationImpossibleError,
     EvaluatedAtTargetError,
+    _cm_rows,
     _sample_strata,
+    _state_dtype,
     certificate_to_csv,
     certify_decay,
     default_beta,
@@ -308,6 +311,47 @@ def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_
                 assert np.all(np.abs(p - np.clip(ref, 0.0, 1.0)) <= 1e-15 * scale)
 
 
+@pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
+@pytest.mark.parametrize("J", [1, 1.5, 2, 3])
+def test_spin_generator_reads_only_the_real_part(rng, J, saturation):
+    """For the spin pair (L real diagonal, H = iA with A real) p, c and m, hence the ratio, depend on Re rho alone.
+
+    So the certificate samples real states there.  A pair whose H has a
+    real part reads Im rho too, and keeps complex states.
+    """
+    meas, ctrl = spin2_preset(0.6, J=J, saturation=saturation)
+    dec = meas.dec
+    w = solve_alpha(laplacian_matrix(ctrl.H, dec), ctrl.target)
+    batch = _mixed_batch(dec, ctrl.target, rng, 200)
+    assert np.max(np.abs(batch.imag)) > 0.1
+    assert np.count_nonzero(feedback_gain(populations(batch, dec), ctrl)) >= 100
+    full = generator_terms(batch, meas, ctrl, w)
+    for part in (batch.real + 0j, np.ascontiguousarray(batch.real)):
+        terms = generator_terms(part, meas, ctrl, w)
+        if part.dtype == complex:
+            # the imaginary coordinates are read, and change nothing
+            assert populations(part, dec).tobytes() == populations(batch, dec).tobytes()
+            for name in ("f", "g", "h", "AV"):
+                assert getattr(terms, name).tobytes() == getattr(full, name).tobytes(), name
+        else:
+            # a real state's n^2 coordinates are read instead: the same values, summed in another order
+            np.testing.assert_allclose(populations(part, dec), populations(batch, dec), rtol=0, atol=1e-15)
+            for name in ("f", "g", "h", "AV"):
+                np.testing.assert_allclose(getattr(terms, name), getattr(full, name), rtol=1e-12, atol=0)
+    assert _dtype(meas, ctrl) is float
+
+    general = _general_pair(rng)
+    gmeas, gctrl = general[:2]
+    gbatch = _mixed_batch(gmeas.dec, gctrl.target, rng, 30)
+    assert not np.array_equal(generator_terms(gbatch.real + 0j, *general).AV, generator_terms(gbatch, *general).AV)
+    assert _dtype(gmeas, gctrl) is complex
+    args = (gmeas.dec, gctrl.target, 30, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION, complex)
+    assert all(states.dtype == complex for _, states, _, _ in _sample_strata(*args))
+    # complex projectors alone make the states complex
+    rotated = measurement_setup(random_hermitian(5, rng), eta=0.5)
+    assert _state_dtype(rotated.dec, np.zeros((1, 50))) is complex
+
+
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
     meas, ctrl = spin2_tight
     vertex = meas.dec.projectors[ctrl.target].astype(complex)
@@ -340,9 +384,12 @@ def test_certify_decay_refuses_fig2_threshold(spin2_loose, spin2_delta, spin2_we
     report = certify_decay(meas, ctrl, spin2_weights, samples=20000)
     assert not report.certified
     assert report.nu_hat < 0.0
-    # witness: the diagonal closed form -A V_alpha / V_alpha at the worst populations,
+    # witness: the diagonal closed form -A V_alpha / V_alpha at the diagonal stratum's worst populations
+    # (the global worst state may lie in another stratum, where the closed form does not hold),
     # A V_alpha = (sigma^2/2) sum_s a_s.Delta p / sqrt(a_s.p) - (eta/2) sum_s (a_s.((lam - w) p))^2 / (a_s.p)^(3/2)
-    p = report.worst_populations
+    (diagonal,) = [s for s in report.strata if s.name == "diagonal"]
+    assert report.nu_hat <= diagonal.min_ratio < 0.0
+    p = diagonal.worst_populations
     alpha, lam = spin2_weights.alpha, meas.dec.eigenvalues
     ap = alpha @ p
     sigma = feedback_gain(p, ctrl)
@@ -376,13 +423,30 @@ def test_certify_decay_rejects_tiny_sample_budget(spin2_loose, spin2_weights):
         certify_decay(meas, ctrl, spin2_weights, samples=2)
 
 
-def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
+def _dtype(meas, ctrl):
+    """The state dtype certify_decay samples for this pair."""
+    return _state_dtype(meas.dec, _cm_rows(meas.dec, ctrl))
+
+
+def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
     """Reference sampler: bulk and diagonal candidates are drawn, screened and kept one at a time.
 
     Each near-vertex block draws its mixing weights in one call and its
-    Ginibre factors in another, and each state is then mixed alone.
+    Ginibre factors in another, and each state is then mixed alone.  Real
+    states (dtype float) come from one real (n, n) factor G each, as
+    G G^T / tr, and mix real vertices; complex ones from (2, n, n) pairs.
     """
     rng = np.random.default_rng(seed)
+    real = dtype is float
+    proj = dec.projectors.real if real else dec.projectors
+    factor = (dec.n, dec.n) if real else (2, dec.n, dec.n)
+
+    def ginibre(z):
+        if not real:
+            return ginibre_states(z)
+        s = z @ np.ascontiguousarray(z.T)
+        return s * (1.0 / np.trace(s))
+
     wrong = [k for k in range(dec.d) if k != target]
     n_near, n_bulk = samples // 3, samples // 3
     per_vertex = [n_near // len(wrong)] * len(wrong)
@@ -392,11 +456,11 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     for j, count in zip(wrong, per_vertex):
         if count == 0:
             continue
-        vert = dec.projectors[j] / dec.multiplicities[j]
+        vert = proj[j] / dec.multiplicities[j]
         u = rng.uniform(0.0, tv_radius, count - 1)
-        z = rng.standard_normal((count - 1, 2, dec.n, dec.n))
+        z = rng.standard_normal((count - 1,) + factor)
         near.append(vert)
-        near.extend((1.0 - u[i]) * vert + u[i] * ginibre_states(z[i]) for i in range(count - 1))
+        near.extend((1.0 - u[i]) * vert + u[i] * ginibre(z[i]) for i in range(count - 1))
 
     rejected = 0
 
@@ -413,9 +477,9 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
 
     def diagonal():
         weights = rng.dirichlet(np.ones(dec.d)) / dec.multiplicities
-        return np.einsum("k,kij->ij", weights.astype(complex), dec.projectors)
+        return np.einsum("k,kij->ij", weights.astype(dtype), proj)
 
-    bulk = until(lambda: random_density_matrix(dec.n, rng), n_bulk)
+    bulk = until(lambda: ginibre(rng.standard_normal(factor)), n_bulk)
     diag = until(diagonal, samples - n_near - n_bulk)
     return [("near_vertex", np.stack(near)), ("bulk", np.stack(bulk)), ("diagonal", np.stack(diag))], rejected
 
@@ -458,13 +522,14 @@ def test_certify_decay_matches_sequential_sampler(
     request, monkeypatch, spin2_weights, preset, samples, seed, tv_radius, target_exclusion
 ):
     meas, ctrl = request.getfixturevalue(preset)
-    args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
+    args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion, _dtype(meas, ctrl))
+    assert args[-1] is float  # the spin pair samples real states
     expected, rejected = _sequential_strata(*args)
     batched, _ = _strata_states(_sample_strata(*args))
     # every state, bit for bit, not just the worst one the certificate prints
     assert list(batched) == [name for name, _ in expected]
     for states, (_, ref) in zip(batched.values(), expected):
-        assert states.shape == ref.shape
+        assert states.shape == ref.shape and states.dtype == ref.dtype == float
         assert states.tobytes() == ref.tobytes()
     monkeypatch.setattr(lyapunov, "TV_RADIUS", tv_radius)
     monkeypatch.setattr(lyapunov, "TARGET_EXCLUSION", target_exclusion)
@@ -481,12 +546,19 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     """The near-vertex stratum's recipe, checked on the states alone and not on their draw order."""
     meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
     dec, target = meas.dec, ctrl.target
-    strata, draws = _strata_states(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
+    dtype = _dtype(meas, ctrl)
+    assert dtype is (complex if pair == "general" else float)
+    strata, draws = _strata_states(
+        _sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION, dtype)
+    )
     states = strata["near_vertex"]
     count = samples // 3
     assert list(strata)[0] == "near_vertex" and len(states) == draws["near_vertex"] == count
     wrong = [k for k in range(dec.d) if k != target]
     vertices = dec.projectors[wrong] / dec.multiplicities[wrong, None, None]
+    assert states.dtype == dtype
+    if dtype is float:
+        vertices = vertices.real
     # blocks split count evenly over the wrong vertices, the first blocks one row longer
     sizes = [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))]
     # every state lies within TV_RADIUS of its own block's vertex, in trace distance
@@ -511,7 +583,7 @@ def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_
         # the generator vanishes at every exact wrong vertex: the near-vertex minimum 0 ties across blocks
         ctrl = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     monkeypatch.setattr(lyapunov, "TARGET_EXCLUSION", target_exclusion)
-    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS, target_exclusion)
+    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS, target_exclusion, _dtype(meas, ctrl))
     # 300 samples make strata of 100 states.  Blocks of 2 hold no lone state, whose generator bits may
     # differ (generator_terms); blocks of 3 and 7 are uneven and cut across the near-vertex segments.
     runs = []
