@@ -49,7 +49,6 @@ __all__ = ["ConfigError", "parse_config", "parse_certify_config", "main", "FIGUR
 ENV_OUT = "QNDSTAB_OUT"
 
 _CAMPAIGN_KEYS = {
-    "model": str,
     "J": float,
     "eta": float,
     "p_min": float,
@@ -77,7 +76,7 @@ _CERTIFY_KEYS = {
 
 # certify resolves the model defaults a campaign uses
 _CERTIFY_DEFAULTS = {
-    **{f.name: f.default for f in fields(CampaignConfig) if f.name in ("model", "J", "eta", "saturation")},
+    **{f.name: f.default for f in fields(CampaignConfig) if f.name in ("J", "eta", "saturation")},
     "samples": 10000,
     "seed": 7,
 }
@@ -117,6 +116,10 @@ class ConfigError(ValueError):
     """Configuration document rejected; message lists field-level problems."""
 
 
+# the JSON value types each schema type takes; a bool, though an int in python, is none of them
+_ACCEPTS = {float: (int, float), int: int, str: str, list: (list, tuple)}
+
+
 def _check_fields(doc: dict, schema: dict) -> list[str]:
     problems = []
     unknown = sorted(set(doc) - set(schema))
@@ -125,18 +128,9 @@ def _check_fields(doc: dict, schema: dict) -> list[str]:
     if "p_min" not in doc:
         problems.append("p_min: required key missing")
     for key, value in doc.items():
-        if key not in schema:
-            continue
-        want = schema[key]
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            continue
-        if want is int and isinstance(value, int) and not isinstance(value, bool):
-            continue
-        if want is str and isinstance(value, str):
-            continue
-        if want is list and isinstance(value, (list, tuple)):
-            continue
-        problems.append(f"{key}: expected {want.__name__}, got {type(value).__name__}")
+        want = schema.get(key)
+        if want is not None and (isinstance(value, bool) or not isinstance(value, _ACCEPTS[want])):
+            problems.append(f"{key}: expected {want.__name__}, got {type(value).__name__}")
     return problems
 
 

@@ -109,7 +109,7 @@ __all__ = [
 
 DEFAULT_SEED = 20260814
 # The CampaignConfig fields that resolve_setups turns into the model.
-MODEL_FIELDS = ("model", "J", "eta", "p_min", "p_max", "sigma_bar", "saturation")
+MODEL_FIELDS = ("J", "eta", "p_min", "p_max", "sigma_bar", "saturation")
 ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 
 # Most trajectories one chunk advances in lockstep; it bounds a chunk's memory.
@@ -148,7 +148,6 @@ class CampaignConfig:
     p_min: float
     t_final: float
     estimator: str = "truth"
-    model: str = "spin"
     J: float = 2.0
     eta: float = DEFAULT_EFFICIENCY
     p_max: float | None = None
@@ -207,16 +206,14 @@ class CampaignConfig:
 
 
 def resolve_setups(
-    *, model: str, J: float, eta: float, p_min: float, p_max: float | None, sigma_bar: float | None, saturation: str
+    *, J: float, eta: float, p_min: float, p_max: float | None, sigma_bar: float | None, saturation: str
 ) -> tuple[MeasurementSetup, ControlSetup]:
-    """Build the (measurement, control) pair the model fields describe.
+    """Build the spin (measurement, control) pair the model fields describe.
 
-    This is the one check of the model fields: model here, J in
-    build_spin_model, eta in measurement_setup and the gain law (p_min,
-    p_max, sigma_bar, saturation) in control_setup.
+    This is the one check of the model fields: J in build_spin_model, eta
+    in measurement_setup and the gain law (p_min, p_max, sigma_bar,
+    saturation) in control_setup.
     """
-    if model != "spin":
-        raise ValueError(f"model: only 'spin' is available, got {model!r}")
     return spin2_preset(p_min=p_min, sigma_bar=sigma_bar, eta=eta, J=J, p_max=p_max, saturation=saturation)
 
 
@@ -541,11 +538,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     return err, vop, np.ascontiguousarray(rho[:n].T), engaged
 
 
-def _chunk_task(args):
-    cfg, start, stop = args
-    return _integrate_chunk(cfg, start, stop)
-
-
 def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     """Integrate a single trajectory, bit-identical to its appearance in any ensemble.
 
@@ -573,7 +565,8 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(bounds))) as pool:
-            parts = list(pool.map(_chunk_task, [(cfg, a, b) for a, b in bounds]))
+            starts, stops = zip(*bounds)
+            parts = list(pool.map(_integrate_chunk, [cfg] * len(bounds), starts, stops))
     else:
         parts = [_integrate_chunk(cfg, a, b) for a, b in bounds]
     err = np.concatenate([p[0] for p in parts], axis=0)

@@ -32,7 +32,6 @@ E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -297,45 +296,6 @@ def _blocks(count):
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _near_vertex_states(dec, proj, target, count, tv_radius, rng, ginibre, states, p):
-    """Yield blocks of count mixtures (1 - u) vertex + u rho, split evenly over the wrong vertices.
-
-    Each nonempty vertex segment of k rows is led by its exact vertex.  Its
-    other k - 1 rows' weights u in [0, tv_radius) come block by block from a
-    copy of the stream taken where the segment starts, and the stream itself
-    advances past those k - 1 draws; so u reads the stream as one call for
-    all k - 1 weights does, and is never held whole.  Each block a segment
-    meets then draws its share of the Ginibre factors in one call, and these
-    calls read the stream as one call does.  The mixture u rho + (1 - u) vertex
-    is formed in place on the real view of the states.  The vertices are
-    proj / multiplicity, with proj the projectors in the states' dtype.
-    """
-    wrong = [k for k in range(dec.d) if k != target]
-    seg = np.cumsum([0] + [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))])
-    start = 0
-    for size in _blocks(count):
-        for j, s0, s1 in zip(wrong, seg[:-1], seg[1:]):
-            lo, hi = max(s0, start), min(s1, start + size)
-            if lo >= hi:
-                continue
-            vert = proj[j] / dec.multiplicities[j]
-            if lo == s0:  # only a block's last segment runs on into the next block, so weights carries over
-                weights = copy.deepcopy(rng)
-                rng.bit_generator.advance(int(s1 - s0 - 1))
-                states[lo - start] = vert
-                lo += 1
-            if lo == hi:
-                continue
-            u = weights.uniform(0.0, tv_radius, hi - lo)[:, None, None]
-            work = ginibre(slice(lo - start, hi - start))
-            x = states[lo - start : hi - start].view(float)
-            x *= u
-            x += np.multiply(1.0 - u, vert.view(float), out=work)
-        _populations(states[:size], dec, out=p[:size])
-        yield "near_vertex", states[:size], p[:size], size
-        start += size
-
-
 def _screened_states(name, draw, count, dec, target, target_exclusion, states, p):
     """Yield (name, states, populations, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
 
@@ -364,6 +324,16 @@ def _screened_states(name, draw, count, dec, target, target_exclusion, states, p
 def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
     """Yield (name, states, populations, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order.
 
+    All three strata run through _screened_states, the near-vertex one
+    with exclusion -inf, so none of its states is screened out.  Its rows
+    split evenly over the wrong vertices, the first segments one row
+    longer.  Each row mixes (1 - u) vertex + u rho in place, with one
+    weight u in [0, tv_radius) from a stream of its own, a child of
+    SeedSequence(seed), and one Ginibre state rho, whose factor reads
+    default_rng(seed) as the bulk and diagonal do; each segment's first
+    row is then set to its exact vertex.  Each stream is read in order,
+    block after block, so no state depends on the block size.
+
     Every buffer is allocated once per call, as large as the largest block,
     and refilled in place block after block: the yielded states and
     populations are views that stay valid only until the next block is
@@ -374,9 +344,9 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtyp
     real and imaginary views of the state buffer.
     """
     rng = np.random.default_rng(seed)
+    u_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     d, n = dec.d, dec.n
-    n_near = samples // 3
-    n_bulk = samples // 3
+    n_near = n_bulk = samples // 3
     size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
     real = dtype is float
     proj = dec.projectors.real if real else dec.projectors
@@ -384,6 +354,10 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtyp
     states, p = np.empty((size, n, n), dtype=dtype), np.empty((size, d))
     z, zt, tr = np.empty((size,) + factor), np.empty((size,) + factor), np.empty(size)
     prod = None if real else np.empty((2, size, n, n))
+    wrong = [k for k in range(d) if k != target]
+    vertices = proj[wrong] / dec.multiplicities[wrong, None, None]
+    starts = np.cumsum([0] + [n_near // len(wrong) + (i < n_near % len(wrong)) for i in range(len(wrong) - 1)])
+    drawn = 0
 
     def ginibre(rows):
         """Ginibre states from one standard_normal call into states[rows]; returns the free workspace, shaped as their real view."""
@@ -392,17 +366,33 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtyp
         _ginibre_into(z[:k], states[rows], zt[:k], None if real else prod[:, :k], tr[:k])
         return zt[:k].reshape(states[rows].view(float).shape)
 
+    def near_vertex(rows):
+        nonlocal drawn
+        at = np.arange(drawn, drawn + rows.stop - rows.start)
+        drawn += len(at)
+        owner = np.searchsorted(starts, at, side="right") - 1
+        u = u_rng.uniform(0.0, tv_radius, len(at))[:, None, None]
+        # each row's vertex, into the workspace ginibre leaves free; mode clip writes there unbuffered
+        work = np.take(vertices.view(float), owner, axis=0, out=ginibre(rows), mode="clip")
+        work *= 1.0 - u
+        x = states[rows].view(float)
+        x *= u
+        x += work
+        first = at == starts[owner]
+        states[rows][first] = vertices[owner[first]]
+
     def diagonal(rows):
         weights = rng.dirichlet(np.ones(d), rows.stop - rows.start) / dec.multiplicities
         np.einsum("...k,kij->...ij", weights, proj.real, out=states[rows].real)
         if not real:
             np.einsum("...k,kij->...ij", weights, proj.imag, out=states[rows].imag)
 
-    yield from _near_vertex_states(dec, proj, target, n_near, tv_radius, rng, ginibre, states, p)
-    yield from _screened_states("bulk", ginibre, n_bulk, dec, target, target_exclusion, states, p)
-    yield from _screened_states(
-        "diagonal", diagonal, samples - n_near - n_bulk, dec, target, target_exclusion, states, p
-    )
+    for name, draw, count, exclusion in (
+        ("near_vertex", near_vertex, n_near, -np.inf),
+        ("bulk", ginibre, n_bulk, target_exclusion),
+        ("diagonal", diagonal, samples - n_near - n_bulk, target_exclusion),
+    ):
+        yield from _screened_states(name, draw, count, dec, target, exclusion, states, p)
 
 
 def certify_decay(
@@ -430,14 +420,12 @@ def certify_decay(
     Each stratum is sampled and evaluated in near-equal blocks of at most
     BLOCK states, so memory does not grow with samples; the blocks fold
     into the stratum's result in draw order, and the report does not
-    depend on BLOCK (at least 3, see _blocks).  A seed fixes every sampled state.  All three strata
-    draw from one np.random.default_rng(seed) stream, in this order:
-    near-vertex, then bulk, then diagonal.  Each wrong vertex's mixing
-    weights read the stream ahead of its Ginibre factors, as if drawn in
-    one call.  Bulk and diagonal candidates
-    are drawn in rounds of exactly the block's missing count and screened
-    as one batch, which reads the stream exactly as drawing and screening
-    one state at a time.
+    depend on BLOCK (at least 3, see _blocks).  A seed fixes every
+    sampled state: the near-vertex mixing weights read a child stream of
+    SeedSequence(seed), every other draw np.random.default_rng(seed).
+    Bulk and diagonal candidates are drawn in rounds of exactly the block's
+    missing count and screened as one batch, which reads the stream
+    exactly as drawing and screening one state at a time.
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")

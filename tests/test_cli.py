@@ -27,7 +27,7 @@ def _sha256(path):
 
 
 def test_parse_config_minimal_defaults():
-    cfg = parse_config('{"model": "spin", "J": 2, "p_min": 0.9}')
+    cfg = parse_config('{"J": 2, "p_min": 0.9}')
     assert cfg.p_min == 0.9
     assert cfg.J == 2.0
     assert cfg.t_final == 50.0
@@ -43,7 +43,6 @@ def test_parse_config_minimal_defaults():
 
 def test_parse_config_full_document():
     doc = {
-        "model": "spin",
         "J": 2.0,
         "eta": 0.8,
         "p_min": 0.6,
@@ -83,7 +82,7 @@ def test_parse_config_full_document():
         ('{"p_min": 0.9, "sigma_bar": -2}', "sigma_bar"),
         ('{"p_min": 0.9, "estimator": "kalman"}', "estimator"),
         ('{"p_min": 0.9, "fit_window": [1, 2, 3]}', "fit_window"),
-        ('{"p_min": 0.9, "model": "cavity"}', "model"),
+        ('{"p_min": 0.9, "model": "spin"}', "unknown keys: model"),
         ('{"p_min": 0.9, "initial": "pure"}', "initial"),
         ('{"p_min": 0.9, "saturation": "bogus"}', "saturation"),
         ('{"p_min": 0.9, "J": 2.3}', "J must be"),
@@ -111,7 +110,6 @@ def test_parse_config_wraps_campaign_validation():
 
 def test_parse_certify_config_defaults():
     doc = parse_certify_config('{"p_min": 0.9}')
-    assert doc["model"] == "spin"
     assert doc["J"] == 2.0
     assert doc["eta"] == 0.8
     assert doc["saturation"] == "piecewise_linear"
@@ -134,7 +132,7 @@ def test_parse_certify_config_rejections():
         ('{"p_min": 0.7, "p_max": 0.65}', "p_max"),
         ('{"p_min": 0.9, "eta": 1.4}', "eta"),
         ('{"p_min": 0.9, "sigma_bar": -2}', "sigma_bar"),
-        ('{"p_min": 0.9, "model": "cavity"}', "model"),
+        ('{"p_min": 0.9, "model": "spin"}', "unknown keys: model"),
         ('{"p_min": 0.9, "saturation": "bogus"}', "saturation"),
         ('{"p_min": 0.9, "J": 2.3}', "J must be"),
         ('{"p_min": 0.9, "J": -1}', "J must be"),

@@ -98,8 +98,6 @@ def test_delay_buffer_rejects_fractional_delay():
 def test_campaign_config_validation():
     ok = dict(p_min=0.9, t_final=1.0, fit_window=(0.2, 0.8))
     CampaignConfig(**ok)
-    with pytest.raises(ValueError, match="model"):
-        CampaignConfig(**ok, model="cavity")
     with pytest.raises(ValueError, match="estimator"):
         CampaignConfig(**ok, estimator="kalman")
     with pytest.raises(ValueError, match="trajectories"):

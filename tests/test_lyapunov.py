@@ -429,14 +429,17 @@ def _dtype(meas, ctrl):
 
 
 def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
-    """Reference sampler: bulk and diagonal candidates are drawn, screened and kept one at a time.
+    """Reference sampler: every state is drawn alone, and bulk and diagonal candidates are screened and kept one at a time.
 
-    Each near-vertex block draws its mixing weights in one call and its
-    Ginibre factors in another, and each state is then mixed alone.  Real
-    states (dtype float) come from one real (n, n) factor G each, as
-    G G^T / tr, and mix real vertices; complex ones from (2, n, n) pairs.
+    Each near-vertex state draws its mixing weight from the weight stream,
+    a child of SeedSequence(seed), and its Ginibre factor from the main
+    stream default_rng(seed); a wrong vertex's first state is then its
+    exact vertex, whose draws go unused.  Real states (dtype float) come
+    from one real (n, n) factor G each, as G G^T / tr, and mix real
+    vertices; complex ones from (2, n, n) pairs.
     """
     rng = np.random.default_rng(seed)
+    u_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     real = dtype is float
     proj = dec.projectors.real if real else dec.projectors
     factor = (dec.n, dec.n) if real else (2, dec.n, dec.n)
@@ -454,13 +457,11 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, 
         per_vertex[i] += 1
     near = []
     for j, count in zip(wrong, per_vertex):
-        if count == 0:
-            continue
         vert = proj[j] / dec.multiplicities[j]
-        u = rng.uniform(0.0, tv_radius, count - 1)
-        z = rng.standard_normal((count - 1,) + factor)
-        near.append(vert)
-        near.extend((1.0 - u[i]) * vert + u[i] * ginibre(z[i]) for i in range(count - 1))
+        for i in range(count):
+            u = u_rng.uniform(0.0, tv_radius)
+            rho = ginibre(rng.standard_normal(factor))
+            near.append(vert if i == 0 else (1.0 - u) * vert + u * rho)
 
     rejected = 0
 
@@ -539,6 +540,9 @@ def test_certify_decay_matches_sequential_sampler(
     if target_exclusion == 0.9:
         # the rejection rounds ran: the reference rejected, and redrew, at least once
         assert rejected > 0
+        # near-vertex states are never screened: some that the screen would reject are kept
+        p_target = populations(batched["near_vertex"], meas.dec)[:, ctrl.target]
+        assert np.any(1.0 - p_target < target_exclusion)
 
 
 @pytest.mark.parametrize("pair, samples", [("spin2_tight", 4), ("spin2_tight", 3000), ("general", 1000)])
