@@ -82,6 +82,7 @@ def test_parse_config_full_document():
         ('{"p_min": 0.9, "sigma_bar": -2}', "sigma_bar"),
         ('{"p_min": 0.9, "estimator": "kalman"}', "estimator"),
         ('{"p_min": 0.9, "fit_window": [1, 2, 3]}', "fit_window"),
+        ('{"p_min": 0.9, "model": "cavity"}', "model"),
         ('{"p_min": 0.9, "model": "spin"}', "unknown keys: model"),
         ('{"p_min": 0.9, "initial": "pure"}', "initial"),
         ('{"p_min": 0.9, "saturation": "bogus"}', "saturation"),
