@@ -31,7 +31,6 @@ from .ensemble import (
     MODEL_FIELDS,
     CampaignConfig,
     EnsembleResult,
-    resolve_setups,
     run_ensemble,
     write_series_csv,
     write_summary_csv,
@@ -43,6 +42,7 @@ from .lyapunov import (
     certify_decay,
     solve_alpha,
 )
+from .spin import spin2_preset
 
 __all__ = ["ConfigError", "parse_config", "parse_certify_config", "main", "FIGURE_PRESETS"]
 
@@ -177,7 +177,7 @@ def parse_certify_config(text: str) -> dict:
 
 def _certify_setups(doc: dict):
     try:
-        return resolve_setups(**{k: doc.get(k) for k in MODEL_FIELDS})
+        return spin2_preset(**{k: doc.get(k) for k in MODEL_FIELDS})
     except ValueError as exc:
         raise ConfigError(f"invalid certification config: {exc}") from exc
 

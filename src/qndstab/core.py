@@ -3,10 +3,13 @@
 States are complex ndarrays of shape (n, n), or batches with arbitrary
 leading axes, shape (..., n, n); populations also reads real states.
 Every operation here broadcasts over the leading axes, so trajectory
-ensembles can be pushed through as a single array.  The measurement operator is Hermitian throughout; its spectral
-decomposition (distinct eigenvalues, descending, with orthogonal
-projectors) is the object the rest of the package consumes, because the
-eigenspace populations are what the feedback laws act on.
+ensembles can be pushed through as a single array.
+
+The measurement operator is real diagonal with strictly descending
+entries, L = diag(l), so each eigenspace is one basis vector: its
+spectral decomposition (the entries of l, in order, with the coordinate
+projectors) is the object the rest of the package consumes, and the
+eigenspace populations the feedback laws act on are the state diagonal.
 
 Conventions: all tolerances are absolute unless stated otherwise, and all
 random sampling takes an explicit numpy Generator so callers own seeding.
@@ -15,7 +18,6 @@ random sampling takes an explicit numpy Generator so callers own seeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12  # entrywise |M - M^dag| allowed by validate_hermitian
 DENSITY_TOL = 1e-9  # Hermiticity, trace and positivity slack of validate_density_matrix
-DEGENERACY_TOL = 1e-8  # eigenvalue gap below which spectral_decomposition merges eigenspaces
+DEGENERACY_TOL = 1e-8  # gap between consecutive entries of L at or below which spectral_decomposition refuses L
 TRACE_FLOOR = 1e-12  # clipped trace at or below which project_to_physical gives up
 
 
@@ -90,17 +92,14 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) and spectral projectors of a Hermitian operator.
+    """Eigenvalues (descending) and spectral projectors of a measurement operator.
 
     eigenvalues: (d,) real, strictly decreasing.
-    projectors: (d, n, n) complex, Hermitian, idempotent, mutually orthogonal,
-        resolving the identity.
-    multiplicities: (d,) int, eigenspace dimensions, summing to n.
+    projectors: (d, n, n) real, the coordinate projectors e_k e_k^T (d = n).
     """
 
     eigenvalues: np.ndarray
     projectors: np.ndarray
-    multiplicities: np.ndarray
 
     @property
     def d(self) -> int:
@@ -110,89 +109,51 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.projectors.shape[-1]
 
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """The projectors as real weight rows for _expectations, built once."""
-        return _real_rows(self.projectors)
-
 
 def spectral_decomposition(op: np.ndarray) -> SpectralDecomposition:
-    """Group the spectrum of a Hermitian operator into distinct eigenspaces.
+    """The decomposition of a real diagonal measurement operator L with strictly descending entries.
 
-    Eigenvalues closer than DEGENERACY_TOL (chained by consecutive
-    gaps) are merged into a single eigenspace; the reported eigenvalue of a
-    group is the group mean.  Output ordering is descending.
+    This is the one check of L: an entry off the diagonal, a diagonal
+    entry with an imaginary part, or a gap l_k - l_{k+1} <= DEGENERACY_TOL
+    (an ascending or degenerate spectrum) raises ValueError.  A complex
+    dtype with zero imaginary part is accepted.
     """
-    op = validate_hermitian(op, name="measurement operator")
+    op = _require_square(op, "measurement operator")
     if op.ndim != 2:
         raise ValueError("spectral_decomposition takes a single matrix, not a batch")
-    w, v = np.linalg.eigh(op)
-    n = len(w)
-    # cluster ascending eigenvalues by consecutive gaps
-    boundaries = [0]
-    for i in range(1, n):
-        if w[i] - w[i - 1] > DEGENERACY_TOL:
-            boundaries.append(i)
-    boundaries.append(n)
-    eigenvalues = []
-    projectors = []
-    multiplicities = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        block = v[:, a:b]
-        proj = block @ np.conj(block.T)
-        eigenvalues.append(float(np.mean(w[a:b])))
-        projectors.append(hermitian_part(proj))
-        multiplicities.append(b - a)
-    # descending order to match the eigenvalue-indexing convention
-    eigenvalues = np.asarray(eigenvalues[::-1], dtype=float)
-    projectors = np.asarray(projectors[::-1], dtype=complex)
-    multiplicities = np.asarray(multiplicities[::-1], dtype=int)
-    return SpectralDecomposition(eigenvalues, projectors, multiplicities)
+    lvec = np.diagonal(op).real.astype(float)
+    if np.any(op != np.diag(lvec)):
+        raise ValueError("measurement operator must be real diagonal, L = diag(l)")
+    if np.any(lvec[:-1] - lvec[1:] <= DEGENERACY_TOL):
+        raise ValueError(
+            f"measurement operator must have strictly descending diagonal entries, each gap > {DEGENERACY_TOL:.1e}"
+        )
+    eye = np.eye(len(lvec))
+    return SpectralDecomposition(lvec, eye[:, :, None] * eye[:, None, :])
 
 
-def _real_rows(obs: np.ndarray) -> np.ndarray:
-    """Weight rows, shape (k, 2 n^2), that read Re tr(obs_k rho) off rho's real coordinates.
+def _expectations(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Re tr(obs_k rho) for real observables obs_k given as rows (k, n^2) of obs_k^T, shape (..., k).
 
-    Row k interleaves Re obs_k^T and -Im obs_k^T in the order of the float64
-    view of a C-ordered complex rho, so Re(obs_k[j, i] rho[i, j]) is the
-    sum of the two products at rho[i, j]'s real and imaginary parts.
+    rho is complex or real, shape (..., n, n); a real observable reads only
+    Re rho, so one real einsum runs over its n^2 coordinates.  The einsum
+    runs without optimize, so no BLAS call sums over the batch axis.
     """
-    t = np.swapaxes(obs, -1, -2)
-    return np.stack([t.real, -t.imag], axis=-1).reshape(len(obs), -1)
-
-
-def _expectations(rho: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
-    """Re tr(obs_k rho) for the rows of _real_rows(obs), shape (..., k), from one real einsum.
-
-    rho is complex or real, shape (..., n, n), and the einsum reads the
-    float64 view of whichever it is: a complex rho's 2 n^2 coordinates
-    against the full rows, a real rho's n^2 against their even columns,
-    the weights Re obs_k^T.  The einsum runs without optimize, so no BLAS
-    call sums over the batch axis.  The result is written into out when
-    given.
-    """
-    rho = np.ascontiguousarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
-    x = rho.view(float).reshape(rho.shape[:-2] + (-1,))
-    if x.shape[-1] < rows.shape[-1]:
-        rows = np.ascontiguousarray(rows[:, ::2])
-    return np.einsum("...x,kx->...k", x, rows, out=out)
+    x = np.ascontiguousarray(np.real(rho), dtype=float)
+    return np.einsum("...x,kx->...k", x.reshape(x.shape[:-2] + (-1,)), rows)
 
 
 def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
-    """Eigenspace populations p_k = tr(rho Pi_k), shape (..., d), clipped to [0, 1].
-
-    rho is complex or real; the trace runs over the real coordinates of
-    either (_expectations).
-    """
+    """Eigenspace populations p_k = tr(rho Pi_k) = Re rho_kk, shape (..., d), clipped to [0, 1]; rho is complex or real."""
     rho = np.asarray(rho)
     if rho.shape[-1] != dec.n:
         raise ValueError(f"state dim {rho.shape[-1]} does not match decomposition dim {dec.n}")
-    return _populations(rho, dec)
+    return _populations(rho)
 
 
-def _populations(rho: np.ndarray, dec: SpectralDecomposition, out=None) -> np.ndarray:
+def _populations(rho: np.ndarray, out=None) -> np.ndarray:
     """populations without the dimension check, written into out (shape (..., d)) when given."""
-    return np.clip(_expectations(rho, dec._rows, out), 0.0, 1.0, out=out)
+    return np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, 1.0, out=out)
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:

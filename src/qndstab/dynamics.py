@@ -5,10 +5,13 @@ The measurement layer is the Ito diffusion
     drho = D_L(rho) dt + sqrt(eta) M_L(rho) dW,
     dY   = 2 sqrt(eta) tr(L rho) dt + dW,
 
-with Hermitian measurement operator L and detection efficiency eta.  The
+with measurement operator L and detection efficiency eta.  The
 noise-assisted controller conjugates the post-measurement state by
 exp(-i H dv) with dv = sigma(rho) dB, where B is a Brownian motion
-independent of W and sigma is the population-triggered gain below.  One
+independent of W and sigma is the population-triggered gain below.  The
+package takes one model class, checked once by the two setups: L real
+diagonal with strictly descending entries (measurement_setup) and H
+purely imaginary (control_setup).  One
 simulation step is therefore Euler-Maruyama for the measurement part
 followed by the exact unitary conjugation, followed by projection back
 onto the physical state space.  The splitting keeps eigenstates of L
@@ -83,9 +86,10 @@ class ControlSetup:
 def measurement_setup(L: np.ndarray, eta: float) -> MeasurementSetup:
     """Validate and package a QND measurement channel.
 
-    Eigenvalues of L closer than core.DEGENERACY_TOL share one eigenspace.
+    L must be real diagonal with strictly descending entries, each gap
+    larger than core.DEGENERACY_TOL (core.spectral_decomposition checks it).
     """
-    L = validate_hermitian(np.asarray(L, dtype=complex), name="measurement operator")
+    L = np.asarray(L, dtype=complex)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta (detection efficiency) must lie in [0, 1], got {eta}")
     dec = spectral_decomposition(L)
@@ -103,10 +107,13 @@ def control_setup(
 ) -> ControlSetup:
     """Validate and package the noise-assisted gain law.
 
-    sigma_bar = 0 is allowed (it disables the control channel; used for
-    open-loop baselines and negative certification tests).
+    H must be Hermitian and purely imaginary, H = iA with A real
+    antisymmetric.  sigma_bar = 0 is allowed (it disables the control
+    channel; used for open-loop baselines and negative certification tests).
     """
     H = validate_hermitian(np.asarray(H, dtype=complex), name="control Hamiltonian")
+    if np.any(H.real != 0.0):
+        raise ValueError("control Hamiltonian must be purely imaginary, H = iA with A real")
     if H.shape[-1] != dec.n:
         raise ValueError(f"H dim {H.shape[-1]} does not match measurement dim {dec.n}")
     if not 0 <= target < dec.d:

@@ -9,22 +9,17 @@ increment dy = 2 sqrt(eta) tr(L rho) dt + dW, one step is
     M    = I - L^2 dt / 2 + sqrt(eta) L dy + (eta / 2) L^2 (dy^2 - dt),
 
 then rho <- U rho U^T with U = exp(-i H sigma dB), then rho <- rho / tr(rho).
-The engine is specialized to nondegenerate measurement operators that are
-diagonal in the working basis, L = diag(l); it sorts the basis by descending
-l, so the state diagonal lists the populations in eigenvalue order.  Then
-M = diag(m), and the measurement update is the elementwise product of rho
-with m m^T + (1 - eta) dt l l^T.  That factor is positive semidefinite, so
-by the Schur product theorem the state stays positive semidefinite with no
-repair, and every eigenstate of L is an exact fixed point (the update only
-rescales its one nonzero entry, and the trace division restores it).  A
-nonpositive or non-finite trace raises UnrecoverableStateError.  The engine
-is also specialized to purely imaginary control Hamiltonians H = iA (A = Im H
-real antisymmetric) with a nondegenerate spectrum, so every control rotation
-exp(-iH x) = exp(A x) is a real orthogonal matrix; from a real initial state
-the state stays real symmetric.  eigh lists the spectrum of H in ascending
-order as +-w pairs around an optional zero mode, so pairing eigenvalue k
-with n-1-k builds exp(A x) from one (cos, sin) pair per rotation plane of A
-(_rotation_planes): n coefficients per rotation instead of 2n.
+In the package's model class (dynamics: L = diag(l) with descending l,
+H = iA with A real) M = diag(m), and the measurement update is the
+elementwise product of rho with m m^T + (1 - eta) dt l l^T.  That factor
+is positive semidefinite, so by the Schur product theorem the state stays
+positive semidefinite with no repair, and every eigenstate of L is an
+exact fixed point (the update only rescales its one nonzero entry, and
+the trace division restores it).  A nonpositive or non-finite trace
+raises UnrecoverableStateError.  Every control rotation exp(-iH x) =
+exp(A x) is real orthogonal, so from a real initial state the state stays
+real symmetric; _rotation_planes builds it from one (cos, sin) pair per
+rotation plane of A, which needs H to have a nondegenerate spectrum.
 
 States are float64, packed and batch-last: a chunk of m trajectories
 carries its n x n states as one (n(n+1)/2, m) array, the n diagonal entries
@@ -35,43 +30,42 @@ population filter are row operations on contiguous rows of m; the
 populations are the view [:n].
 
 Every state the engine carries takes the same two-stage step: it is
-multiplied by the plant's Schur factor, then its control stage runs.
-The matrix control stages run only on the columns where they are nonzero:
+multiplied by the plant's Schur factor, then its control stage runs.  The
+matrix control stages run only on the columns where they are nonzero:
 _Packed.update_active unpacks those columns into (k, n, n) matrices and
 packs the stage's products back, symmetrized, so no other state is
-unpacked.  The full observer knows
-Y and B and starts at the true state, so its step is the plant's step with
-the same factor and dB: the engine runs no copy of it, and a full_observer
-campaign gives exactly the truth trajectories at the truth cost.  The two
-filters replace the rotation by its average under the delayed gain sigma:
-the reduced filter applies filters._averaged_control, and the population
-filter, on the factor's rows [:n], that channel's first-order diagonal
-(filters._population_update, which filters.population_filter_step runs
-too).  Where sigma = 0 both take exactly the plant's measurement stage.
-dynamics.closed_loop_step keeps Euler-Maruyama with the physicality
-projection as the reference scheme; both schemes are first order in dt.
+unpacked.  The full observer knows Y and B and starts at the true state,
+so its step is the plant's step with the same factor and dB: the engine
+runs no copy of it, and a full_observer campaign gives exactly the truth
+trajectories at the truth cost.  The two filters replace the rotation by
+its average under the delayed gain sigma: the reduced filter applies
+filters._averaged_control, and the population filter, on the factor's
+rows [:n], that channel's first-order diagonal (filters._population_update,
+which filters.population_filter_step runs too).  Where sigma = 0 both take
+exactly the plant's measurement stage.  dynamics.closed_loop_step keeps
+Euler-Maruyama with the physicality projection as the reference scheme;
+both schemes are first order in dt.
 
 Reproducibility contract: every trajectory owns two counter-based noise
 streams (Philox) keyed by (base_seed, 4*index) for the measurement noise
-W and (base_seed, 4*index + 1) for the control noise B.  A chunk draws them
-NOISE_BLOCK steps at a time into (step, trajectory) rows, one tile of
+W and (base_seed, 4*index + 1) for the control noise B.  A chunk draws
+them NOISE_BLOCK steps at a time into (step, trajectory) rows, one tile of
 NOISE_TILE trajectories at a time: each tile is transposed into the rows
-while it is still in cache, so no (m, NOISE_BLOCK) draw buffer exists.  Each trajectory reads its own streams in order, and a stream's
-normals do not depend on how its draws are split, so neither size changes
-a bit.  Every
-reduction over a state index takes a fixed order at every batch width: an
-explicit accumulation over rows, a banded sum over the nonzero bands of the
-actuation Laplacian in ascending index, a per-matrix product, the per-row
-einsum over one (cos, sin) pair per rotation plane that builds each
-rotation, a max, or v_open on an (m, n) C-order copy.
-numpy's own sums pick their order from the memory layout, and a width-1
-chunk is contiguous along the state axis, so they are not used over that
-axis.  A trajectory's bits therefore do not depend on which rows share its
-batch.
+while it is still in cache, so no (m, NOISE_BLOCK) draw buffer exists.
+Each trajectory reads its own streams in order, and a stream's normals do
+not depend on how its draws are split, so neither size changes a bit.
+
+Every reduction over a state index takes a fixed order at every batch
+width: an explicit accumulation over rows, a banded sum over the nonzero
+bands of the actuation Laplacian in ascending index, a per-matrix product,
+the per-row einsum over one (cos, sin) pair per rotation plane that builds
+each rotation, a max, or v_open on an (m, n) C-order copy.  numpy's own
+sums pick their order from the memory layout, and a width-1 chunk is
+contiguous along the state axis, so they are not used over that axis.  A
+trajectory's bits therefore do not depend on which rows share its batch.
 run_ensemble cuts the ensemble into contiguous chunks, at least one per
 worker; worker count, chunk layout and recording stride therefore never
-change the bits of any trajectory, and ensembles aggregate in index
-order.
+change the bits of any trajectory, and ensembles aggregate in index order.
 """
 
 from __future__ import annotations
@@ -96,7 +90,6 @@ __all__ = [
     "EnsembleResult",
     "FitDomainError",
     "DelayedGainBuffer",
-    "resolve_setups",
     "noise_generator",
     "run_trajectory",
     "run_ensemble",
@@ -108,7 +101,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20260814
-# The CampaignConfig fields that resolve_setups turns into the model.
+# The CampaignConfig fields that spin2_preset turns into the model.
 MODEL_FIELDS = ("J", "eta", "p_min", "p_max", "sigma_bar", "saturation")
 ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
 
@@ -142,7 +135,7 @@ class CampaignConfig:
     starting state: "mixed" is the maximally mixed state I/n, "target" the
     target eigenstate (plant and estimator always start at the same state).
     Construction checks every field, the model fields through
-    resolve_setups, so an invalid config fails here and not in a worker.
+    spin2_preset, so an invalid config fails here and not in a worker.
     """
 
     p_min: float
@@ -198,23 +191,11 @@ class CampaignConfig:
 
     def setups(self) -> tuple[MeasurementSetup, ControlSetup]:
         """The (measurement, control) pair of this config's model fields."""
-        return resolve_setups(**{k: getattr(self, k) for k in MODEL_FIELDS})
+        return spin2_preset(**{k: getattr(self, k) for k in MODEL_FIELDS})
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
-
-
-def resolve_setups(
-    *, J: float, eta: float, p_min: float, p_max: float | None, sigma_bar: float | None, saturation: str
-) -> tuple[MeasurementSetup, ControlSetup]:
-    """Build the spin (measurement, control) pair the model fields describe.
-
-    This is the one check of the model fields: J in build_spin_model, eta
-    in measurement_setup and the gain law (p_min, p_max, sigma_bar,
-    saturation) in control_setup.
-    """
-    return spin2_preset(p_min=p_min, sigma_bar=sigma_bar, eta=eta, J=J, p_max=p_max, saturation=saturation)
 
 
 def noise_generator(base_seed: int, index: int, stream: int) -> np.random.Generator:
@@ -410,24 +391,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     """
     meas, ctrl = cfg.setups()
     dec = meas.dec
-    n = dec.n
-    lvec = np.diagonal(meas.L).real
-    if np.max(np.abs(meas.L - np.diag(lvec))) != 0.0:
-        raise ValueError("campaign integrator requires a measurement operator diagonal in the working basis")
-    if dec.d != n:
-        raise ValueError("campaign integrator requires a nondegenerate measurement operator")
-    if np.any(ctrl.H.real != 0.0):
-        raise ValueError("campaign integrator requires a purely imaginary control Hamiltonian (real rotations)")
-    # reorder the basis by descending eigenvalue of L, so that the state
-    # diagonal lists the populations in the decomposition's order
-    order = np.argsort(-lvec, kind="stable")
-    lvec = lvec[order]
-    h = ctrl.H[np.ix_(order, order)]
+    n, lvec = dec.n, dec.eigenvalues
     target = ctrl.target
     eta, dt = meas.eta, cfg.dt
     sqeta = np.sqrt(eta)
     pk = _Packed(n)
-    planes = _rotation_planes(h)
+    planes = _rotation_planes(ctrl.H)
     need_b = ctrl.sigma_bar > 0.0
     estimator = cfg.estimator
 
@@ -447,7 +416,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     # and the averaged control's operands
     krows = _kraus_rows(lvec, dt, m)
     cross = np.repeat(((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None], m, axis=1)
-    gen = h.imag
+    gen = ctrl.H.imag
     averaged = (gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(n))
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
@@ -469,6 +438,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     dw_rows = np.empty((width, m))
     db_rows = np.empty((width, m)) if need_b else None
     streams = [(gens_w, dw_rows), (gens_b, db_rows)] if need_b else [(gens_w, dw_rows)]
+    zero_dv = np.zeros(m)  # the open loop's control angles, built once: update_active only reads them
 
     wrong = [k for k in range(n) if k != target]
 
@@ -516,7 +486,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             else:
                 p_est = rho_hat[:n]
             sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
-            dv = sigma_app * db_rows[j] if need_b else np.zeros(m)
+            dv = sigma_app * db_rows[j] if need_b else zero_dv
 
             dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
             factor = _kraus_factor(eta, dt, dy, pk, krows, cross)

@@ -39,20 +39,16 @@ CONNECTIVITY_TOL = 1e-10  # Laplacian entries at or below this are not edges of 
 def laplacian_matrix(H: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     """Actuation Laplacian Delta_{k,k'} = tr(Pi_k D_H(Pi_{k'})) on the eigenspace index set.
 
-    Off-diagonal entries equal tr(Pi_k H Pi_{k'} H) >= 0; diagonal entries
-    are the negated row sums, so rows (and by symmetry columns) sum to zero
+    With the coordinate projectors Pi_k = e_k e_k^T, the off-diagonal
+    entries are tr(Pi_k H Pi_{k'} H) = |H_{kk'}|^2; the diagonal entries are
+    the negated row sums, so rows (and by symmetry columns) sum to zero
     exactly as floating-point sums.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape[-1] != dec.n:
         raise ValueError(f"H dim {H.shape[-1]} does not match decomposition dim {dec.n}")
-    ph = dec.projectors @ H
-    off = np.einsum("kij,lji->kl", ph, ph).real
-    off = 0.5 * (off + off.T)
+    off = np.abs(H) ** 2
     np.fill_diagonal(off, 0.0)
-    # exact zeros can round to tiny negatives; the true off-diagonals are
-    # trace inner products tr(B^dag B) and cannot be negative
-    off[off < 0] = 0.0
     delta = off.copy()
     np.fill_diagonal(delta, -np.sum(off, axis=1))
     return delta

@@ -20,9 +20,9 @@ For V_alpha the Markov generator evaluates in closed form as
 with w = tr(L rho).  c and m are linear in rho: by duality
 c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
-i [Pi_k, H].  Like the populations, c and m are read off the states in
-float64 real arithmetic: one einsum over each state's real coordinates
-against fixed weight rows (core._expectations).
+i [Pi_k, H].  For H = iA both observables are real, so c and m read only
+Re rho: one float64 einsum over each state's n^2 real coordinates against
+fixed weight rows (core._expectations), and the sampled states are real.
 certify_decay samples the state space in stratified fashion, computes
 each state's populations once (the sampler's screen, whose values the
 generator and the ratio reuse), and reports the empirical contraction margin
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _expectations, _ginibre_into, _populations, _real_rows, populations
+from .core import _expectations, _ginibre_into, _populations, populations
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
@@ -200,14 +200,14 @@ def generator_terms(
     """Evaluate f, g, h and AV at a state (or batch of states).
 
     c_k = tr(D_H*(Pi_k) rho) and m_k = tr(i [Pi_k, H] rho) are expectations
-    of 2d fixed n x n observables.  Like the populations, they are read off
-    the states' real coordinates, 2 n^2 of a complex rho and n^2 of a real
-    one, by one real einsum (core._expectations); a gemm there would round
-    differently with the batch width and the BLAS thread count.  A state's result is the same in
-    every batch of two or more states; a lone state (2-D input or a width-1
-    batch) takes other reduction paths in numpy and may differ in the last
-    bits.  For non-diagonal rho, c differs from the Laplacian acting on the
-    population vector, which is exact only on eigenspace mixtures.
+    of 2d fixed real n x n observables, read off Re rho, complex or real, by
+    one real einsum (core._expectations); a gemm there would round
+    differently with the batch width and the BLAS thread count.  A state's
+    result is the same in every batch of two or more states; a lone state
+    (2-D input or a width-1 batch) takes other reduction paths in numpy and
+    may differ in the last bits.  For non-diagonal rho, c differs from the
+    Laplacian acting on the population vector, which is exact only on
+    eigenspace mixtures.
     Raises EvaluatedAtTargetError when p_target = 1, where the denominators
     sqrt(alpha_s . p) vanish.
     """
@@ -216,25 +216,15 @@ def generator_terms(
 
 
 def _cm_rows(dec, ctrl):
-    """_real_rows of the 2d observables D_H*(Pi_k) and i [Pi_k, H], whose expectations are c and m."""
+    """Rows (2d, n^2) of the transposed observables D_H*(Pi_k) and i [Pi_k, H], real for H = iA, whose expectations are c and m."""
     hh, pi = ctrl.H, dec.projectors
     h2 = hh @ hh
-    return _real_rows(np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)]))
-
-
-def _state_dtype(dec, rows):
-    """float when the projectors and the observables behind rows (_cm_rows) are all real, else complex.
-
-    An observable's imaginary part fills the odd columns of its _real_rows.
-    When all of them vanish, every expectation the certificate reads, and
-    so the ratio, is the same at rho and at Re rho, itself a density
-    matrix: the real states reach every ratio the complex ones do.
-    """
-    return complex if np.concatenate([dec._rows, rows])[:, 1::2].any() else float
+    obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
+    return np.swapaxes(obs, -1, -2).real.reshape(len(obs), -1)
 
 
 def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms on states rho, real or complex, whose populations p and observable rows _cm_rows the caller has computed."""
+    """generator_terms on states rho whose populations p and observable rows _cm_rows the caller has computed."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
@@ -296,7 +286,7 @@ def _blocks(count):
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _screened_states(name, draw, count, dec, target, target_exclusion, states, p):
+def _screened_states(name, draw, count, target, target_exclusion, states, p):
     """Yield (name, states, populations, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
 
     Each round draws exactly the block's missing count into the rows after
@@ -310,7 +300,7 @@ def _screened_states(name, draw, count, dec, target, target_exclusion, states, p
             rows = slice(kept, size)
             draw(rows)
             draws += size - kept
-            _populations(states[rows], dec, out=p[rows])
+            _populations(states[rows], out=p[rows])
             ok = 1.0 - p[rows, target] >= target_exclusion
             if ok.all():  # the usual round: nothing to move
                 kept = size
@@ -321,7 +311,7 @@ def _screened_states(name, draw, count, dec, target, target_exclusion, states, p
         yield name, states[:size], p[:size], draws
 
 
-def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
+def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     """Yield (name, states, populations, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order.
 
     All three strata run through _screened_states, the near-vertex one
@@ -334,37 +324,30 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtyp
     row is then set to its exact vertex.  Each stream is read in order,
     block after block, so no state depends on the block size.
 
+    The states are real: each Ginibre factor is one real (n, n) draw.
     Every buffer is allocated once per call, as large as the largest block,
     and refilled in place block after block: the yielded states and
     populations are views that stay valid only until the next block is
-    drawn, so a caller that keeps a block must copy it.  The states have
-    the given dtype (_state_dtype).  Real states come from real Ginibre
-    factors, one (k, n, n) draw per call, and real vertices; complex ones
-    from complex pairs, one (k, 2, n, n) draw, built in float64 on the
-    real and imaginary views of the state buffer.
+    drawn, so a caller that keeps a block must copy it.
     """
     rng = np.random.default_rng(seed)
     u_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     d, n = dec.d, dec.n
     n_near = n_bulk = samples // 3
     size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
-    real = dtype is float
-    proj = dec.projectors.real if real else dec.projectors
-    factor = (n, n) if real else (2, n, n)
-    states, p = np.empty((size, n, n), dtype=dtype), np.empty((size, d))
-    z, zt, tr = np.empty((size,) + factor), np.empty((size,) + factor), np.empty(size)
-    prod = None if real else np.empty((2, size, n, n))
+    states, p = np.empty((size, n, n)), np.empty((size, d))
+    z, zt, tr = np.empty((size, n, n)), np.empty((size, n, n)), np.empty(size)
     wrong = [k for k in range(d) if k != target]
-    vertices = proj[wrong] / dec.multiplicities[wrong, None, None]
+    vertices = dec.projectors[wrong]
     starts = np.cumsum([0] + [n_near // len(wrong) + (i < n_near % len(wrong)) for i in range(len(wrong) - 1)])
     drawn = 0
 
     def ginibre(rows):
-        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace, shaped as their real view."""
+        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace."""
         k = rows.stop - rows.start
         rng.standard_normal(out=z[:k])
-        _ginibre_into(z[:k], states[rows], zt[:k], None if real else prod[:, :k], tr[:k])
-        return zt[:k].reshape(states[rows].view(float).shape)
+        _ginibre_into(z[:k], states[rows], zt[:k], None, tr[:k])
+        return zt[:k]
 
     def near_vertex(rows):
         nonlocal drawn
@@ -373,26 +356,24 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtyp
         owner = np.searchsorted(starts, at, side="right") - 1
         u = u_rng.uniform(0.0, tv_radius, len(at))[:, None, None]
         # each row's vertex, into the workspace ginibre leaves free; mode clip writes there unbuffered
-        work = np.take(vertices.view(float), owner, axis=0, out=ginibre(rows), mode="clip")
+        work = np.take(vertices, owner, axis=0, out=ginibre(rows), mode="clip")
         work *= 1.0 - u
-        x = states[rows].view(float)
+        x = states[rows]
         x *= u
         x += work
         first = at == starts[owner]
-        states[rows][first] = vertices[owner[first]]
+        x[first] = vertices[owner[first]]
 
     def diagonal(rows):
-        weights = rng.dirichlet(np.ones(d), rows.stop - rows.start) / dec.multiplicities
-        np.einsum("...k,kij->...ij", weights, proj.real, out=states[rows].real)
-        if not real:
-            np.einsum("...k,kij->...ij", weights, proj.imag, out=states[rows].imag)
+        weights = rng.dirichlet(np.ones(d), rows.stop - rows.start)
+        np.einsum("...k,kij->...ij", weights, dec.projectors, out=states[rows])
 
     for name, draw, count, exclusion in (
         ("near_vertex", near_vertex, n_near, -np.inf),
         ("bulk", ginibre, n_bulk, target_exclusion),
         ("diagonal", diagonal, samples - n_near - n_bulk, target_exclusion),
     ):
-        yield from _screened_states(name, draw, count, dec, target, exclusion, states, p)
+        yield from _screened_states(name, draw, count, target, exclusion, states, p)
 
 
 def certify_decay(
@@ -407,15 +388,12 @@ def certify_decay(
     Strata: one third of the samples near the wrong vertices (within trace
     distance TV_RADIUS, including the exact vertices), one third bulk
     states G G^dag / tr from full-rank Ginibre factors G, one third
-    diagonal mixtures of the eigenspaces.  When the projectors and the
-    observables of c and m are all real (the spin model: L real diagonal,
-    H = i A with A real), the ratio at rho equals the ratio at Re rho, so
-    every stratum samples real states, with real Ginibre factors; otherwise
-    the states are complex and the bulk is Hilbert-Schmidt-uniform (see
-    _state_dtype).  States with 1 - p_target < TARGET_EXCLUSION are
-    excluded from the bulk and diagonal strata (the ratio is singular at
-    the target).  nu_hat is the global minimum ratio; certification
-    requires nu_hat > 0.
+    diagonal mixtures of the eigenspaces.  The ratio at rho equals the
+    ratio at Re rho, itself a density matrix, so every stratum samples
+    real states, with real Ginibre factors.  States with 1 - p_target <
+    TARGET_EXCLUSION are excluded from the bulk and diagonal strata (the
+    ratio is singular at the target).  nu_hat is the global minimum ratio;
+    certification requires nu_hat > 0.
 
     Each stratum is sampled and evaluated in near-equal blocks of at most
     BLOCK states, so memory does not grow with samples; the blocks fold
@@ -432,11 +410,10 @@ def certify_decay(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
     rows = _cm_rows(meas.dec, ctrl)
-    dtype = _state_dtype(meas.dec, rows)
     strata = {}
     timing = {}
     clock = time.perf_counter()
-    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION, dtype):
+    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
         sampled = time.perf_counter()
         terms = _generator(batch, p, rows, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})

@@ -5,6 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from qndstab.core import (
+    DEGENERACY_TOL,
     populations,
     project_to_physical,
     random_density_matrix,
@@ -17,7 +18,7 @@ from qndstab.dynamics import (
     feedback_gain,
     measurement_setup,
 )
-from qndstab.spin import spin2_preset
+from qndstab.spin import build_spin_model, spin2_preset
 
 
 def _diss(a, rho):
@@ -301,3 +302,54 @@ def test_control_setup_rejects_bad_parameters(spin2_loose):
         control_setup(ctrl.H, meas.dec, 2, 2.0, 0.6, 0.65, saturation="tanh")
     with pytest.raises(ValueError, match="dim"):
         control_setup(np.zeros((3, 3)), meas.dec, 2, 2.0, 0.6, 0.65)
+
+
+def _spin2_pair_with(case):
+    """The spin-2 (L, H) with one change named by case."""
+    L, H = build_spin_model(2)
+    if case == "off_diagonal_L":
+        L[0, 1] = L[1, 0] = 0.1
+    elif case == "complex_diagonal_entry":
+        L[1, 1] += 0.5j
+    elif case == "ascending_L":
+        L = L[::-1, ::-1]
+    elif case == "degenerate_L":
+        L[2, 2] = L[1, 1]
+    elif case == "gap_below_tolerance":
+        L[2, 2] = L[1, 1] - 2.0**-27  # 7.5e-9, exactly
+    elif case == "gap_above_tolerance":
+        L[2, 2] = L[1, 1] - 2.0**-26  # 1.5e-8, exactly
+    elif case == "H_with_real_part":
+        H[0, 1] += 0.3
+        H[1, 0] += 0.3
+    return L, H
+
+
+REFUSED = [
+    ("off_diagonal_L", "real diagonal"),
+    ("complex_diagonal_entry", "real diagonal"),
+    ("ascending_L", "strictly descending"),
+    ("degenerate_L", "strictly descending"),
+    ("gap_below_tolerance", "strictly descending"),
+    ("H_with_real_part", "purely imaginary"),
+]
+
+
+@pytest.mark.parametrize("case, match", REFUSED, ids=[case for case, _ in REFUSED])
+def test_setups_refuse_pairs_outside_the_model_class(case, match):
+    """The setups take L real diagonal with gaps > DEGENERACY_TOL, descending, and H purely imaginary; nothing else."""
+    L, H = _spin2_pair_with(case)
+    with pytest.raises(ValueError, match=match):
+        meas = measurement_setup(L, eta=0.8)
+        control_setup(H, meas.dec, 2, 2.0, 0.6, 0.65)
+
+
+def test_setups_accept_the_model_class_up_to_its_edges():
+    """A complex dtype with zero imaginary parts, and a gap just above DEGENERACY_TOL, are in the class."""
+    L, H = _spin2_pair_with("gap_above_tolerance")
+    assert L.dtype == H.dtype == complex
+    meas = measurement_setup(L, eta=0.8)
+    assert DEGENERACY_TOL < meas.dec.eigenvalues[1] - meas.dec.eigenvalues[2] < 2.0 * DEGENERACY_TOL
+    assert meas.dec.eigenvalues.tobytes() == np.diagonal(L).real.copy().tobytes()
+    ctrl = control_setup(H, meas.dec, 2, 2.0, 0.6, 0.65)
+    assert np.array_equal(ctrl.H, H)

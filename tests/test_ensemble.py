@@ -7,7 +7,7 @@ import pytest
 
 from qndstab import ensemble
 from qndstab.core import UnrecoverableStateError, _kraus_diagonal, _kraus_rows, populations, trace, unitary_conjugate
-from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
+from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
     CampaignConfig,
@@ -315,7 +315,7 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
     cfg = _small_cfg(initial="target", sigma_bar=0.0, trajectories=3)
     for level in range(5):
         ctrl_k = control_setup(ctrl.H, meas.dec, level, 0.0, ctrl.p_min, ctrl.p_max)
-        monkeypatch.setattr(ensemble, "resolve_setups", lambda ctrl_k=ctrl_k, **model: (meas, ctrl_k))
+        monkeypatch.setattr(ensemble, "spin2_preset", lambda ctrl_k=ctrl_k, **model: (meas, ctrl_k))
         result = run_ensemble(cfg)
         assert np.all(result.error_traces == 0.0), level
         assert np.all(result.v_open_traces == 0.0), level
@@ -517,17 +517,6 @@ def test_chunk_layout_follows_workers():
     assert ensemble._chunk_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
 
 
-def test_engine_rejects_control_hamiltonian_with_real_part(monkeypatch):
-    meas, ctrl = _small_cfg().setups()
-    h = ctrl.H.copy()
-    h[0, 1] += 0.3
-    h[1, 0] += 0.3
-    ctrl_real = control_setup(h, meas.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas, ctrl_real))
-    with pytest.raises(ValueError, match="purely imaginary"):
-        run_trajectory(_small_cfg(), 0)
-
-
 def test_engine_rejects_degenerate_control_spectrum(monkeypatch):
     """Two rotation planes at one frequency: the control rotation's pairing needs a nondegenerate spectrum."""
     meas, ctrl = _small_cfg().setups()
@@ -536,7 +525,7 @@ def test_engine_rejects_degenerate_control_spectrum(monkeypatch):
     h = 1j * (gen - gen.T)
     assert np.allclose(np.linalg.eigvalsh(h), [-1.0, -1.0, 0.0, 1.0, 1.0])
     ctrl_deg = control_setup(h, meas.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas, ctrl_deg))
+    monkeypatch.setattr(ensemble, "spin2_preset", lambda **model: (meas, ctrl_deg))
     with pytest.raises(ValueError, match="nondegenerate spectrum"):
         run_trajectory(_small_cfg(), 0)
 
@@ -565,33 +554,6 @@ def test_plane_rotations_match_eigen_sum(J):
     assert np.max(np.abs(ref.imag)) <= 1e-14
     assert np.max(np.abs(rot - ref.real)) <= 1e-14
     assert np.max(np.abs(rot @ np.swapaxes(rot, 1, 2) - np.eye(n))) <= 1e-14
-
-
-def test_engine_rejects_unsupported_measurement_operator(monkeypatch):
-    _, ctrl = _small_cfg().setups()
-    off_diagonal = np.diag([2.0, 1.0, 0.0, -1.0, -2.0])
-    off_diagonal[0, 1] = off_diagonal[1, 0] = 0.1
-    for L, match in ((off_diagonal, "diagonal"), (np.diag([2.0, 1.0, 1.0, -1.0, -2.0]), "nondegenerate")):
-        meas = measurement_setup(L, 0.8)
-        ctrl_l = control_setup(ctrl.H, meas.dec, 1, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-        monkeypatch.setattr(ensemble, "resolve_setups", lambda meas=meas, ctrl_l=ctrl_l, **model: (meas, ctrl_l))
-        with pytest.raises(ValueError, match=match):
-            run_trajectory(_small_cfg(), 0)
-
-
-def test_engine_result_does_not_depend_on_basis_order(monkeypatch):
-    """The engine sorts the basis by descending eigenvalue of L; a reversed basis gives the same bits."""
-    cfg = _small_cfg(trajectories=3, p_min=0.51, p_max=0.56, t_final=1.0, fit_window=(0.1, 0.9))
-    sorted_result = run_ensemble(cfg)
-    meas, ctrl = cfg.setups()
-    rev = np.arange(5)[::-1]
-    meas_r = measurement_setup(meas.L[np.ix_(rev, rev)], meas.eta)
-    ctrl_r = control_setup(ctrl.H[np.ix_(rev, rev)], meas_r.dec, ctrl.target, ctrl.sigma_bar, ctrl.p_min, ctrl.p_max)
-    monkeypatch.setattr(ensemble, "resolve_setups", lambda **model: (meas_r, ctrl_r))
-    reversed_result = run_ensemble(cfg)
-    assert np.any(sorted_result.error_traces != sorted_result.error_traces[:, :1])
-    for field in ("error_traces", "v_open_traces", "final_populations"):
-        assert np.array_equal(getattr(reversed_result, field), getattr(sorted_result, field)), field
 
 
 def test_ensemble_aggregates_are_consistent():

@@ -61,19 +61,6 @@ def test_laplacian_random_H_structure(spin2_loose, rng):
     assert np.all(off >= 0.0)
 
 
-def test_laplacian_degenerate_subspaces(rng):
-    from qndstab.dynamics import measurement_setup
-
-    meas = measurement_setup(np.diag([1.0, 1.0, -1.0]), eta=0.8)
-    assert meas.dec.d == 2
-    h = random_hermitian(3, rng)
-    delta = laplacian_matrix(h, meas.dec)
-    # single edge weight is the cross-block Frobenius mass of H
-    expected = abs(h[0, 2]) ** 2 + abs(h[1, 2]) ** 2
-    assert delta[0, 1] == pytest.approx(expected, rel=1e-12)
-    assert delta[0, 0] == pytest.approx(-expected, rel=1e-12)
-
-
 def test_laplacian_dimension_mismatch(spin2_loose):
     meas, _ = spin2_loose
     with pytest.raises(ValueError, match="dim"):

@@ -16,9 +16,7 @@ from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import (
     CertificationImpossibleError,
     EvaluatedAtTargetError,
-    _cm_rows,
     _sample_strata,
-    _state_dtype,
     certificate_to_csv,
     certify_decay,
     default_beta,
@@ -30,7 +28,7 @@ from qndstab.lyapunov import (
     v_open,
 )
 
-from conftest import kraus_constants, random_hermitian
+from conftest import kraus_constants
 
 
 def _diss(a, rho):
@@ -66,10 +64,10 @@ def test_open_loop_rate_values(spin2_tight):
     meas, _ = spin2_tight
     assert open_loop_rate(meas) == pytest.approx(0.4)
     assert open_loop_rate(measurement_setup(np.diag([1.0, -1.0]), eta=0.0)) == 0.0
-    meas3 = measurement_setup(np.diag([0.0, 3.0, 7.0]), eta=1.0)
+    meas3 = measurement_setup(np.diag([7.0, 3.0, 0.0]), eta=1.0)
     assert open_loop_rate(meas3) == pytest.approx(4.5)
     with pytest.raises(ValueError, match="single eigenspace"):
-        open_loop_rate(measurement_setup(np.eye(3), eta=0.8))
+        open_loop_rate(measurement_setup(np.eye(1), eta=0.8))
 
 
 # ----------------------------------------------------------- weight solving
@@ -209,17 +207,21 @@ def test_generator_matches_reference_formulas(spin2_tight, spin2_weights, rng):
 
 
 def _general_pair(rng):
-    """Degenerate L and a random H with a real part; target the nondegenerate level 0."""
-    meas = measurement_setup(np.diag([1.0, 1.0, 0.0, -1.0, -1.0]), eta=0.7)
-    h = random_hermitian(5, rng)
-    ctrl = control_setup(h, meas.dec, 1, 2.0, 0.51, 0.7)
-    return meas, ctrl, solve_alpha(laplacian_matrix(h, meas.dec), ctrl.target)
+    """A random pair of the model class beyond the spin ladder; target level 1.
+
+    L = diag(l) with l strictly descending and unequal gaps, H = i(A - A^T)
+    with A dense, so every level couples to every other.
+    """
+    meas = measurement_setup(np.diag(1.0 - np.cumsum(rng.uniform(0.3, 1.5, 5))), eta=0.7)
+    a = rng.standard_normal((5, 5))
+    ctrl = control_setup(1j * (a - a.T), meas.dec, 1, 2.0, 0.51, 0.7)
+    return meas, ctrl, solve_alpha(laplacian_matrix(ctrl.H, meas.dec), ctrl.target)
 
 
 def _mixed_batch(dec, target, rng, count):
     """Ginibre states, two in three pulled toward a wrong vertex so that the gain engages."""
     states = ginibre_states(rng.standard_normal((count, 2, dec.n, dec.n)))
-    wrong = [dec.projectors[j] / dec.multiplicities[j] for j in range(dec.d) if j != target]
+    wrong = [dec.projectors[j] for j in range(dec.d) if j != target]
     for i in range(count):
         if i % 3:
             u = rng.uniform(0.0, 0.4)
@@ -230,8 +232,9 @@ def _mixed_batch(dec, target, rng, count):
 def test_generator_matches_reference_formulas_on_general_pair(rng):
     meas, ctrl, w = _general_pair(rng)
     dec, lam, h = meas.dec, meas.dec.eigenvalues, ctrl.H
-    assert list(dec.multiplicities) == [2, 1, 2]
-    assert np.max(np.abs(np.triu(h.real, 1))) > 0.1
+    gaps = lam[:-1] - lam[1:]
+    assert np.all(gaps >= 0.3) and len(set(gaps.tolist())) == 4
+    assert np.all(h.real == 0.0) and np.all(np.abs(h.imag) + np.eye(5) > 0.0)
     batch = _mixed_batch(dec, ctrl.target, rng, 30)
     terms = generator_terms(batch, meas, ctrl, w)
     engaged = 0
@@ -278,9 +281,6 @@ def _complex_trace(obs, rho):
 
 def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_weights, rng):
     general = _general_pair(rng)
-    # a measurement with complex eigenvectors, so the projectors' imaginary weights count
-    rotated = measurement_setup(random_hermitian(5, rng), eta=0.5)
-    assert np.max(np.abs(rotated.dec.projectors.imag)) > 0.1
     read = []
     real_expectations = lyapunov._expectations
 
@@ -294,8 +294,8 @@ def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_
         dec, hh = meas.dec, ctrl.H
         pi, h2 = dec.projectors, hh @ hh
         obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
-        # the spin pair's observables are real; the general pair's H has a real part
-        assert (np.max(np.abs(obs.imag)) > 0.1) == (meas is general[0])
+        # both pairs' observables are real, as H = iA
+        assert np.all(obs.imag == 0.0)
         batch = _mixed_batch(dec, ctrl.target, rng, 24)
         for rho in (batch, batch[5], batch[9:10]):
             read.clear()
@@ -304,11 +304,10 @@ def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_
             ref, scale = _complex_trace(obs, rho)
             assert cm.shape == ref.shape
             assert np.all(np.abs(cm - ref) <= 1e-15 * scale)
-            for m in (meas, rotated):
-                p = populations(rho, m.dec)
-                ref, scale = _complex_trace(m.dec.projectors, rho)
-                assert p.shape == ref.shape
-                assert np.all(np.abs(p - np.clip(ref, 0.0, 1.0)) <= 1e-15 * scale)
+            p = populations(rho, dec)
+            ref, scale = _complex_trace(dec.projectors, rho)
+            assert p.shape == ref.shape
+            assert np.all(np.abs(p - np.clip(ref, 0.0, 1.0)) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
@@ -316,8 +315,9 @@ def test_real_contractions_equal_complex_traces(monkeypatch, spin2_tight, spin2_
 def test_spin_generator_reads_only_the_real_part(rng, J, saturation):
     """For the spin pair (L real diagonal, H = iA with A real) p, c and m, hence the ratio, depend on Re rho alone.
 
-    So the certificate samples real states there.  A pair whose H has a
-    real part reads Im rho too, and keeps complex states.
+    The generator reads Re rho only, so a complex state and its real part,
+    held as a complex or as a real array, give the same bits; the
+    certificate samples real states.
     """
     meas, ctrl = spin2_preset(0.6, J=J, saturation=saturation)
     dec = meas.dec
@@ -327,29 +327,12 @@ def test_spin_generator_reads_only_the_real_part(rng, J, saturation):
     assert np.count_nonzero(feedback_gain(populations(batch, dec), ctrl)) >= 100
     full = generator_terms(batch, meas, ctrl, w)
     for part in (batch.real + 0j, np.ascontiguousarray(batch.real)):
+        assert populations(part, dec).tobytes() == populations(batch, dec).tobytes()
         terms = generator_terms(part, meas, ctrl, w)
-        if part.dtype == complex:
-            # the imaginary coordinates are read, and change nothing
-            assert populations(part, dec).tobytes() == populations(batch, dec).tobytes()
-            for name in ("f", "g", "h", "AV"):
-                assert getattr(terms, name).tobytes() == getattr(full, name).tobytes(), name
-        else:
-            # a real state's n^2 coordinates are read instead: the same values, summed in another order
-            np.testing.assert_allclose(populations(part, dec), populations(batch, dec), rtol=0, atol=1e-15)
-            for name in ("f", "g", "h", "AV"):
-                np.testing.assert_allclose(getattr(terms, name), getattr(full, name), rtol=1e-12, atol=0)
-    assert _dtype(meas, ctrl) is float
-
-    general = _general_pair(rng)
-    gmeas, gctrl = general[:2]
-    gbatch = _mixed_batch(gmeas.dec, gctrl.target, rng, 30)
-    assert not np.array_equal(generator_terms(gbatch.real + 0j, *general).AV, generator_terms(gbatch, *general).AV)
-    assert _dtype(gmeas, gctrl) is complex
-    args = (gmeas.dec, gctrl.target, 30, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION, complex)
-    assert all(states.dtype == complex for _, states, _, _ in _sample_strata(*args))
-    # complex projectors alone make the states complex
-    rotated = measurement_setup(random_hermitian(5, rng), eta=0.5)
-    assert _state_dtype(rotated.dec, np.zeros((1, 50))) is complex
+        for name in ("f", "g", "h", "AV"):
+            assert getattr(terms, name).tobytes() == getattr(full, name).tobytes(), name
+    args = (dec, ctrl.target, 30, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION)
+    assert all(states.dtype == float for _, states, _, _ in _sample_strata(*args))
 
 
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
@@ -423,30 +406,19 @@ def test_certify_decay_rejects_tiny_sample_budget(spin2_loose, spin2_weights):
         certify_decay(meas, ctrl, spin2_weights, samples=2)
 
 
-def _dtype(meas, ctrl):
-    """The state dtype certify_decay samples for this pair."""
-    return _state_dtype(meas.dec, _cm_rows(meas.dec, ctrl))
-
-
-def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, dtype):
+def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     """Reference sampler: every state is drawn alone, and bulk and diagonal candidates are screened and kept one at a time.
 
     Each near-vertex state draws its mixing weight from the weight stream,
     a child of SeedSequence(seed), and its Ginibre factor from the main
     stream default_rng(seed); a wrong vertex's first state is then its
-    exact vertex, whose draws go unused.  Real states (dtype float) come
-    from one real (n, n) factor G each, as G G^T / tr, and mix real
-    vertices; complex ones from (2, n, n) pairs.
+    exact vertex, whose draws go unused.  Every state comes from one real
+    (n, n) factor G, as G G^T / tr, and mixes with a real vertex.
     """
     rng = np.random.default_rng(seed)
     u_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    real = dtype is float
-    proj = dec.projectors.real if real else dec.projectors
-    factor = (dec.n, dec.n) if real else (2, dec.n, dec.n)
 
     def ginibre(z):
-        if not real:
-            return ginibre_states(z)
         s = z @ np.ascontiguousarray(z.T)
         return s * (1.0 / np.trace(s))
 
@@ -457,10 +429,10 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, 
         per_vertex[i] += 1
     near = []
     for j, count in zip(wrong, per_vertex):
-        vert = proj[j] / dec.multiplicities[j]
+        vert = dec.projectors[j]
         for i in range(count):
             u = u_rng.uniform(0.0, tv_radius)
-            rho = ginibre(rng.standard_normal(factor))
+            rho = ginibre(rng.standard_normal((dec.n, dec.n)))
             near.append(vert if i == 0 else (1.0 - u) * vert + u * rho)
 
     rejected = 0
@@ -477,10 +449,9 @@ def _sequential_strata(dec, target, samples, seed, tv_radius, target_exclusion, 
         return out
 
     def diagonal():
-        weights = rng.dirichlet(np.ones(dec.d)) / dec.multiplicities
-        return np.einsum("k,kij->ij", weights.astype(dtype), proj)
+        return np.einsum("k,kij->ij", rng.dirichlet(np.ones(dec.d)), dec.projectors)
 
-    bulk = until(lambda: ginibre(rng.standard_normal(factor)), n_bulk)
+    bulk = until(lambda: ginibre(rng.standard_normal((dec.n, dec.n))), n_bulk)
     diag = until(diagonal, samples - n_near - n_bulk)
     return [("near_vertex", np.stack(near)), ("bulk", np.stack(bulk)), ("diagonal", np.stack(diag))], rejected
 
@@ -517,14 +488,17 @@ def _certificate_csv(strata, meas, ctrl, w, samples):
         ("spin2_tight", 3000, 7, 0.05, 1e-6),
         ("spin2_loose", 1000, 11, 0.3, 1e-6),
         ("spin2_loose", 600, 123, 1.0, 0.9),
+        ("general", 1000, 5, 0.05, 1e-6),
     ],
 )
 def test_certify_decay_matches_sequential_sampler(
-    request, monkeypatch, spin2_weights, preset, samples, seed, tv_radius, target_exclusion
+    request, monkeypatch, rng, spin2_weights, preset, samples, seed, tv_radius, target_exclusion
 ):
-    meas, ctrl = request.getfixturevalue(preset)
-    args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion, _dtype(meas, ctrl))
-    assert args[-1] is float  # the spin pair samples real states
+    if preset == "general":
+        meas, ctrl, w = _general_pair(rng)
+    else:
+        (meas, ctrl), w = request.getfixturevalue(preset), spin2_weights
+    args = (meas.dec, ctrl.target, samples, seed, tv_radius, target_exclusion)
     expected, rejected = _sequential_strata(*args)
     batched, _ = _strata_states(_sample_strata(*args))
     # every state, bit for bit, not just the worst one the certificate prints
@@ -534,8 +508,8 @@ def test_certify_decay_matches_sequential_sampler(
         assert states.tobytes() == ref.tobytes()
     monkeypatch.setattr(lyapunov, "TV_RADIUS", tv_radius)
     monkeypatch.setattr(lyapunov, "TARGET_EXCLUSION", target_exclusion)
-    report = certify_decay(meas, ctrl, spin2_weights, samples=samples, seed=seed)
-    assert certificate_to_csv(report) == _certificate_csv(expected, meas, ctrl, spin2_weights, samples)
+    report = certify_decay(meas, ctrl, w, samples=samples, seed=seed)
+    assert certificate_to_csv(report) == _certificate_csv(expected, meas, ctrl, w, samples)
     assert sum(s.draws - s.samples for s in report.strata) == rejected
     if target_exclusion == 0.9:
         # the rejection rounds ran: the reference rejected, and redrew, at least once
@@ -550,19 +524,13 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     """The near-vertex stratum's recipe, checked on the states alone and not on their draw order."""
     meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
     dec, target = meas.dec, ctrl.target
-    dtype = _dtype(meas, ctrl)
-    assert dtype is (complex if pair == "general" else float)
-    strata, draws = _strata_states(
-        _sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION, dtype)
-    )
+    strata, draws = _strata_states(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS, lyapunov.TARGET_EXCLUSION))
     states = strata["near_vertex"]
     count = samples // 3
     assert list(strata)[0] == "near_vertex" and len(states) == draws["near_vertex"] == count
     wrong = [k for k in range(dec.d) if k != target]
-    vertices = dec.projectors[wrong] / dec.multiplicities[wrong, None, None]
-    assert states.dtype == dtype
-    if dtype is float:
-        vertices = vertices.real
+    vertices = dec.projectors[wrong]
+    assert states.dtype == float
     # blocks split count evenly over the wrong vertices, the first blocks one row longer
     sizes = [count // len(wrong) + (i < count % len(wrong)) for i in range(len(wrong))]
     # every state lies within TV_RADIUS of its own block's vertex, in trace distance
@@ -587,7 +555,7 @@ def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_
         # the generator vanishes at every exact wrong vertex: the near-vertex minimum 0 ties across blocks
         ctrl = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     monkeypatch.setattr(lyapunov, "TARGET_EXCLUSION", target_exclusion)
-    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS, target_exclusion, _dtype(meas, ctrl))
+    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS, target_exclusion)
     # 300 samples make strata of 100 states.  Blocks of 2 hold no lone state, whose generator bits may
     # differ (generator_terms); blocks of 3 and 7 are uneven and cut across the near-vertex segments.
     runs = []
