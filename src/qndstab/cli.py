@@ -21,7 +21,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -150,7 +150,11 @@ def _load(text: str, schema: dict, kind: str) -> dict:
 
 def parse_config(text: str) -> CampaignConfig:
     """Parse and validate a JSON campaign document; unknown keys are rejected."""
-    doc = _load(text, _CAMPAIGN_KEYS, "campaign")
+    return _campaign(_load(text, _CAMPAIGN_KEYS, "campaign"))
+
+
+def _campaign(doc: dict) -> CampaignConfig:
+    """The CampaignConfig of a campaign document, whose seed key sets base_seed; t_final defaults to 50."""
     kwargs = {k: v for k, v in doc.items() if k != "seed"}
     if "seed" in doc:
         kwargs["base_seed"] = doc["seed"]
@@ -182,28 +186,6 @@ def _certify_setups(doc: dict):
         raise ConfigError(f"invalid certification config: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one invocation: resolved config, output directory, artifact checksums.
-
-    counters holds deterministic run counts: a campaign's steps, trajectories,
-    the column-steps on which its control rotation ran and their mean per
-    step; certify's draws and accepted samples per stratum.  timing holds
-    wall seconds (certify: each stratum's sampling and generator
-    evaluation), so it varies by run.  environment names the python,
-    numpy and BLAS builds, the platform and the processor count, which
-    the artifacts' last bits may depend on (see _environment).
-    """
-
-    command: str
-    config: dict
-    out_dir: str
-    checksums: dict
-    counters: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
-    environment: dict = field(default_factory=dict)
-
-
 def _environment() -> dict:
     """The python, numpy and BLAS builds, the platform and the processor count of this process.
 
@@ -232,17 +214,33 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(manifest: RunManifest, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+def _write_manifest(
+    out_dir: str, name: str, command: str, config: dict, artifacts, counters: dict, timing=None
+) -> None:
+    """Write out_dir/name, the record of one invocation.
+
+    Its keys: command; config, the resolved configuration; out_dir;
+    checksums, the sha256 of each artifact by file name; counters,
+    deterministic run counts (a campaign's steps, trajectories, the
+    column-steps on which its control rotation ran and their mean per
+    step; certify's draws and accepted samples per stratum); timing, wall
+    seconds (certify: each stratum's sampling and generator evaluation),
+    so it varies by run; and environment, the python, numpy and BLAS
+    builds, the platform and the processor count, which the artifacts'
+    last bits may depend on (see _environment).
+    """
+    manifest = {
+        "command": command,
+        "config": config,
+        "out_dir": out_dir,
+        "checksums": {os.path.basename(path): _sha256(path) for path in artifacts},
+        "counters": counters,
+        "timing": timing or {},
+        "environment": _environment(),
+    }
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _manifest_config(cfg: CampaignConfig) -> dict:
-    # workers is runtime-only and must not leak into artifacts
-    doc = asdict(cfg)
-    doc.pop("workers")
-    return doc
 
 
 def _resolve_out(arg_out: str | None) -> str:
@@ -251,64 +249,45 @@ def _resolve_out(arg_out: str | None) -> str:
     return out
 
 
+# the command-line flags, each overriding the config key of its name
+_OVERRIDES = ("seed", "workers", "dt", "trajectories", "samples")
+
+
+def _overrides(doc: dict, args) -> dict:
+    """doc with the config keys set by the command-line flags that were given."""
+    return {**doc, **{k: getattr(args, k) for k in _OVERRIDES if getattr(args, k, None) is not None}}
+
+
 def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str) -> EnsembleResult:
     result = run_ensemble(cfg)
     series = os.path.join(out_dir, f"{prefix}_series.csv")
     summary = os.path.join(out_dir, f"{prefix}_summary.csv")
     write_series_csv(result, series)
     write_summary_csv(result, summary)
-    manifest = RunManifest(
-        command=command,
-        config=_manifest_config(cfg),
-        out_dir=out_dir,
-        checksums={os.path.basename(p): _sha256(p) for p in (series, summary)},
-        counters={
-            "steps": cfg.n_steps,
-            "trajectories": cfg.trajectories,
-            "engaged_column_steps": result.engaged_column_steps,
-            "mean_active_columns": result.engaged_column_steps / cfg.n_steps,
-        },
-        environment=_environment(),
-    )
-    _write_manifest(manifest, os.path.join(out_dir, f"{prefix}_manifest.json"))
+    config = asdict(cfg)
+    config.pop("workers")  # runtime-only, so it must not leak into artifacts
+    counters = {
+        "steps": cfg.n_steps,
+        "trajectories": cfg.trajectories,
+        "engaged_column_steps": result.engaged_column_steps,
+        "mean_active_columns": result.engaged_column_steps / cfg.n_steps,
+    }
+    _write_manifest(out_dir, f"{prefix}_manifest.json", command, config, (series, summary), counters)
     return result
 
 
 def _cmd_run(args) -> int:
     with open(args.config) as fh:
-        cfg = parse_config(fh.read())
-    cfg = _apply_overrides(cfg, args)
+        cfg = _campaign(_overrides(_load(fh.read(), _CAMPAIGN_KEYS, "campaign"), args))
     out_dir = _resolve_out(args.out)
     result = _emit_campaign(cfg, out_dir, "run", "run")
     print(f"run: nu_hat={float(result.fitted_rate)!r} artifacts in {out_dir}")
     return 0
 
 
-# command-line flag -> CampaignConfig field it overrides
-_OVERRIDES = (("seed", "base_seed"), ("workers", "workers"), ("dt", "dt"), ("trajectories", "trajectories"))
-
-
-def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
-    updates = {}
-    for flag, name in _OVERRIDES:
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[name] = value
-    if not updates:
-        return cfg
-    try:
-        return replace(cfg, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"invalid command-line override: {exc}") from exc
-
-
 def _cmd_certify(args) -> int:
     with open(args.config) as fh:
-        doc = parse_certify_config(fh.read())
-    if args.samples is not None:
-        doc["samples"] = args.samples
-    if args.seed is not None:
-        doc["seed"] = args.seed
+        doc = _overrides(parse_certify_config(fh.read()), args)
     meas, ctrl = _certify_setups(doc)
     if "broken_link" in doc:
         # toy model with one ladder coupling removed; disconnects the actuation graph
@@ -333,16 +312,8 @@ def _cmd_certify(args) -> int:
     cert_path = os.path.join(out_dir, "certificate.csv")
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))
-    manifest = RunManifest(
-        command="certify",
-        config=doc,
-        out_dir=out_dir,
-        checksums={"certificate.csv": _sha256(cert_path)},
-        counters={s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata},
-        timing=report.timing,
-        environment=_environment(),
-    )
-    _write_manifest(manifest, os.path.join(out_dir, "certificate_manifest.json"))
+    counters = {s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata}
+    _write_manifest(out_dir, "certificate_manifest.json", "certify", doc, (cert_path,), counters, report.timing)
     flag = "certified" if report.certified else "NOT certified"
     print(
         f"certify: nu_hat={report.nu_hat!r} ({flag}) over {report.samples} samples; "
@@ -353,8 +324,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     preset = FIGURE_PRESETS[args.figure]
-    cfg = CampaignConfig(**preset["config"])
-    cfg = _apply_overrides(cfg, args)
+    cfg = _campaign(_overrides(preset["config"], args))
     out_dir = _resolve_out(args.out)
     nu_hat = float(_emit_campaign(cfg, out_dir, args.figure, f"reproduce {args.figure}").fitted_rate)
     lo, hi = preset["band"]

@@ -1,9 +1,14 @@
 """Density-matrix primitives for diffusive quantum measurement models.
 
-States are complex ndarrays of shape (n, n), or batches with arbitrary
-leading axes, shape (..., n, n); populations also reads real states.
-Every operation here broadcasts over the leading axes, so trajectory
-ensembles can be pushed through as a single array.
+States are ndarrays of shape (n, n), or batches with arbitrary leading
+axes, shape (..., n, n).  Complex states live only in the Euler reference
+(dissipator, innovation_superop, unitary_conjugate and project_to_physical,
+which dynamics.closed_loop_step composes) and in random_density_matrix,
+the one complex sampler, which its checks and the benchmark draw from;
+the campaign engine and the certificate carry real states, and
+populations reads either.  Every operation here broadcasts over the
+leading axes, so trajectory ensembles can be pushed through as a single
+array.
 
 The measurement operator is real diagonal with strictly descending
 entries, L = diag(l), so each eigenspace is one basis vector: its
@@ -209,60 +214,41 @@ def project_to_physical(m: np.ndarray) -> np.ndarray:
     return hermitian_part(out)
 
 
-def ginibre_states(z: np.ndarray) -> np.ndarray:
-    """States G G^dag / tr(G G^dag) with G = z[..., 0, :, :] + i z[..., 1, :, :].
+def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, tr: np.ndarray) -> None:
+    """Write the real states z z^T / tr(z z^T) of the factors z, shape (..., n, rank), into out; allocates nothing.
 
-    z holds real standard normals of shape (..., 2, n, rank); every leading
-    index gives one state, bit for bit the state a lone (2, n, rank) draw
-    gives.  This allocates the states and the workspace of _ginibre_into,
-    the one Ginibre kernel, which callers that build states block after
-    block run on buffers of their own.
-    """
-    lead, n = z.shape[:-3], z.shape[-2]
-    out = np.empty(lead + (n, n), dtype=complex)
-    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), np.empty((2,) + out.shape), np.empty(lead))
-    return out
-
-
-def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, prod, tr: np.ndarray) -> None:
-    """Write the states G G^dag / tr(G G^dag) of the factors in z into out, allocating nothing.
-
-    out is real or complex, (..., n, n) with a contiguous last axis.  A
-    real out takes real factors G = z, shape (..., n, rank), and G G^T is
-    one stacked product written into out.  A complex out takes the pairs
-    of ginibre_states, G = A + i B with A, B = z[..., 0, :, :], z[..., 1, :, :],
-    and G G^dag is built from real products: A A^T + B B^T is written into
-    the real part of out and B A^T - A B^T into its imaginary part.  Either
-    way the state is then multiplied by the reciprocal of the real trace,
-    which is what numpy's complex-by-real division computes, so the bits
-    are those of the division.  Workspace: zt, the shape of z with its
-    last two axes swapped, takes a C-order copy of the transposed factors
-    (a stacked matmul on a swapaxes view runs several times slower, with
-    the same bits); prod, shape (2, ..., n, n), takes a complex pair's
-    products (a real out needs none, and prod may be None); tr, shape
-    (...), the trace.
+    out, shape (..., n, n), takes one stacked product of the factors with
+    their transposes, which is then multiplied by the reciprocal of its
+    trace.  Workspace: zt, the shape of z with its last two axes swapped,
+    takes a C-order copy of the transposed factors (a stacked matmul on a
+    swapaxes view runs several times slower, with the same bits); tr,
+    shape (...), the trace.
     """
     np.copyto(zt, np.swapaxes(z, -1, -2))
-    if np.iscomplexobj(out):
-        a, b = z[..., 0, :, :], z[..., 1, :, :]
-        at, bt = zt[..., 0, :, :], zt[..., 1, :, :]
-        np.matmul(a, at, out=prod[0])
-        np.matmul(b, bt, out=prod[1])
-        np.add(prod[0], prod[1], out=out.real)
-        np.matmul(b, at, out=prod[0])
-        np.matmul(a, bt, out=prod[1])
-        np.subtract(prod[0], prod[1], out=out.imag)
-    else:
-        np.matmul(z, zt, out=out)
-    np.trace(out.real, axis1=-2, axis2=-1, out=tr)
+    np.matmul(z, zt, out=out)
+    np.trace(out, axis1=-2, axis2=-1, out=tr)
     np.divide(1.0, tr, out=tr)
-    x = out.view(float)
-    x *= tr[..., None, None]
+    out *= tr[..., None, None]
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Hilbert-Schmidt random state from a full-rank complex Ginibre factor."""
-    return ginibre_states(rng.standard_normal((2, n, n)))
+    """Hilbert-Schmidt random state G G^dag / tr(G G^dag) of a full-rank complex Ginibre factor G = A + iB.
+
+    A and B are one (2, n, n) standard normal draw.  G G^dag is built from
+    real products of the factors with C-order copies of their transposes:
+    A A^T + B B^T is its real part and B A^T - A B^T its imaginary part, so
+    the state is exactly Hermitian.  It is then multiplied by the
+    reciprocal of the real trace, which is what numpy's complex-by-real
+    division computes.
+    """
+    a, b = rng.standard_normal((2, n, n))
+    at, bt = a.T.copy(), b.T.copy()
+    rho = np.empty((n, n), dtype=complex)
+    np.add(a @ at, b @ bt, out=rho.real)
+    np.subtract(b @ at, a @ bt, out=rho.imag)
+    x = rho.view(float)
+    x *= 1.0 / np.trace(rho.real)
+    return rho
 
 
 def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:

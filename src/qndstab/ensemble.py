@@ -452,12 +452,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
     _record(0, rho[:n])
 
-    # the record increment skips every row after the first whose eigenvalue
-    # of L is zero, since its term adds an exact zero; rho is updated in
-    # place, so these views of its rows stay current
-    lkeep = [0] + [i for i in range(1, n) if lvec[i] != 0.0]
-    lrows, lweights = [rho[i] for i in lkeep], lvec[lkeep]
-
     # the control stages run per matrix on unpacked (k, n, n) copies of the
     # active columns only: a 2D BLAS gemm over the batch would round
     # differently at different widths.  Their four (k, n, n) work arrays
@@ -488,7 +482,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
             dv = sigma_app * db_rows[j] if need_b else zero_dv
 
-            dy = 2.0 * sqeta * dt * _rowsum(lrows, lweights) + dw_rows[j]
+            dy = 2.0 * sqeta * dt * _rowsum(rho[:n], lvec) + dw_rows[j]
             factor = _kraus_factor(eta, dt, dy, pk, krows, cross)
             rho *= factor
             engaged += pk.update_active(rho, dv, _rotate, *planes, work)

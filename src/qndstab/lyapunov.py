@@ -216,11 +216,15 @@ def generator_terms(
 
 
 def _cm_rows(dec, ctrl):
-    """Rows (2d, n^2) of the transposed observables D_H*(Pi_k) and i [Pi_k, H], real for H = iA, whose expectations are c and m."""
-    hh, pi = ctrl.H, dec.projectors
-    h2 = hh @ hh
-    obs = np.concatenate([hh @ pi @ hh - 0.5 * (h2 @ pi + pi @ h2), 1j * (pi @ hh - hh @ pi)])
-    return np.swapaxes(obs, -1, -2).real.reshape(len(obs), -1)
+    """Rows (2d, n^2) of the transposed observables D_H*(Pi_k) and i [Pi_k, H], whose expectations are c and m.
+
+    With H = iA both are real, built from A = Im H in real arithmetic:
+    D_H*(Pi_k) = -A Pi_k A + (A^2 Pi_k + Pi_k A^2)/2 and i [Pi_k, H] = A Pi_k - Pi_k A.
+    """
+    a, pi = ctrl.H.imag, dec.projectors
+    a2 = a @ a
+    obs = np.concatenate([0.5 * (a2 @ pi + pi @ a2) - a @ pi @ a, a @ pi - pi @ a])
+    return np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
 
 
 def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
@@ -346,7 +350,7 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
         """Ginibre states from one standard_normal call into states[rows]; returns the free workspace."""
         k = rows.stop - rows.start
         rng.standard_normal(out=z[:k])
-        _ginibre_into(z[:k], states[rows], zt[:k], None, tr[:k])
+        _ginibre_into(z[:k], states[rows], zt[:k], tr[:k])
         return zt[:k]
 
     def near_vertex(rows):

@@ -6,12 +6,14 @@ figure campaigns and the open-loop baseline are session fixtures shared
 across criteria.
 """
 
+import pathlib
 import time
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from qndstab import cli
 from qndstab.cli import main
 from qndstab.core import (
     UnrecoverableStateError,
@@ -76,19 +78,29 @@ def fig_artifacts(tmp_path_factory):
     """Run the four benchmark campaigns; fig2 twice with different worker counts.
 
     Results do not depend on the worker count (criterion 12), so every
-    campaign but the one-worker fig2 run uses both cores.
+    campaign but the one-worker fig2 run uses both cores.  Each figure's
+    EnsembleResult is kept under "results", from the run_ensemble call cli
+    makes, so the tests can resample trajectories with no new campaign.
     """
-    dirs = {}
-    for fig in FIGURES:
-        out = tmp_path_factory.mktemp(fig)
-        workers = "1" if fig == "fig2" else "2"
-        _status(f"running {fig} campaign (1000 trajectories, {workers} workers)")
-        main(["reproduce", fig, "--out", str(out), "--workers", workers])
-        dirs[fig] = out
-    out2 = tmp_path_factory.mktemp("fig2_workers2")
-    _status("re-running fig2 with workers=2")
-    main(["reproduce", "fig2", "--out", str(out2), "--workers", "2"])
+    dirs, captured = {}, []
+
+    def capture(cfg):
+        captured.append(run_ensemble(cfg))
+        return captured[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_ensemble", capture)
+        for fig in FIGURES:
+            out = tmp_path_factory.mktemp(fig)
+            workers = "1" if fig == "fig2" else "2"
+            _status(f"running {fig} campaign (1000 trajectories, {workers} workers)")
+            main(["reproduce", fig, "--out", str(out), "--workers", workers])
+            dirs[fig] = out
+        out2 = tmp_path_factory.mktemp("fig2_workers2")
+        _status("re-running fig2 with workers=2")
+        main(["reproduce", "fig2", "--out", str(out2), "--workers", "2"])
     dirs["fig2_workers2"] = out2
+    dirs["results"] = dict(zip(FIGURES, captured))
     return dirs
 
 
@@ -213,27 +225,27 @@ def test_criterion_09_certification(spin2_tight, spin2_delta):
     )
 
 
-def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
-    """The engine's reduced and population filter updates beside its Kraus plant, in open loop.
+def filter_gap(meas, ctrl, seed: int, m: int = 50, n_steps: int = 10_000) -> float:
+    """Sup-norm gap between the engine's reduced and population filters beside its Kraus plant, m records, n_steps.
 
     Each filter takes the plant's measurement stage, then its control stage
-    on the columns with a nonzero gain, as the engine runs them.  Spin-2's
-    L = J_z is diagonal with descending eigenvalues, so the engine's packed
-    layout needs no reordering of the basis.
+    on the columns where its own gain is nonzero, as the engine runs them;
+    the plant takes no control.  Spin-2's L = J_z is diagonal with
+    descending eigenvalues, so the engine's packed layout needs no
+    reordering of the basis.
     """
-    meas, ctrl = spin2_loose
-    ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
-    rng = default_rng(1010)
-    m, dt, n_steps = 50, 1e-3, 10_000
+    rng = default_rng(seed)
+    dt = 1e-3
     n, eta = meas.dec.n, meas.eta
     lvec = np.diagonal(meas.L).real
+    delta = laplacian_matrix(ctrl.H, meas.dec)
     pk = _Packed(n)
     rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, m))
     rho_red = rho.copy()
     p_hat = np.full((n, m), 1.0 / n)
-    bands = _bands(spin2_delta)
+    bands = _bands(delta)
     rows, cross = kraus_constants(lvec, eta, dt, pk, m)
-    averaged = averaged_operands(ctrl0.H.imag)
+    averaged = averaged_operands(ctrl.H.imag)
     work = np.empty((4, m, n, n))
     sup = 0.0
     for step in range(n_steps):
@@ -241,16 +253,32 @@ def test_criterion_10_filter_agreement(spin2_loose, spin2_delta):
         factor = _kraus_factor(eta, dt, dy, pk, rows, cross)
         rho *= factor
         _normalize(rho, n, 0, step + 1)
-        sigma = feedback_gain(rho_red[:n].T, ctrl0)
+        sigma = feedback_gain(rho_red[:n].T, ctrl)
         rho_red *= factor
         pk.update_active(rho_red, sigma * sigma * dt, _averaged_control, *averaged, work)
         _normalize(rho_red, n, 0, step + 1)
-        sigma_pop = feedback_gain(p_hat.T, ctrl0)
-        p_hat = _population_update(p_hat, factor[:n], sigma_pop * sigma_pop * dt, spin2_delta, bands)
+        sigma_pop = feedback_gain(p_hat.T, ctrl)
+        p_hat = _population_update(p_hat, factor[:n], sigma_pop * sigma_pop * dt, delta, bands)
         sup = max(sup, float(np.max(np.abs(rho_red[:n] - p_hat))))
+    return sup
+
+
+def test_criterion_10_filter_agreement(spin2_loose):
+    """The reduced and population filters agree on the plant's shared measurement stage (filter_gap at sigma_bar = 0).
+
+    With sigma_bar = 0 neither filter's control stage runs, so both take
+    only the plant's measurement stage and the gap reads 0 by
+    construction: this checks that shared stage, not agreement under
+    feedback.  With the gain on the gap is of order 0.1 (README, Tests),
+    because the reduced filter's averaged channel creates coherences that
+    the population filter drops.
+    """
+    meas, ctrl = spin2_loose
+    ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
+    sup = filter_gap(meas, ctrl0, seed=1010)
     _report(
         10, "reduced vs population filter", sup <= 1e-4,
-        f"50 records, t in [0, 10]: sup-norm gap {sup:.2e} <= 1e-4",
+        f"sigma_bar=0, shared measurement stage only; 50 records, t in [0, 10]: sup-norm gap {sup:.2e} <= 1e-4",
     )
 
 
@@ -310,3 +338,40 @@ def test_recorded_error_quantiles_are_positive(fig_artifacts):
         for q in ("q10", "q50", "q90"):
             zero = np.flatnonzero(series[q] <= 0.0)
             assert zero.size == 0, f"{fig} {q}: {zero.size} rows at 0, first at t = {series['t'][zero[0]]}"
+
+
+# The rate ratios README.md states, each beside its paired-bootstrap 95% CI: fig2/fig1, fig2/fig3, fig3/fig4.
+README_RATIOS = {("fig2", "fig1"): 5.48, ("fig2", "fig3"): 1.48, ("fig3", "fig4"): 2.02}
+
+
+def _paired_ratio_cis(results, pairs, resamples=2000, seed=0):
+    """Percentile 95% CIs of the rate ratios nu_a / nu_b, all figures resampled by one shared draw of trajectories.
+
+    The figures run on the same base seed, so trajectory i reads the same
+    noise streams in each, and a resample keeps the pairs.  Each resample
+    refits nu as estimate_rate does: the least-squares slope of log(mean
+    error) over the figure's fit window.
+    """
+    n = {len(r.error_traces) for r in results.values()}.pop()
+    rng = default_rng(seed)
+    weights = np.stack([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(resamples)]) / n
+    rates = {}
+    for fig, result in results.items():
+        w0, w1 = result.cfg.fit_window
+        mask = (result.times >= w0) & (result.times <= w1)
+        means = weights @ result.error_traces[:, mask]
+        rates[fig] = -np.polyfit(result.times[mask], np.log(means).T, 1)[0]
+    return {(a, b): tuple(np.percentile(rates[a] / rates[b], [2.5, 97.5])) for a, b in pairs}
+
+
+def test_readme_rate_ratios_lie_in_their_paired_bootstrap_cis(fig_artifacts):
+    """Each rate ratio README.md states lies in its paired-bootstrap 95% CI."""
+    results = fig_artifacts["results"]
+    cis = _paired_ratio_cis(results, README_RATIOS)
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for (a, b), stated in README_RATIOS.items():
+        lo, hi = cis[a, b]
+        ratio = results[a].fitted_rate / results[b].fitted_rate
+        _status(f"{a}/{b} = {ratio:.4f}, paired 95% CI [{lo:.4f}, {hi:.4f}]")
+        assert lo <= stated <= hi, (a, b, stated, lo, hi)
+        assert f"{stated:.2f} (95% CI" in " ".join(readme.split()), (a, b)

@@ -7,7 +7,6 @@ from qndstab.core import (
     UnrecoverableStateError,
     _ginibre_into,
     dissipator,
-    ginibre_states,
     hermitian_part,
     innovation_superop,
     populations,
@@ -21,6 +20,13 @@ from qndstab.core import (
 )
 
 from conftest import random_hermitian
+
+
+def _low_rank_state(n, rank, rng):
+    """G G^dag / tr(G G^dag) of a complex Ginibre factor G of shape (n, rank)."""
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    s = g @ np.conj(g.T)
+    return s / np.trace(s).real
 
 
 def _expm_series(a: np.ndarray, terms: int = 25) -> np.ndarray:
@@ -145,7 +151,7 @@ def test_unitary_conjugate_group_property(rng):
 
 def test_unitary_conjugate_preserves_spectrum_and_trace(rng):
     h = random_hermitian(5, rng)
-    rho = ginibre_states(rng.standard_normal((2, 5, 2)))  # rank 2
+    rho = _low_rank_state(5, 2, rng)
     out = unitary_conjugate(h, 1.3, rho)
     assert abs(trace(out) - 1.0) < 1e-12
     assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho), atol=1e-12)
@@ -194,35 +200,32 @@ def test_random_state_helpers(rng):
     rho = random_density_matrix(6, rng)
     validate_density_matrix(rho)
     assert np.linalg.matrix_rank(rho, tol=1e-10) == 6
-    low = ginibre_states(rng.standard_normal((2, 6, 3)))
+    low = _low_rank_state(6, 3, rng)
     validate_density_matrix(low)
     assert np.linalg.matrix_rank(low, tol=1e-10) == 3
     h = random_hermitian(4, rng)
     validate_hermitian(h)
 
 
-@pytest.mark.parametrize("n, rank", [(5, 5), (6, 6), (5, 2), (6, 3)])
-def test_ginibre_states_real_products(rng, n, rank):
-    z = rng.standard_normal((3, 40, 2, n, rank))
-    states = ginibre_states(z)
-    assert states.shape == (3, 40, n, n) and states.dtype == complex
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    ref = g @ np.conj(np.swapaxes(g, -1, -2))
-    ref /= np.real(np.trace(ref, axis1=-2, axis2=-1))[..., None, None]
-    # within a few ulp of each state's largest entry (at most 4.0 measured at n <= 9)
-    ulp = np.spacing(np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
-    assert np.all(np.abs(states - ref) <= 8 * ulp)
-    # the real products make the state exactly Hermitian
-    assert np.array_equal(states, np.conj(np.swapaxes(states, -1, -2)))
-    for i, j in ((0, 0), (1, 17), (2, 39)):
-        assert ginibre_states(z[i, j]).tobytes() == states[i, j].tobytes()
-    assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
+@pytest.mark.parametrize("n", [5, 6])
+def test_random_density_matrix_real_products(n):
+    states = [random_density_matrix(n, np.random.default_rng(seed)) for seed in range(40)]
+    for seed, rho in enumerate(states):
+        a, b = np.random.default_rng(seed).standard_normal((2, n, n))
+        g = a + 1j * b
+        ref = g @ np.conj(g.T)
+        ref /= np.real(np.trace(ref))
+        # within a few ulp of the state's largest entry (at most 4.0 measured at n <= 9)
+        assert np.all(np.abs(rho - ref) <= 8 * np.spacing(np.max(np.abs(ref))))
+        # the real products make the state exactly Hermitian
+        assert np.array_equal(rho, np.conj(rho.T))
+    assert np.linalg.matrix_rank(states[0], tol=1e-10) == n
 
 
 def _real_ginibre(z):
     """_ginibre_into's real states from real factors z, shape (..., n, rank), on fresh buffers."""
     out = np.empty(z.shape[:-1] + z.shape[-2:-1])
-    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), None, np.empty(z.shape[:-2]))
+    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), np.empty(z.shape[:-2]))
     return out
 
 
@@ -244,20 +247,12 @@ def test_ginibre_real_factor_states(rng, n, rank):
 
 
 def test_ginibre_workspace_reuse_matches_fresh_states(rng):
-    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh buffers' bytes.
-
-    A complex out takes (A, B) pairs and is compared with ginibre_states; a
-    real out takes real factors and needs no product workspace.
-    """
+    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh buffers' bytes."""
     n, rows = 5, 40
-    for real in (False, True):
-        out = np.full((rows, n, n), np.nan, dtype=float if real else complex)
-        pair = () if real else (2,)
-        zt, prod, tr = np.full(rows * 2 * n * n, np.nan), np.full(2 * rows * n * n, np.nan), np.full(rows, np.nan)
-        for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
-            z = rng.standard_normal((k,) + pair + (n, rank))
-            block = out[:k]
-            work = zt[: z.size].reshape((k,) + pair + (rank, n))
-            _ginibre_into(z, block, work, None if real else prod[: 2 * k * n * n].reshape(2, k, n, n), tr[:k])
-            fresh = _real_ginibre(z) if real else ginibre_states(z)
-            assert block.tobytes() == fresh.tobytes(), (real, k, rank)
+    out = np.full((rows, n, n), np.nan)
+    zt, tr = np.full(rows * n * n, np.nan), np.full(rows, np.nan)
+    for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
+        z = rng.standard_normal((k, n, rank))
+        block = out[:k]
+        _ginibre_into(z, block, zt[: z.size].reshape(k, rank, n), tr[:k])
+        assert block.tobytes() == _real_ginibre(z).tobytes(), (k, rank)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qndstab.core import _rowsum, ginibre_states, populations, random_density_matrix, validate_density_matrix
+from qndstab.core import _rowsum, populations, random_density_matrix, validate_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.spin import spin2_preset
 from qndstab.ensemble import _kraus_factor, _normalize, _Packed
@@ -220,7 +220,7 @@ def _general_pair(rng):
 
 def _mixed_batch(dec, target, rng, count):
     """Ginibre states, two in three pulled toward a wrong vertex so that the gain engages."""
-    states = ginibre_states(rng.standard_normal((count, 2, dec.n, dec.n)))
+    states = np.stack([random_density_matrix(dec.n, rng) for _ in range(count)])
     wrong = [dec.projectors[j] for j in range(dec.d) if j != target]
     for i in range(count):
         if i % 3:
