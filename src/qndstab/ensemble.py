@@ -29,7 +29,8 @@ gain, the measurement update, the trace, the record increment and the
 population filter are row operations on contiguous rows of m; the
 populations are the view [:n].
 
-Every state the engine carries takes the same two-stage step: it is
+Every state the engine carries takes the same two-stage step, which one
+kernel (_Kernel, its constants built once per chunk) runs: it is
 multiplied by the plant's Schur factor, then its control stage runs.  The
 matrix control stages run only on the columns where they are nonzero:
 _Packed.update_active unpacks those columns into (k, n, n) matrices and
@@ -235,7 +236,7 @@ class _Packed:
     A (n(n+1)/2, m) array holds m matrices, one per column.  Row r holds
     entry (i[r], j[r]) of each: the n diagonal entries first, in order, then
     the upper triangle row by row, so the diagonals are the view [:n] and
-    the entries (i, i+1..n-1) are the rows starts[i]:starts[i+1].
+    the packed outer product of two vectors v, w is v[i] * w[j].
     """
 
     def __init__(self, n: int):
@@ -243,7 +244,6 @@ class _Packed:
         self.n = n
         self.i = np.concatenate([np.arange(n), iu])
         self.j = np.concatenate([np.arange(n), ju])
-        self.starts = np.concatenate([[n], n + np.cumsum(np.arange(n - 1, 0, -1))]).tolist()
         rows = np.empty((n, n), dtype=np.intp)
         rows[self.i, self.j] = rows[self.j, self.i] = np.arange(self.i.size)
         self.rows = rows.ravel()
@@ -269,26 +269,6 @@ class _Packed:
         if active.size:
             states[:, active] = self.pack(update(self.unpack(states[:, active]), coef[active], *args))
         return active.size
-
-
-def _kraus_factor(eta: float, dt: float, dy: np.ndarray, pk: _Packed, rows, cross: np.ndarray) -> np.ndarray:
-    """Kraus measurement step for L = diag(lvec), one column per record increment in dy.
-
-    rows is core._kraus_rows(lvec, dt, k) and cross the packed rows of
-    (1 - eta) dt l_i l_j tiled to (n(n+1)/2, k), both built once per chunk.
-    Returns the packed Schur factor m m^T + (1 - eta) dt l l^T, shape
-    (n(n+1)/2, k), m the diagonal of M (core._kraus_diagonal), so that
-    M rho M + (1 - eta) dt L rho L = rho * factor in the packed layout.  The
-    products m_i m_j are written one upper-triangle row slice at a time.
-    """
-    n = pk.n
-    mvec = _kraus_diagonal(eta, dt, dy, rows)
-    factor = np.empty_like(cross)
-    np.multiply(mvec, mvec, out=factor[:n])
-    for i in range(n - 1):
-        np.multiply(mvec[i], mvec[i + 1 :], out=factor[pk.starts[i] : pk.starts[i + 1]])
-    factor += cross
-    return factor
 
 
 def _rotation_planes(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,6 +333,57 @@ def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
     rho /= tr
 
 
+class _Kernel:
+    """One step of the scheme for a chunk of width packed states, its constants built once.
+
+    Its stages, in the engine's order: factor, the packed Schur factor
+    m m^T + (1 - eta) dt l l^T of record increments dy (m the Kraus
+    diagonal, core._kraus_diagonal); measure, the plant's measurement stage
+    (dy from rho and dW, then rho <- rho * factor); rotate, the control
+    rotation of the columns with a nonzero angle; reduced and population,
+    each filter's update on the plant's factor under its own gain sigma.
+    The trace division is _normalize.  The matrix stages run per matrix (a
+    2D BLAS gemm over the batch would round differently at different
+    widths) in work arrays allocated once: as temporaries of a varying size
+    they cost about 16 page faults per step.
+    """
+
+    def __init__(self, meas: MeasurementSetup, ctrl: ControlSetup, dt: float, width: int):
+        lvec, eta = meas.dec.eigenvalues, meas.eta
+        self.n, self.lvec, self.eta, self.dt = meas.dec.n, lvec, eta, dt
+        self.pk = pk = _Packed(self.n)
+        self.drift = 2.0 * np.sqrt(eta) * dt
+        self.rows = _kraus_rows(lvec, dt, width)
+        self.cross = np.repeat(((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None], width, axis=1)
+        self.planes = _rotation_planes(ctrl.H)
+        gen = ctrl.H.imag
+        self.averaged = (gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(self.n))
+        self.delta = laplacian_matrix(ctrl.H, meas.dec)
+        self.bands = _bands(self.delta)
+        self.work = np.empty((4, width, self.n, self.n))
+
+    def factor(self, dy: np.ndarray) -> np.ndarray:
+        mvec = _kraus_diagonal(self.eta, self.dt, dy, self.rows)
+        factor = mvec[self.pk.i] * mvec[self.pk.j]
+        factor += self.cross
+        return factor
+
+    def measure(self, rho: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        factor = self.factor(self.drift * _rowsum(rho[: self.n], self.lvec) + dw)
+        rho *= factor
+        return factor
+
+    def rotate(self, rho: np.ndarray, dv: np.ndarray) -> int:
+        return self.pk.update_active(rho, dv, _rotate, *self.planes, self.work)
+
+    def reduced(self, rho_hat: np.ndarray, factor: np.ndarray, sigma: np.ndarray) -> None:
+        rho_hat *= factor
+        self.pk.update_active(rho_hat, sigma * sigma * self.dt, _averaged_control, *self.averaged, self.work)
+
+    def population(self, p_hat: np.ndarray, factor: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return _population_update(p_hat, factor[: self.n], sigma * sigma * self.dt, self.delta, self.bands)
+
+
 @dataclass(frozen=True)
 class TrajectoryTrace:
     """Strided record of one trajectory."""
@@ -390,34 +421,16 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     populations (m, n) and the number of column-steps the plant rotated.
     """
     meas, ctrl = cfg.setups()
-    dec = meas.dec
-    n, lvec = dec.n, dec.eigenvalues
-    target = ctrl.target
-    eta, dt = meas.eta, cfg.dt
-    sqeta = np.sqrt(eta)
-    pk = _Packed(n)
-    planes = _rotation_planes(ctrl.H)
+    n, target, dt = meas.dec.n, ctrl.target, cfg.dt
     need_b = ctrl.sigma_bar > 0.0
     estimator = cfg.estimator
 
     m = stop - start
-    if cfg.initial == "target":
-        p0 = np.zeros(n)
-        p0[target] = 1.0
-    else:
-        p0 = np.full(n, 1.0 / n)
-    rho = np.tile(pk.pack(np.diag(p0)[None]), (1, m))
+    kern = _Kernel(meas, ctrl, dt, m)
+    p0 = np.eye(n)[target] if cfg.initial == "target" else np.full(n, 1.0 / n)
+    rho = np.tile(kern.pk.pack(np.diag(p0)[None]), (1, m))
     rho_hat = rho.copy() if estimator == "reduced_filter" else None
     p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
-    if estimator == "population_filter":
-        delta = laplacian_matrix(ctrl.H, dec)
-        bands = _bands(delta)
-    # the step's constants, built once per chunk: the Kraus factor's rows
-    # and the averaged control's operands
-    krows = _kraus_rows(lvec, dt, m)
-    cross = np.repeat(((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None], m, axis=1)
-    gen = ctrl.H.imag
-    averaged = (gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(n))
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -452,14 +465,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
 
     _record(0, rho[:n])
 
-    # the control stages run per matrix on unpacked (k, n, n) copies of the
-    # active columns only: a 2D BLAS gemm over the batch would round
-    # differently at different widths.  Their four (k, n, n) work arrays
-    # live in buffers allocated once per chunk: as fresh temporaries of a
-    # varying size they made glibc hand heap pages back to the system and
-    # fault them in again, about 16 page faults per step.
-    work = np.empty((4, m, n, n))
-
     step = engaged = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
@@ -472,9 +477,8 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             # one contiguous pass; a strided multiply into the tile's columns costs more
             rows[:blen] *= sqdt
         for j in range(blen):
-            p_true = rho[:n]
             if estimator in ("truth", "full_observer"):
-                p_est = p_true
+                p_est = rho[:n]
             elif estimator == "population_filter":
                 p_est = p_hat
             else:
@@ -482,18 +486,15 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
             dv = sigma_app * db_rows[j] if need_b else zero_dv
 
-            dy = 2.0 * sqeta * dt * _rowsum(rho[:n], lvec) + dw_rows[j]
-            factor = _kraus_factor(eta, dt, dy, pk, krows, cross)
-            rho *= factor
-            engaged += pk.update_active(rho, dv, _rotate, *planes, work)
+            factor = kern.measure(rho, dw_rows[j])
+            engaged += kern.rotate(rho, dv)
             _normalize(rho, n, start, step + 1)
 
             if estimator == "reduced_filter":
-                rho_hat *= factor
-                pk.update_active(rho_hat, sigma_app * sigma_app * dt, _averaged_control, *averaged, work)
+                kern.reduced(rho_hat, factor, sigma_app)
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                p_hat = _population_update(p_hat, factor[:n], sigma_app * sigma_app * dt, delta, bands)
+                p_hat = kern.population(p_hat, factor, sigma_app)
 
             step += 1
             if step % stride == 0:

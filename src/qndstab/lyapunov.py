@@ -321,7 +321,8 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     All three strata run through _screened_states, the near-vertex one
     with exclusion -inf, so none of its states is screened out.  Its rows
     split evenly over the wrong vertices, the first segments one row
-    longer.  Each row mixes (1 - u) vertex + u rho in place, with one
+    longer.  Each row mixes (1 - u) vertex + u rho in place (u rho, then
+    1 - u added on the vertex's one nonzero, diagonal entry), with one
     weight u in [0, tv_radius) from a stream of its own, a child of
     SeedSequence(seed), and one Ginibre state rho, whose factor reads
     default_rng(seed) as the bulk and diagonal do; each segment's first
@@ -341,30 +342,28 @@ def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
     size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
     states, p = np.empty((size, n, n)), np.empty((size, d))
     z, zt, tr = np.empty((size, n, n)), np.empty((size, n, n)), np.empty(size)
-    wrong = [k for k in range(d) if k != target]
+    wrong = np.array([k for k in range(d) if k != target])
     vertices = dec.projectors[wrong]
     starts = np.cumsum([0] + [n_near // len(wrong) + (i < n_near % len(wrong)) for i in range(len(wrong) - 1)])
     drawn = 0
 
     def ginibre(rows):
-        """Ginibre states from one standard_normal call into states[rows]; returns the free workspace."""
+        """Ginibre states from one standard_normal call into states[rows]."""
         k = rows.stop - rows.start
         rng.standard_normal(out=z[:k])
         _ginibre_into(z[:k], states[rows], zt[:k], tr[:k])
-        return zt[:k]
 
     def near_vertex(rows):
         nonlocal drawn
         at = np.arange(drawn, drawn + rows.stop - rows.start)
         drawn += len(at)
         owner = np.searchsorted(starts, at, side="right") - 1
-        u = u_rng.uniform(0.0, tv_radius, len(at))[:, None, None]
-        # each row's vertex, into the workspace ginibre leaves free; mode clip writes there unbuffered
-        work = np.take(vertices, owner, axis=0, out=ginibre(rows), mode="clip")
-        work *= 1.0 - u
+        u = u_rng.uniform(0.0, tv_radius, len(at))
+        ginibre(rows)
         x = states[rows]
-        x *= u
-        x += work
+        x *= u[:, None, None]
+        level = wrong[owner]
+        x[np.arange(len(at)), level, level] += 1.0 - u
         first = at == starts[owner]
         x[first] = vertices[owner[first]]
 

@@ -3,8 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from qndstab.core import _kraus_rows, hermitian_part
-from qndstab.ensemble import _kraus_factor
+from qndstab.core import hermitian_part
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import solve_alpha
 from qndstab.spin import spin2_preset
@@ -55,18 +54,3 @@ def random_hermitian(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(a)
 
-
-def kraus_constants(lvec, eta, dt, pk, width):
-    """The constant rows ensemble._integrate_chunk builds for ensemble._kraus_factor, for a chunk of this width."""
-    cross = (1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j])
-    return _kraus_rows(lvec, dt, width), np.repeat(cross[:, None], width, axis=1)
-
-
-def kraus_factor(lvec, eta, dt, dy, pk):
-    """ensemble._kraus_factor on the constant rows of a chunk as wide as dy."""
-    return _kraus_factor(eta, dt, dy, pk, *kraus_constants(lvec, eta, dt, pk, dy.size))
-
-
-def averaged_operands(gen):
-    """The operands ensemble._integrate_chunk builds for filters._averaged_control from A = gen."""
-    return gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(gen.shape[0])

@@ -17,7 +17,6 @@ from qndstab import cli
 from qndstab.cli import main
 from qndstab.core import (
     UnrecoverableStateError,
-    _rowsum,
     populations,
     random_density_matrix,
     validate_density_matrix,
@@ -25,18 +24,16 @@ from qndstab.core import (
 from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain
 from qndstab.ensemble import (
     CampaignConfig,
-    _kraus_factor,
+    _Kernel,
     _normalize,
-    _Packed,
     estimate_rate,
     read_series_csv,
     read_summary_csv,
     run_ensemble,
 )
-from qndstab.filters import _averaged_control, _bands, _population_update, laplacian_matrix
+from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
-
-from conftest import averaged_operands, kraus_constants
+from qndstab.spin import spin2_preset
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
@@ -228,37 +225,24 @@ def test_criterion_09_certification(spin2_tight, spin2_delta):
 def filter_gap(meas, ctrl, seed: int, m: int = 50, n_steps: int = 10_000) -> float:
     """Sup-norm gap between the engine's reduced and population filters beside its Kraus plant, m records, n_steps.
 
-    Each filter takes the plant's measurement stage, then its control stage
-    on the columns where its own gain is nonzero, as the engine runs them;
-    the plant takes no control.  Spin-2's L = J_z is diagonal with
-    descending eigenvalues, so the engine's packed layout needs no
-    reordering of the basis.
+    The engine's kernel runs every stage: the plant's measurement stage,
+    then each filter's update on the plant's factor under the filter's own
+    gain, as the campaigns run them; the plant takes no control.
     """
     rng = default_rng(seed)
     dt = 1e-3
-    n, eta = meas.dec.n, meas.eta
-    lvec = np.diagonal(meas.L).real
-    delta = laplacian_matrix(ctrl.H, meas.dec)
-    pk = _Packed(n)
-    rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, m))
+    n = meas.dec.n
+    kern = _Kernel(meas, ctrl, dt, m)
+    rho = np.tile(kern.pk.pack(np.eye(n)[None] / n), (1, m))
     rho_red = rho.copy()
     p_hat = np.full((n, m), 1.0 / n)
-    bands = _bands(delta)
-    rows, cross = kraus_constants(lvec, eta, dt, pk, m)
-    averaged = averaged_operands(ctrl.H.imag)
-    work = np.empty((4, m, n, n))
     sup = 0.0
     for step in range(n_steps):
-        dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(m) * np.sqrt(dt)
-        factor = _kraus_factor(eta, dt, dy, pk, rows, cross)
-        rho *= factor
+        factor = kern.measure(rho, rng.standard_normal(m) * np.sqrt(dt))
         _normalize(rho, n, 0, step + 1)
-        sigma = feedback_gain(rho_red[:n].T, ctrl)
-        rho_red *= factor
-        pk.update_active(rho_red, sigma * sigma * dt, _averaged_control, *averaged, work)
+        kern.reduced(rho_red, factor, feedback_gain(rho_red[:n].T, ctrl))
         _normalize(rho_red, n, 0, step + 1)
-        sigma_pop = feedback_gain(p_hat.T, ctrl)
-        p_hat = _population_update(p_hat, factor[:n], sigma_pop * sigma_pop * dt, delta, bands)
+        p_hat = kern.population(p_hat, factor, feedback_gain(p_hat.T, ctrl))
         sup = max(sup, float(np.max(np.abs(rho_red[:n] - p_hat))))
     return sup
 
@@ -280,6 +264,12 @@ def test_criterion_10_filter_agreement(spin2_loose):
         10, "reduced vs population filter", sup <= 1e-4,
         f"sigma_bar=0, shared measurement stage only; 50 records, t in [0, 10]: sup-norm gap {sup:.2e} <= 1e-4",
     )
+
+
+@pytest.mark.parametrize(("p_min", "gap"), [(0.6, 0.162), (0.9, 0.090)])
+def test_readme_filter_gap_with_gain_on(p_min, gap):
+    """The README's sup gap between the two filters with the gain on, at seed 1010, to its three digits."""
+    assert round(filter_gap(*spin2_preset(p_min), seed=1010), 3) == gap
 
 
 def test_criterion_11_invariant_preservation(spin2_loose):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, _kraus_diagonal, _kraus_rows, populations, trace, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, trace, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -25,9 +25,7 @@ from qndstab.ensemble import (
 )
 from qndstab.filters import laplacian_matrix, population_filter_step
 from qndstab.lyapunov import v_open
-from qndstab.spin import build_spin_model
-
-from conftest import kraus_factor
+from qndstab.spin import build_spin_model, spin2_preset
 
 SEED = 4242
 
@@ -324,23 +322,25 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
         assert np.array_equal(result.final_populations, np.tile(expected, (3, 1))), level
 
 
-def test_kraus_factor_rows_match_outer_product():
-    """The packed factor's row slices hold m_i m_j + (1 - eta) dt l_i l_j at every (i, j), bit for bit."""
+def test_schur_factor_rows_match_outer_product():
+    """The kernel's packed factor holds m_i m_j + (1 - eta) dt l_i l_j at every (i, j), bit for bit.
+
+    The expected factor packs the full outer products, with m from a
+    width-1 kernel's Kraus rows, which broadcast against the increments.
+    """
     rng = np.random.default_rng(23)
-    for n in (2, 5, 9):
-        lvec = np.sort(rng.normal(size=n))[::-1].copy()
-        dy, eta, dt = rng.normal(scale=0.05, size=7), 0.7, 1e-3
-        pk = ensemble._Packed(n)
-        factor = kraus_factor(lvec, eta, dt, dy, pk)
-        mvec = _kraus_diagonal(eta, dt, dy, _kraus_rows(lvec, dt, 1))
-        cross = (1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j])
-        expected = mvec[pk.i] * mvec[pk.j] + cross[:, None]
-        assert factor.tobytes() == expected.tobytes(), n
+    for J in (0.5, 2.0, 4.0):
+        meas, ctrl = spin2_preset(0.6, J=J, eta=0.7)
+        lvec, dy, dt = meas.dec.eigenvalues, rng.normal(scale=0.05, size=7), 1e-3
+        kern = ensemble._Kernel(meas, ctrl, dt, dy.size)
+        mvec = _kraus_diagonal(0.7, dt, dy, ensemble._Kernel(meas, ctrl, dt, 1).rows).T
+        full = mvec[:, :, None] * mvec[:, None, :] + (1.0 - 0.7) * dt * np.outer(lvec, lvec)
+        assert kern.factor(dy).tobytes() == kern.pk.pack(full).tobytes(), J
 
 
 def test_kraus_step_stays_positive_where_euler_fails():
     """One coarse step at eta = 1: the Euler factor leaves the state cone, the Kraus factor does not."""
-    meas, _ = _small_cfg(eta=1.0).setups()
+    meas, ctrl = _small_cfg(eta=1.0).setups()
     lvec = np.diagonal(meas.L).real
     dt, dw = 0.1, 0.8
     psi = np.full(5, 1.0 / np.sqrt(5.0))
@@ -348,12 +348,11 @@ def test_kraus_step_stays_positive_where_euler_fails():
     ex = lvec @ np.diagonal(rho)
     euler = rho * (1.0 - 0.5 * dt * np.subtract.outer(lvec, lvec) ** 2 + (np.add.outer(lvec, lvec) - 2.0 * ex) * dw)
     assert np.min(np.linalg.eigvalsh(euler)) < -1e-12
-    dy = np.array([2.0 * ex * dt + dw])
-    pk = ensemble._Packed(5)
-    factor = kraus_factor(lvec, 1.0, dt, dy, pk)
-    kraus = pk.pack(rho[None]) * factor
+    kern = ensemble._Kernel(meas, ctrl, dt, 1)
+    kraus = kern.pk.pack(rho[None])
+    kern.measure(kraus, np.array([dw]))
     ensemble._normalize(kraus, 5, 0, 1)
-    kraus = pk.unpack(kraus)[0]
+    kraus = kern.pk.unpack(kraus)[0]
     assert np.min(np.linalg.eigvalsh(kraus)) >= -1e-12
     assert abs(np.trace(kraus) - 1.0) <= 1e-12
 

@@ -6,19 +6,17 @@ from numpy.random import default_rng
 
 from qndstab.core import dissipator, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain
-from qndstab.ensemble import _normalize, _Packed
+from qndstab.ensemble import _Kernel, _normalize, _Packed
 from qndstab.filters import (
-    _averaged_control,
     _band_sum,
     _bands,
-    _population_update,
     graph_connected,
     laplacian_matrix,
     population_filter_step,
 )
 from qndstab.spin import spin2_preset
 
-from conftest import averaged_operands, kraus_factor, random_hermitian
+from conftest import random_hermitian
 
 SPIN2_DELTA = np.array(
     [
@@ -95,33 +93,21 @@ def _lvec(meas):
     return lvec
 
 
-def _plant_step(rho, meas, dy, dt):
-    """The engine's open-loop Kraus step on packed states, in place; returns the Schur factor.
+def _plant_step(rho, kern, dy):
+    """The engine's open-loop Kraus step on packed states, in place, on the kernel's factor of dy; returns the factor.
 
     Started at the true state, the full observer takes this very step.
     """
-    factor = kraus_factor(_lvec(meas), meas.eta, dt, np.atleast_1d(dy), PK)
+    factor = kern.factor(np.atleast_1d(dy))
     rho *= factor
     _normalize(rho, 5, 0, 1)
     return factor
 
 
-def _reduced_stages(rho_hat, ctrl, factor, sigma, dt):
-    """The engine's reduced filter step on packed states before the trace division.
-
-    The plant's Schur factor, then the averaged control channel on the
-    columns with a nonzero gain.
-    """
-    out = rho_hat * factor
-    work = np.empty((4, out.shape[1], 5, 5))
-    PK.update_active(out, sigma * sigma * dt, _averaged_control, *averaged_operands(ctrl.H.imag), work)
-    return out
-
-
-def _reduced_step(rho_hat, ctrl, factor, dt):
-    """The engine's reduced filter step on packed states, with the undelayed gain of rho_hat."""
-    sigma = np.atleast_1d(feedback_gain(rho_hat[:5].T, ctrl))
-    out = _reduced_stages(rho_hat, ctrl, factor, sigma, dt)
+def _reduced_step(rho_hat, kern, ctrl, factor):
+    """The engine's reduced filter step on a copy of packed states, with the undelayed gain of rho_hat."""
+    out = rho_hat.copy()
+    kern.reduced(out, factor, np.atleast_1d(feedback_gain(rho_hat[:5].T, ctrl)))
     _normalize(out, 5, 0, 1)
     return out
 
@@ -132,17 +118,18 @@ def test_full_observer_fixes_target_vertex(spin2_loose):
     # the gain is zero at the target, so no rotation follows the Kraus step
     assert feedback_gain(vertex[:5].T, ctrl) == 0.0
     out = vertex.copy()
-    _plant_step(out, meas, 0.4, 1e-3)
+    _plant_step(out, _Kernel(meas, ctrl, 1e-3, 1), 0.4)
     assert np.array_equal(out, vertex)
 
 
 def test_full_observer_sigma_bar_zero_fixes_all_vertices(spin2_loose):
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
+    kern = _Kernel(meas, ctrl, 1e-3, 1)
     # with sigma_bar = 0 no rotation follows the Kraus step, at any vertex
     for k in range(5):
         vertex = PK.pack(meas.dec.projectors[k].real[None])
         out = vertex.copy()
-        _plant_step(out, meas, -0.9, 1e-3)
+        _plant_step(out, kern, -0.9)
         assert np.array_equal(out, vertex)
 
 
@@ -156,17 +143,17 @@ def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose):
     rho_hat[0, 4] = rho_hat[4, 0] = 0.05
     packed = PK.pack(rho_hat[None])
     assert np.array_equal(feedback_gain(packed[:5].T, ctrl), [0.0])
-    dt = 1e-3
+    kern = _Kernel(meas, ctrl, 1e-3, 1)
     plant = packed.copy()
-    factor = _plant_step(plant, meas, 0.21, dt)
-    assert _reduced_step(packed, ctrl, factor, dt).tobytes() == plant.tobytes()
+    factor = _plant_step(plant, kern, 0.21)
+    assert _reduced_step(packed, kern, ctrl, factor).tobytes() == plant.tobytes()
 
 
 def test_reduced_filter_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
     vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
-    factor = kraus_factor(_lvec(meas), meas.eta, 1e-3, np.array([-0.6]), PK)
-    out = _reduced_step(vertex, ctrl, factor, 1e-3)
+    kern = _Kernel(meas, ctrl, 1e-3, 1)
+    out = _reduced_step(vertex, kern, ctrl, kern.factor(np.array([-0.6])))
     assert np.array_equal(out, vertex)
 
 
@@ -185,8 +172,10 @@ def test_reduced_filter_applies_average_control_drift(spin2_loose):
     def step(sig, dt):
         # zero innovation record
         dy = np.array([2.0 * np.sqrt(meas.eta) * (lvec @ np.diag(rho_hat)) * dt])
-        factor = kraus_factor(lvec, meas.eta, dt, dy, PK)
-        out = PK.unpack(_reduced_stages(PK.pack(rho_hat[None]), ctrl, factor, np.array([sig]), dt))[0]
+        kern = _Kernel(meas, ctrl, dt, 1)
+        out = PK.pack(rho_hat[None])
+        kern.reduced(out, kern.factor(dy), np.array([sig]))
+        out = PK.unpack(out)[0]
         return out / np.trace(out)
 
     errs = []
@@ -241,15 +230,16 @@ def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, 
     ctrl0 = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
     p = rng.dirichlet(np.ones(5), size=20)
     dY, dt = rng.normal(scale=0.05, size=20), 1e-3
-    factor = kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
-    reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl0, factor, np.zeros(20), dt)
+    kern = _Kernel(meas, ctrl0, dt, 20)
+    reduced = PK.pack(p[:, :, None] * np.eye(5))
+    kern.reduced(reduced, kern.factor(dY), np.zeros(20))
     _normalize(reduced, 5, 0, 1)
     out = population_filter_step(p, meas, ctrl0, spin2_delta, dY=dY, dt=dt)
     assert np.max(np.abs(out - reduced[:5].T)) <= 1e-15
 
 
 def test_population_filter_step_is_engine_update(spin2_loose, spin2_delta):
-    """population_filter_step is the engine's _population_update on the rows [:5] of its Kraus factor, bit for bit.
+    """population_filter_step is the engine kernel's population update on its Kraus factor, bit for bit.
 
     The engine's factor comes from Kraus rows tiled to the chunk width,
     population_filter_step's from width-1 rows that broadcast; both give the
@@ -262,14 +252,14 @@ def test_population_filter_step_is_engine_update(spin2_loose, spin2_delta):
     sigma = feedback_gain(p, ctrl)
     assert 0 < np.count_nonzero(sigma) < len(p)
     dY, dt = rng.normal(scale=0.05, size=len(p)), 1e-3
-    factor = kraus_factor(_lvec(meas), meas.eta, dt, dY, PK)
-    engine = _population_update(np.ascontiguousarray(p.T), factor[:5], sigma * sigma * dt, spin2_delta, _bands(spin2_delta))
+    kern = _Kernel(meas, ctrl, dt, len(p))
+    engine = kern.population(np.ascontiguousarray(p.T), kern.factor(dY), sigma)
     out = population_filter_step(p, meas, ctrl, spin2_delta, dY=dY, dt=dt)
     assert out.tobytes() == engine.T.tobytes()
 
 
 @pytest.mark.parametrize("sigma_bar", [2.0, 20.0])
-def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2_delta, sigma_bar):
+def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, sigma_bar):
     """With the gain on, the population step is the reduced step's diagonal less its order-s^2 terms.
 
     Both filters first multiply by the plant's Schur factor, which takes
@@ -281,14 +271,17 @@ def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2
     normalization.
     """
     meas, ctrl = spin2_loose
-    lvec, gen = _lvec(meas), ctrl.H.imag
+    gen = ctrl.H.imag
     rng = default_rng(29)
     p = np.vstack([[0.99, 0.0025, 0.0025, 0.0025, 0.0025], rng.dirichlet(np.ones(5), size=7)])
     k = len(p)
     dY, dt = np.concatenate([[0.0], rng.normal(scale=0.05, size=k - 1)]), 1e-3
     sigma = np.full(k, sigma_bar)
-    factor = kraus_factor(lvec, meas.eta, dt, dY, PK)
-    reduced = _reduced_stages(PK.pack(p[:, :, None] * np.eye(5)), ctrl, factor, sigma, dt)[:5].T
+    kern = _Kernel(meas, ctrl, dt, k)
+    factor = kern.factor(dY)
+    reduced = PK.pack(p[:, :, None] * np.eye(5))
+    kern.reduced(reduced, factor, sigma)
+    reduced = reduced[:5].T
     a2 = gen @ gen
     off = a2 * a2
     np.fill_diagonal(off, 0.0)
@@ -296,7 +289,7 @@ def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, spin2
     dropped = (0.5 * sigma_bar**2 * dt) ** 2 * (measured @ off.T)
     assert np.min(dropped) > 1e-8
     expected = reduced - dropped
-    out = _population_update(np.ascontiguousarray(p.T), factor[:5], sigma * sigma * dt, spin2_delta, _bands(spin2_delta))
+    out = kern.population(np.ascontiguousarray(p.T), factor, sigma)
     scale = np.sum(expected, axis=1, keepdims=True)
     assert np.max(np.abs(out.T * scale - expected)) <= 1e-14
 
@@ -367,10 +360,11 @@ def test_filters_agree_in_open_loop(spin2_loose, spin2_delta):
     rho_red = rho.copy()
     p_hat = p0.copy()
     dt = 1e-3
+    kern = _Kernel(meas, ctrl0, dt, 1)
     for _ in range(1000):
         dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5, 0]) * dt + rng.normal(scale=np.sqrt(dt))
-        factor = _plant_step(rho, meas, dy, dt)
-        rho_red = _reduced_step(rho_red, ctrl0, factor, dt)
+        factor = _plant_step(rho, kern, dy)
+        rho_red = _reduced_step(rho_red, kern, ctrl0, factor)
         p_hat = population_filter_step(p_hat, meas, ctrl0, spin2_delta, dy, dt)
     assert np.max(np.abs(rho_red[:5, 0] - rho[:5, 0])) < 1e-6
     assert np.max(np.abs(p_hat - rho_red[:5, 0])) < 1e-6
@@ -382,9 +376,10 @@ def test_full_observer_identifies_state_from_record(spin2_loose):
     In open loop the full observer takes the plant's Kraus step, driven by
     the plant's record increments.
     """
-    meas, _ = spin2_loose
+    meas, ctrl = spin2_loose
     rng = default_rng(31)
     n_traj, n_steps, dt = 200, 1000, 2e-3
+    kern = _Kernel(meas, ctrl, dt, n_traj)
     # the real part of a density matrix is a real density matrix
     rho = PK.pack(np.stack([random_density_matrix(5, rng).real for _ in range(n_traj)]))
     rho_hat = np.tile(PK.pack(np.eye(5)[None] / 5.0), (1, n_traj))
@@ -394,9 +389,7 @@ def test_full_observer_identifies_state_from_record(spin2_loose):
 
     overlap0 = overlap()
     for _ in range(n_steps):
-        dy = 2.0 * np.sqrt(meas.eta) * (_lvec(meas) @ rho[:5]) * dt + rng.standard_normal(n_traj) * np.sqrt(dt)
-        factor = kraus_factor(_lvec(meas), meas.eta, dt, dy, PK)
-        rho *= factor
+        factor = kern.measure(rho, rng.standard_normal(n_traj) * np.sqrt(dt))
         rho_hat *= factor
         _normalize(rho, 5, 0, 1)
         _normalize(rho_hat, 5, 0, 1)

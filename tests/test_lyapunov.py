@@ -10,7 +10,7 @@ import pytest
 from qndstab.core import _rowsum, populations, random_density_matrix, validate_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.spin import spin2_preset
-from qndstab.ensemble import _kraus_factor, _normalize, _Packed
+from qndstab.ensemble import _Kernel, _normalize
 from qndstab import lyapunov
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import (
@@ -27,8 +27,6 @@ from qndstab.lyapunov import (
     v_alpha,
     v_open,
 )
-
-from conftest import kraus_constants
 
 
 def _diss(a, rho):
@@ -673,9 +671,8 @@ def test_xi_dynamics_check(spin2_tight):
     horizons = 3.0 / expected
     n_steps = int(round(horizons.max() / dt))
     drift_steps = int(round(0.1 / dt))
-    pk = _Packed(n)
-    rows, cross = kraus_constants(lvec, eta, dt, pk, trajectories)
-    rho = np.tile(pk.pack(np.eye(n)[None] / n), (1, trajectories))
+    kern = _Kernel(*spin2_tight, dt, trajectories)
+    rho = np.tile(kern.pk.pack(np.eye(n)[None] / n), (1, trajectories))
     rng = np.random.default_rng(11)
     prod_means = np.empty((n_steps + 1, len(pairs)))
     xi = np.sqrt(rho[:n])
@@ -683,9 +680,7 @@ def test_xi_dynamics_check(spin2_tight):
     resid_sum = np.zeros(n)
     resid_sqsum = np.zeros(n)
     for step in range(n_steps):
-        dy = 2.0 * np.sqrt(eta) * dt * _rowsum(rho[:n], lvec) + rng.standard_normal(trajectories) * np.sqrt(dt)
-        factor = _kraus_factor(eta, dt, dy, pk, rows, cross)
-        rho *= factor
+        kern.measure(rho, rng.standard_normal(trajectories) * np.sqrt(dt))
         _normalize(rho, n, 0, step + 1)
         xi_next = np.sqrt(rho[:n])
         if step < drift_steps:

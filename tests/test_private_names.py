@@ -29,3 +29,22 @@ def test_every_private_helper_is_used():
     assert len(list(SRC.glob("*.py"))) > 1
     orphans = _orphans()
     assert not orphans, "private helpers that src/ never uses:\n" + "\n".join(orphans)
+
+
+def test_every_conftest_helper_is_used():
+    """Every module-level function or class of tests/conftest.py that is no fixture or pytest hook is named by a test module."""
+    tests = Path(__file__).resolve().parent
+    helpers = [
+        node.name
+        for node in ast.parse((tests / "conftest.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list and not node.name.startswith("pytest_")
+    ]
+    used = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert helpers, "no conftest helper found"
+    assert not set(helpers) - used, f"conftest helpers that no test module uses: {sorted(set(helpers) - used)}"
