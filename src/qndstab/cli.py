@@ -44,7 +44,7 @@ from .lyapunov import (
 )
 from .spin import spin2_preset
 
-__all__ = ["ConfigError", "parse_config", "parse_certify_config", "main", "FIGURE_PRESETS"]
+__all__ = ["main"]
 
 ENV_OUT = "QNDSTAB_OUT"
 
@@ -134,6 +134,15 @@ def _check_fields(doc: dict, schema: dict) -> list[str]:
     return problems
 
 
+def _read(path: str) -> str:
+    """The text of the config file at path; a file that cannot be read (missing, a directory, not UTF-8) is a config error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+
+
 def _load(text: str, schema: dict, kind: str) -> dict:
     """Decode a JSON object and check its keys and types against schema; kind names the config in errors."""
     try:
@@ -144,13 +153,8 @@ def _load(text: str, schema: dict, kind: str) -> dict:
         raise ConfigError("config must be a JSON object")
     problems = _check_fields(doc, schema)
     if problems:
-        raise ConfigError(f"invalid {kind} config:\n  " + "\n  ".join(problems))
+        raise ConfigError(f"invalid {kind} config: " + "; ".join(problems))
     return doc
-
-
-def parse_config(text: str) -> CampaignConfig:
-    """Parse and validate a JSON campaign document; unknown keys are rejected."""
-    return _campaign(_load(text, _CAMPAIGN_KEYS, "campaign"))
 
 
 def _campaign(doc: dict) -> CampaignConfig:
@@ -277,8 +281,7 @@ def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str)
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = _campaign(_overrides(_load(fh.read(), _CAMPAIGN_KEYS, "campaign"), args))
+    cfg = _campaign(_overrides(_load(_read(args.config), _CAMPAIGN_KEYS, "campaign"), args))
     out_dir = _resolve_out(args.out)
     result = _emit_campaign(cfg, out_dir, "run", "run")
     print(f"run: nu_hat={float(result.fitted_rate)!r} artifacts in {out_dir}")
@@ -286,8 +289,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.config) as fh:
-        doc = _overrides(parse_certify_config(fh.read()), args)
+    doc = _overrides(parse_certify_config(_read(args.config)), args)
     meas, ctrl = _certify_setups(doc)
     if "broken_link" in doc:
         # toy model with one ladder coupling removed; disconnects the actuation graph

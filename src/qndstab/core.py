@@ -29,21 +29,16 @@ import numpy as np
 __all__ = [
     "UnrecoverableStateError",
     "SpectralDecomposition",
-    "hermitian_part",
-    "trace",
     "validate_hermitian",
-    "validate_density_matrix",
     "spectral_decomposition",
     "populations",
     "dissipator",
     "innovation_superop",
     "unitary_conjugate",
     "project_to_physical",
-    "random_density_matrix",
 ]
 
 HERMITIAN_TOL = 1e-12  # entrywise |M - M^dag| allowed by validate_hermitian
-DENSITY_TOL = 1e-9  # Hermiticity, trace and positivity slack of validate_density_matrix
 DEGENERACY_TOL = 1e-8  # gap between consecutive entries of L at or below which spectral_decomposition refuses L
 TRACE_FLOOR = 1e-12  # clipped trace at or below which project_to_physical gives up
 
@@ -55,11 +50,6 @@ class UnrecoverableStateError(RuntimeError):
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M^dag)/2, broadcasting over leading axes."""
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-
-
-def trace(m: np.ndarray) -> np.ndarray:
-    """Matrix trace over the last two axes."""
-    return np.einsum("...ii->...", m)
 
 
 def _require_square(m: np.ndarray, name: str) -> np.ndarray:
@@ -78,21 +68,6 @@ def validate_hermitian(op: np.ndarray, name: str = "operator") -> np.ndarray:
             f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} exceeds {HERMITIAN_TOL:.3e}"
         )
     return op
-
-
-def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity, each within DENSITY_TOL."""
-    rho = _require_square(rho, name)
-    herm_dev = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
-    if herm_dev > DENSITY_TOL:
-        raise ValueError(f"{name} is not Hermitian within {DENSITY_TOL:.1e}: deviation {herm_dev:.3e}")
-    tr_dev = float(np.max(np.abs(trace(rho) - 1.0)))
-    if tr_dev > DENSITY_TOL:
-        raise ValueError(f"{name} does not have unit trace within {DENSITY_TOL:.1e}: deviation {tr_dev:.3e}")
-    wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(rho))))
-    if wmin < -DENSITY_TOL:
-        raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {wmin:.3e} < -{DENSITY_TOL:.1e}")
-    return rho
 
 
 @dataclass(frozen=True)

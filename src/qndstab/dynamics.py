@@ -47,7 +47,6 @@ __all__ = [
     "MeasurementSetup",
     "ControlSetup",
     "StepInput",
-    "StepOutput",
     "measurement_setup",
     "control_setup",
     "feedback_gain",

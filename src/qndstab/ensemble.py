@@ -71,7 +71,6 @@ change the bits of any trajectory, and ensembles aggregate in index order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,21 +83,13 @@ from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
 __all__ = [
     "DEFAULT_SEED",
-    "ESTIMATORS",
     "MODEL_FIELDS",
     "CampaignConfig",
-    "TrajectoryTrace",
     "EnsembleResult",
-    "FitDomainError",
-    "DelayedGainBuffer",
-    "noise_generator",
     "run_trajectory",
     "run_ensemble",
-    "estimate_rate",
     "write_series_csv",
     "write_summary_csv",
-    "read_series_csv",
-    "read_summary_csv",
 ]
 
 DEFAULT_SEED = 20260814
@@ -649,23 +640,3 @@ def write_summary_csv(result: EnsembleResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(values) + "\n")
         fh.write(",".join(values.values()) + "\n")
-
-
-def read_series_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse a series CSV back into arrays (exact float round trip)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    out: dict[str, np.ndarray] = {}
-    for key in ("t", "mean_error", "q10", "q50", "q90"):
-        out[key] = np.array([float(r[key]) for r in rows])
-    out["n_alive"] = np.array([int(r["n_alive"]) for r in rows])
-    return out
-
-
-def read_summary_csv(path: str) -> dict[str, str]:
-    """Parse a summary CSV into its single row of raw string fields."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if len(rows) != 1:
-        raise ValueError(f"summary CSV must contain exactly one row, found {len(rows)}")
-    return dict(rows[0])

@@ -43,18 +43,9 @@ from .filters import graph_connected
 
 __all__ = [
     "CertificationImpossibleError",
-    "EvaluatedAtTargetError",
-    "AlphaWeights",
-    "GeneratorTerms",
-    "StratumResult",
-    "CertificateReport",
     "v_open",
-    "open_loop_rate",
     "default_beta",
     "solve_alpha",
-    "equivalence_constants",
-    "v_alpha",
-    "generator_terms",
     "certify_decay",
     "certificate_to_csv",
 ]
@@ -79,16 +70,6 @@ def v_open(p: np.ndarray):
     total = np.sum(s, axis=-1)
     out = 0.5 * (total * total - np.sum(s * s, axis=-1))
     return out if out.ndim else float(out)
-
-
-def open_loop_rate(meas: MeasurementSetup) -> float:
-    """Guaranteed open-loop decay rate (eta/2) min over pairs of (lambda_k - lambda_k')^2."""
-    lam = meas.dec.eigenvalues
-    if len(lam) < 2:
-        raise ValueError("open-loop contraction undefined for a single eigenspace (d = 1)")
-    diffs = lam[:, None] - lam[None, :]
-    gap2 = diffs[~np.eye(len(lam), dtype=bool)] ** 2
-    return 0.5 * meas.eta * float(np.min(gap2))
 
 
 def default_beta(d: int, target: int) -> np.ndarray:

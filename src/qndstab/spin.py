@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import ControlSetup, MeasurementSetup, control_setup, measurement_setup
 
-__all__ = ["build_spin_model", "spin2_preset", "DEFAULT_EFFICIENCY"]
+__all__ = ["spin2_preset", "DEFAULT_EFFICIENCY"]
 
 DEFAULT_EFFICIENCY = 0.8
 

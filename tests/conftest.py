@@ -1,9 +1,10 @@
+import csv
 import sys
 
 import numpy as np
 import pytest
 
-from qndstab.core import hermitian_part
+from qndstab.core import _require_square, hermitian_part
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import solve_alpha
 from qndstab.spin import spin2_preset
@@ -54,3 +55,31 @@ def random_hermitian(n, rng):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(a)
 
+
+DENSITY_TOL = 1e-9  # Hermiticity, trace and positivity slack of validate_density_matrix
+
+
+def trace(m: np.ndarray) -> np.ndarray:
+    """Matrix trace over the last two axes."""
+    return np.einsum("...ii->...", m)
+
+
+def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
+    """Check Hermiticity, unit trace and positivity, each within DENSITY_TOL."""
+    rho = _require_square(rho, name)
+    herm_dev = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
+    if herm_dev > DENSITY_TOL:
+        raise ValueError(f"{name} is not Hermitian within {DENSITY_TOL:.1e}: deviation {herm_dev:.3e}")
+    tr_dev = float(np.max(np.abs(trace(rho) - 1.0)))
+    if tr_dev > DENSITY_TOL:
+        raise ValueError(f"{name} does not have unit trace within {DENSITY_TOL:.1e}: deviation {tr_dev:.3e}")
+    wmin = float(np.min(np.linalg.eigvalsh(hermitian_part(rho))))
+    if wmin < -DENSITY_TOL:
+        raise ValueError(f"{name} is not positive semidefinite: min eigenvalue {wmin:.3e} < -{DENSITY_TOL:.1e}")
+    return rho
+
+
+def read_csv(path) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header line, each a dict of its fields as strings."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))

@@ -19,7 +19,6 @@ from qndstab.core import (
     UnrecoverableStateError,
     populations,
     random_density_matrix,
-    validate_density_matrix,
 )
 from qndstab.dynamics import StepInput, closed_loop_step, control_setup, feedback_gain
 from qndstab.ensemble import (
@@ -27,13 +26,13 @@ from qndstab.ensemble import (
     _Kernel,
     _normalize,
     estimate_rate,
-    read_series_csv,
-    read_summary_csv,
     run_ensemble,
 )
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import certify_decay, generator_terms, solve_alpha, v_alpha
 from qndstab.spin import spin2_preset
+
+from conftest import read_csv, validate_density_matrix
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
@@ -102,7 +101,8 @@ def fig_artifacts(tmp_path_factory):
 
 
 def _fig_summary(dirs, fig):
-    return read_summary_csv(str(dirs[fig] / f"{fig}_summary.csv"))
+    (summary,) = read_csv(dirs[fig] / f"{fig}_summary.csv")
+    return summary
 
 
 def test_criterion_01_open_loop_rate(open_loop_campaign):
@@ -148,8 +148,7 @@ def test_criterion_05_fig3_band(fig_artifacts):
 
 def test_criterion_06_fig4_band_and_convergence(fig_artifacts):
     nu = float(_fig_summary(fig_artifacts, "fig4")["nu_hat"])
-    series = read_series_csv(str(fig_artifacts["fig4"] / "fig4_series.csv"))
-    final_err = series["mean_error"][-1]
+    final_err = float(read_csv(fig_artifacts["fig4"] / "fig4_series.csv")[-1]["mean_error"])
     ok = 0.03 <= nu <= 0.09 and final_err < 0.3
     _report(
         6, "delayed loop rate and convergence", ok,
@@ -324,10 +323,10 @@ def test_recorded_error_quantiles_are_positive(fig_artifacts):
     do not.
     """
     for fig in FIGURES:
-        series = read_series_csv(str(fig_artifacts[fig] / f"{fig}_series.csv"))
+        rows = read_csv(fig_artifacts[fig] / f"{fig}_series.csv")
         for q in ("q10", "q50", "q90"):
-            zero = np.flatnonzero(series[q] <= 0.0)
-            assert zero.size == 0, f"{fig} {q}: {zero.size} rows at 0, first at t = {series['t'][zero[0]]}"
+            zero = [row["t"] for row in rows if float(row[q]) <= 0.0]
+            assert not zero, f"{fig} {q}: {len(zero)} rows at 0, first at t = {zero[0]}"
 
 
 # The rate ratios README.md states, each beside its paired-bootstrap 95% CI: fig2/fig1, fig2/fig3, fig3/fig4.

@@ -10,13 +10,17 @@ import pytest
 
 from qndstab import cli
 from qndstab.cli import (
+    _CAMPAIGN_KEYS,
     FIGURE_PRESETS,
     ConfigError,
+    _campaign,
+    _load,
     main,
     parse_certify_config,
-    parse_config,
 )
-from qndstab.ensemble import DEFAULT_SEED, read_series_csv, read_summary_csv
+from qndstab.ensemble import DEFAULT_SEED
+
+from conftest import read_csv
 
 
 def _sha256(path):
@@ -26,8 +30,18 @@ def _sha256(path):
 # ---------------------------------------------------------------- parsing
 
 
+def _run_config_text(tmp_path, capsys, text):
+    """main's exit code and stderr for `run` on a config file holding text; asserts no output directory was made."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "x"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
 def test_parse_config_minimal_defaults():
-    cfg = parse_config('{"J": 2, "p_min": 0.9}')
+    cfg = _campaign(_load('{"J": 2, "p_min": 0.9}', _CAMPAIGN_KEYS, "campaign"))
     assert cfg.p_min == 0.9
     assert cfg.J == 2.0
     assert cfg.t_final == 50.0
@@ -60,7 +74,7 @@ def test_parse_config_full_document():
         "initial": "target",
         "workers": 4,
     }
-    cfg = parse_config(json.dumps(doc))
+    cfg = _campaign(_load(json.dumps(doc), _CAMPAIGN_KEYS, "campaign"))
     assert cfg.base_seed == 99
     assert cfg.fit_window == (2.0, 15.0)
     assert cfg.saturation == "smoothstep"
@@ -74,6 +88,10 @@ def test_parse_config_full_document():
     "text,needle",
     [
         ('{"p_min": 0.9, "pmin": 0.1}', "pmin"),
+        (
+            '{"pmin": 0.9, "trajectories": "many"}',
+            "unknown keys: pmin; p_min: required key missing; trajectories: expected int, got str",
+        ),
         ('{"t_final": 10.0}', "p_min: required"),
         ('{"p_min": 0.4}', "p_min"),
         ('{"p_min": 0.7, "p_max": 0.65}', "p_max"),
@@ -98,15 +116,37 @@ def test_parse_config_full_document():
         ("{not json", "not valid JSON"),
     ],
 )
-def test_parse_config_rejections(text, needle):
-    with pytest.raises(ConfigError, match=needle):
-        parse_config(text)
+def test_parse_config_rejections(tmp_path, capsys, text, needle):
+    code, err = _run_config_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("run: ") and needle in err
+    assert err.count("\n") == 1
 
 
-def test_parse_config_wraps_campaign_validation():
+def test_parse_config_wraps_campaign_validation(tmp_path, capsys):
     # passes the schema but violates a cross-field rule checked downstream
-    with pytest.raises(ConfigError, match="fit_window"):
-        parse_config('{"p_min": 0.9, "t_final": 1.0}')
+    code, err = _run_config_text(tmp_path, capsys, '{"p_min": 0.9, "t_final": 1.0}')
+    assert code == 2
+    assert err.startswith("run: invalid campaign config: ") and "fit_window" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["run", "certify"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, verb, kind):
+    """A config file that cannot be read is a config error: one line on stderr and exit 2, not a traceback."""
+    path = tmp_path / "configs"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b'\xff{"p_min": 0.9}')
+    out = tmp_path / "x"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: cannot read config: ")
+    assert (str(path) in err) == (kind != "not_utf8")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_parse_certify_config_defaults():
@@ -170,9 +210,8 @@ def test_cmd_run_emits_artifacts(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     assert capsys.readouterr().out.startswith("run: nu_hat=")
 
-    series = read_series_csv(str(out / "run_series.csv"))
-    assert len(series["t"]) == 21
-    summary = read_summary_csv(str(out / "run_summary.csv"))
+    assert len(read_csv(out / "run_series.csv")) == 21
+    (summary,) = read_csv(out / "run_summary.csv")
     assert summary["trajectories"] == "4"
     assert summary["base_seed"] == "123"
 
@@ -209,7 +248,7 @@ def test_cmd_run_cli_overrides(tmp_path):
     cfg_path = _write_config(tmp_path, SMALL_CAMPAIGN)
     out = tmp_path / "o"
     assert main(["run", "--config", cfg_path, "--out", str(out), "--seed", "7", "--dt", "0.002"]) == 0
-    summary = read_summary_csv(str(out / "run_summary.csv"))
+    (summary,) = read_csv(out / "run_summary.csv")
     assert summary["base_seed"] == "7"
     assert summary["dt"] == "0.002"
 
@@ -290,7 +329,7 @@ def test_cmd_reproduce_smoke(tmp_path, capsys):
     manifest = json.loads((out / "fig2_manifest.json").read_text())
     assert manifest["command"] == "reproduce fig2"
     assert manifest["counters"]["steps"] == 50000 and manifest["counters"]["trajectories"] == 4
-    summary = read_summary_csv(str(out / "fig2_summary.csv"))
+    (summary,) = read_csv(out / "fig2_summary.csv")
     assert line.split("nu_hat=", 1)[1].split(" ", 1)[0] == summary["nu_hat"]
     assert summary["estimator"] == "truth"
     assert float(summary["p_min"]) == 0.6

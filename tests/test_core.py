@@ -13,13 +13,11 @@ from qndstab.core import (
     project_to_physical,
     random_density_matrix,
     spectral_decomposition,
-    trace,
     unitary_conjugate,
-    validate_density_matrix,
     validate_hermitian,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, trace, validate_density_matrix
 
 
 def _low_rank_state(n, rank, rng):

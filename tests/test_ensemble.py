@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, trace, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -16,8 +16,6 @@ from qndstab.ensemble import (
     FitDomainError,
     estimate_rate,
     noise_generator,
-    read_series_csv,
-    read_summary_csv,
     run_ensemble,
     run_trajectory,
     write_series_csv,
@@ -26,6 +24,8 @@ from qndstab.ensemble import (
 from qndstab.filters import laplacian_matrix, population_filter_step
 from qndstab.lyapunov import v_open
 from qndstab.spin import build_spin_model, spin2_preset
+
+from conftest import read_csv, trace
 
 SEED = 4242
 
@@ -674,15 +674,14 @@ def test_csv_round_trips(tmp_path):
     write_series_csv(result, str(series_path))
     write_summary_csv(result, str(summary_path))
 
-    series = read_series_csv(str(series_path))
-    assert np.array_equal(series["t"], result.times)
-    assert np.array_equal(series["mean_error"], result.mean_error)
-    assert np.array_equal(series["q10"], result.q10)
-    assert np.array_equal(series["q50"], result.q50)
-    assert np.array_equal(series["q90"], result.q90)
-    assert np.all(series["n_alive"] == cfg.trajectories)
+    rows = read_csv(series_path)
+    assert list(rows[0]) == ["t", "mean_error", "q10", "q50", "q90", "n_alive"]
+    for key, column in (("t", result.times), ("mean_error", result.mean_error), ("q10", result.q10),
+                        ("q50", result.q50), ("q90", result.q90)):
+        assert np.array_equal([float(row[key]) for row in rows], column), key
+    assert [row["n_alive"] for row in rows] == [str(cfg.trajectories)] * len(result.times)
 
-    summary = read_summary_csv(str(summary_path))
+    (summary,) = read_csv(summary_path)
     assert list(summary) == [
         "nu_hat", "ci_low", "ci_high", "trajectories", "t_final", "dt", "record_stride",
         "p_min", "p_max", "sigma_bar", "eta", "estimator", "feedback_delay", "base_seed",

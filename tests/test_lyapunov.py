@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qndstab.core import _rowsum, populations, random_density_matrix, validate_density_matrix
+from qndstab.core import _rowsum, populations, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.spin import spin2_preset
 from qndstab.ensemble import _Kernel, _normalize
@@ -22,11 +22,12 @@ from qndstab.lyapunov import (
     default_beta,
     equivalence_constants,
     generator_terms,
-    open_loop_rate,
     solve_alpha,
     v_alpha,
     v_open,
 )
+
+from conftest import validate_density_matrix
 
 
 def _diss(a, rho):
@@ -56,19 +57,6 @@ def test_v_open_batch(rng):
     out = v_open(batch)
     assert out.shape == (7,)
     assert np.array_equal(out, [v_open(row) for row in batch])
-
-
-def test_open_loop_rate_values(spin2_tight):
-    meas, _ = spin2_tight
-    assert open_loop_rate(meas) == pytest.approx(0.4)
-    assert open_loop_rate(measurement_setup(np.diag([1.0, -1.0]), eta=0.0)) == 0.0
-    meas3 = measurement_setup(np.diag([7.0, 3.0, 0.0]), eta=1.0)
-    assert open_loop_rate(meas3) == pytest.approx(4.5)
-    with pytest.raises(ValueError, match="single eigenspace"):
-        open_loop_rate(measurement_setup(np.eye(1), eta=0.8))
-
-
-# ----------------------------------------------------------- weight solving
 
 
 def test_default_beta_structure():

@@ -1,9 +1,11 @@
-"""Every module-level private function or class in the package is used somewhere in the package."""
+"""Every private helper of the package and of conftest is used, and every exported name has a user."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qndstab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qndstab"
 
 
 def _orphans():
@@ -48,3 +50,21 @@ def test_every_conftest_helper_is_used():
                 used.update(alias.name for alias in node.names)
     assert helpers, "no conftest helper found"
     assert not set(helpers) - used, f"conftest helpers that no test module uses: {sorted(set(helpers) - used)}"
+
+
+def test_every_exported_name_has_a_user():
+    """Every name in a module's __all__ is named by a README code span, another package module or the console script."""
+    spans = re.findall(r"```.*?```|`[^`]+`", (ROOT / "README.md").read_text(), flags=re.S)
+    readme = set(re.findall(r"\w+", "\n".join(spans)))
+    # (module, name) pairs: the [project.scripts] entry points and every from-import in the package
+    used = set(re.findall(r'^\w+ = "qndstab\.(\w+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), flags=re.M))
+    exported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                used.update((node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported += [(path.stem, name) for name in ast.literal_eval(node.value)]
+    unused = [f"{module}:{name}" for module, name in exported if name not in readme and (module, name) not in used]
+    assert exported and ("cli", "main") in used
+    assert not unused, "exported names that no README code span, other module or console script uses:\n" + "\n".join(unused)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qndstab.filters import graph_connected, laplacian_matrix
-from qndstab.lyapunov import open_loop_rate
 from qndstab.spin import build_spin_model, spin2_preset
 
 
@@ -72,11 +71,6 @@ def test_spin2_preset_mixed_state_population():
 
     p = populations(np.eye(5, dtype=complex) / 5, meas.dec)
     assert p[ctrl.target] == pytest.approx(0.2)
-
-
-def test_spin2_preset_open_loop_rate():
-    meas, _ = spin2_preset(p_min=0.9)
-    assert open_loop_rate(meas) == pytest.approx(0.4)
 
 
 def test_spin2_preset_overrides():
