@@ -227,11 +227,11 @@ def _write_manifest(
     checksums, the sha256 of each artifact by file name; counters,
     deterministic run counts (a campaign's steps, trajectories, the
     column-steps on which its control rotation ran and their mean per
-    step; certify's draws and accepted samples per stratum); timing, wall
-    seconds (certify: each stratum's sampling and generator evaluation),
-    so it varies by run; and environment, the python, numpy and BLAS
-    builds, the platform and the processor count, which the artifacts'
-    last bits may depend on (see _environment).
+    step; certify's samples per stratum); timing, wall seconds (certify:
+    each stratum's sampling and generator evaluation), so it varies by
+    run; and environment, the python, numpy and BLAS builds, the platform
+    and the processor count, which the artifacts' last bits may depend on
+    (see _environment).
     """
     manifest = {
         "command": command,
@@ -314,7 +314,7 @@ def _cmd_certify(args) -> int:
     cert_path = os.path.join(out_dir, "certificate.csv")
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))
-    counters = {s.name: {"draws": s.draws, "samples": s.samples} for s in report.strata}
+    counters = {s.name: {"samples": s.samples} for s in report.strata}
     _write_manifest(out_dir, "certificate_manifest.json", "certify", doc, (cert_path,), counters, report.timing)
     flag = "certified" if report.certified else "NOT certified"
     print(

@@ -5,10 +5,10 @@ axes, shape (..., n, n).  Complex states live only in the Euler reference
 (dissipator, innovation_superop, unitary_conjugate and project_to_physical,
 which dynamics.closed_loop_step composes) and in random_density_matrix,
 the one complex sampler, which its checks and the benchmark draw from;
-the campaign engine and the certificate carry real states, and
-populations reads either.  Every operation here broadcasts over the
-leading axes, so trajectory ensembles can be pushed through as a single
-array.
+the campaign engine carries real states, the certificate only their
+populations, and populations reads either.  Every operation here
+broadcasts over the leading axes, so trajectory ensembles can be pushed
+through as a single array.
 
 The measurement operator is real diagonal with strictly descending
 entries, L = diag(l), so each eigenspace is one basis vector: its
@@ -128,12 +128,7 @@ def populations(rho: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
     rho = np.asarray(rho)
     if rho.shape[-1] != dec.n:
         raise ValueError(f"state dim {rho.shape[-1]} does not match decomposition dim {dec.n}")
-    return _populations(rho)
-
-
-def _populations(rho: np.ndarray, out=None) -> np.ndarray:
-    """populations without the dimension check, written into out (shape (..., d)) when given."""
-    return np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, 1.0, out=out)
+    return np.clip(np.diagonal(rho, axis1=-2, axis2=-1).real, 0.0, 1.0)
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -187,23 +182,6 @@ def project_to_physical(m: np.ndarray) -> np.ndarray:
     w = w / tr[..., None]
     out = (v * w[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return hermitian_part(out)
-
-
-def _ginibre_into(z: np.ndarray, out: np.ndarray, zt: np.ndarray, tr: np.ndarray) -> None:
-    """Write the real states z z^T / tr(z z^T) of the factors z, shape (..., n, rank), into out; allocates nothing.
-
-    out, shape (..., n, n), takes one stacked product of the factors with
-    their transposes, which is then multiplied by the reciprocal of its
-    trace.  Workspace: zt, the shape of z with its last two axes swapped,
-    takes a C-order copy of the transposed factors (a stacked matmul on a
-    swapaxes view runs several times slower, with the same bits); tr,
-    shape (...), the trace.
-    """
-    np.copyto(zt, np.swapaxes(z, -1, -2))
-    np.matmul(z, zt, out=out)
-    np.trace(out, axis1=-2, axis2=-1, out=tr)
-    np.divide(1.0, tr, out=tr)
-    out *= tr[..., None, None]
 
 
 def random_density_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

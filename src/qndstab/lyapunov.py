@@ -22,12 +22,14 @@ c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
 i [Pi_k, H].  For H = iA both observables are real, so c and m read only
 Re rho: one float64 einsum over each state's n^2 real coordinates against
-fixed weight rows (core._expectations), and the sampled states are real.
-certify_decay samples the state space in stratified fashion, computes
-each state's populations once (the sampler's screen, whose values the
-generator and the ratio reuse), and reports the empirical contraction margin
-nu_hat = min(-A V_alpha / V_alpha); a strictly positive margin certifies
-E[V_alpha(rho_t)] <= V_alpha(rho_0) exp(-nu_hat t) on the sampled region.
+fixed weight rows (core._expectations).  On a diagonal state rho = diag(p)
+only the rows' diagonal coordinates count: c = Delta p, and m = 0 exactly.
+certify_decay samples populations p in stratified fashion, evaluates the
+generator at diag(p) from those coordinates, and reports the empirical
+contraction margin nu_hat = min(-A V_alpha / V_alpha); a strictly positive
+margin certifies A V_alpha <= -nu_hat V_alpha on the sampled diagonal
+states.  It says nothing about coherent states, where V_alpha can grow at
+populations whose diagonal state decays.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _expectations, _ginibre_into, _populations, populations
+from .core import _expectations, populations
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
@@ -51,9 +53,8 @@ __all__ = [
 ]
 
 # certify_decay's sampling recipe
-TV_RADIUS = 0.05  # trace distance of the near-vertex mixtures from their wrong vertex, at most
-TARGET_EXCLUSION = 1e-6  # bulk and diagonal samples keep 1 - p_target >= this
-BLOCK = 2048  # states sampled and evaluated at a time, so certify_decay's memory does not grow with samples
+TV_RADIUS = 0.05  # total-variation distance of the near-vertex populations from their wrong vertex, at most
+BLOCK = 2048  # population rows sampled and evaluated at a time, so certify_decay's memory does not grow with samples
 
 
 class CertificationImpossibleError(RuntimeError):
@@ -192,8 +193,9 @@ def generator_terms(
     Raises EvaluatedAtTargetError when p_target = 1, where the denominators
     sqrt(alpha_s . p) vanish.
     """
-    rho = np.asarray(rho)
-    return _generator(rho, populations(rho, meas.dec), _cm_rows(meas.dec, ctrl), meas, ctrl, w)
+    rho, d = np.asarray(rho), meas.dec.d
+    cm = _expectations(rho, _cm_rows(meas.dec, ctrl))
+    return _generator(populations(rho, meas.dec), cm[..., :d], cm[..., d:], meas, ctrl, w)
 
 
 def _cm_rows(dec, ctrl):
@@ -208,25 +210,42 @@ def _cm_rows(dec, ctrl):
     return np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
 
 
-def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms on states rho whose populations p and observable rows _cm_rows the caller has computed."""
+def _diagonal_rows(dec, ctrl):
+    """The diagonal coordinates of the c rows of _cm_rows, shape (d, n): on rho = diag(p) they give c = Delta p.
+
+    The m rows vanish there, as i [Pi_k, H] has a zero diagonal: m = 0 exactly.
+    """
+    return np.ascontiguousarray(_cm_rows(dec, ctrl)[: dec.d, :: dec.n + 1])
+
+
+def _diagonal_terms(p, rows, meas, ctrl, w) -> GeneratorTerms:
+    """generator_terms at the diagonal states diag(p), read from p and rows = _diagonal_rows, without building a state.
+
+    One einsum without optimize, as in core._expectations, so no BLAS call
+    sums over the batch axis.
+    """
+    return _generator(p, np.einsum("...x,kx->...k", p, rows), None, meas, ctrl, w)
+
+
+def _generator(p, c, m, meas, ctrl, w) -> GeneratorTerms:
+    """generator_terms at populations p and expectations c and m the caller has computed; m None stands for m = 0."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
     if np.any(ap <= 0.0):
         raise EvaluatedAtTargetError("alpha-weighted populations vanished; state is at the target vertex")
-    dec = meas.dec
     sigma = np.asarray(feedback_gain(p, ctrl))
-    cm = _expectations(rho, rows)
-    c, m = cm[..., : dec.d], cm[..., dec.d :]
-    lam = dec.eigenvalues
+    lam = meas.dec.eigenvalues
     varpi = p @ lam
     sq = np.sqrt(ap)
     f = np.sum((c @ w.alpha.T) / sq, axis=-1)
     gnum = ((lam - varpi[..., None]) * p) @ w.alpha.T
     g = np.sum(gnum * gnum / (ap * sq), axis=-1)
-    hnum = m @ w.alpha.T
-    h = np.sum(hnum * hnum / (ap * sq), axis=-1)
+    if m is None:
+        h = np.zeros_like(g)
+    else:
+        hnum = m @ w.alpha.T
+        h = np.sum(hnum * hnum / (ap * sq), axis=-1)
     av = 0.5 * sigma * sigma * f - 0.5 * meas.eta * g - 0.125 * sigma * sigma * h
     if av.ndim == 0:
         return GeneratorTerms(f=float(f), g=float(g), h=float(h), AV=float(av))
@@ -235,21 +254,17 @@ def _generator(rho, p, rows, meas, ctrl, w) -> GeneratorTerms:
 
 @dataclass(frozen=True)
 class StratumResult:
-    """Contraction margin over one sampling stratum.
-
-    draws counts every candidate state drawn, the rejected ones included.
-    """
+    """Contraction margin over one sampling stratum."""
 
     name: str
     samples: int
     min_ratio: float
     worst_populations: np.ndarray
-    draws: int
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Sampled certification of A V_alpha <= -nu_hat V_alpha outside the target vertex."""
+    """Sampled certification of A V_alpha <= -nu_hat V_alpha on diagonal states outside the target vertex."""
 
     nu_hat: float
     certified: bool
@@ -264,100 +279,58 @@ class CertificateReport:
 def _blocks(count):
     """Near-equal block sizes, each at most BLOCK, that add up to count (as ensemble._chunk_bounds cuts).
 
-    With BLOCK >= 3 no block holds a lone state unless the whole stratum
-    does, so the cut changes no state's generator bits (see generator_terms).
+    With BLOCK >= 3 no block holds a lone row unless the whole stratum
+    does, so the cut changes no row's generator bits (see generator_terms).
     """
     k = -(-count // BLOCK)
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _screened_states(name, draw, count, target, target_exclusion, states, p):
-    """Yield (name, states, populations, candidates drawn) blocks of count states with 1 - p_target >= target_exclusion.
+def _sample_strata(dec, target, samples, seed, tv_radius):
+    """Yield (name, populations) blocks of the near-vertex, bulk and diagonal strata, in draw order.
 
-    Each round draws exactly the block's missing count into the rows after
-    the kept ones, and moves its admissible rows up, in order.  Sequential
-    rejection would draw at least that many more, so the random stream is
-    consumed exactly as one-at-a-time rejection does.
-    """
-    for size in _blocks(count):
-        kept = draws = 0
-        while kept < size:
-            rows = slice(kept, size)
-            draw(rows)
-            draws += size - kept
-            _populations(states[rows], out=p[rows])
-            ok = 1.0 - p[rows, target] >= target_exclusion
-            if ok.all():  # the usual round: nothing to move
-                kept = size
-                continue
-            new = kept + int(np.count_nonzero(ok))
-            states[kept:new], p[kept:new] = states[rows][ok], p[rows][ok]
-            kept = new
-        yield name, states[:size], p[:size], draws
-
-
-def _sample_strata(dec, target, samples, seed, tv_radius, target_exclusion):
-    """Yield (name, states, populations, draws) blocks of the near-vertex, bulk and diagonal strata, in draw order.
-
-    All three strata run through _screened_states, the near-vertex one
-    with exclusion -inf, so none of its states is screened out.  Its rows
-    split evenly over the wrong vertices, the first segments one row
-    longer.  Each row mixes (1 - u) vertex + u rho in place (u rho, then
-    1 - u added on the vertex's one nonzero, diagonal entry), with one
-    weight u in [0, tv_radius) from a stream of its own, a child of
-    SeedSequence(seed), and one Ginibre state rho, whose factor reads
-    default_rng(seed) as the bulk and diagonal do; each segment's first
-    row is then set to its exact vertex.  Each stream is read in order,
-    block after block, so no state depends on the block size.
-
-    The states are real: each Ginibre factor is one real (n, n) draw.
-    Every buffer is allocated once per call, as large as the largest block,
-    and refilled in place block after block: the yielded states and
-    populations are views that stay valid only until the next block is
-    drawn, so a caller that keeps a block must copy it.
+    Each stratum draws the populations of the states it stands for.  Bulk
+    rows are q ~ Dirichlet(n/2, ..., n/2), the law of the diagonal of a real
+    Ginibre state G G^T / tr(G G^T) (the squared row norms of G are
+    independent chi^2_n).  Diagonal rows are Dirichlet(1, ..., 1).
+    Near-vertex rows split evenly over the wrong vertices, the first
+    segments one row longer; each row is (1 - u) e_k + u q, u q then 1 - u
+    added on the vertex's entry, with u in [0, tv_radius) from a stream of
+    its own, a child of SeedSequence(seed), and q a bulk draw from
+    default_rng(seed), which the bulk and diagonal strata read after it;
+    each segment's first row is then set to its exact vertex.  Each stream
+    is read in order, row after row, so no row depends on the block size.
     """
     rng = np.random.default_rng(seed)
     u_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    d, n = dec.d, dec.n
+    d = dec.d
+    ginibre = np.full(d, dec.n / 2)
     n_near = n_bulk = samples // 3
-    size = min(BLOCK, samples - n_near - n_bulk)  # the diagonal stratum is the largest
-    states, p = np.empty((size, n, n)), np.empty((size, d))
-    z, zt, tr = np.empty((size, n, n)), np.empty((size, n, n)), np.empty(size)
     wrong = np.array([k for k in range(d) if k != target])
-    vertices = dec.projectors[wrong]
     starts = np.cumsum([0] + [n_near // len(wrong) + (i < n_near % len(wrong)) for i in range(len(wrong) - 1)])
     drawn = 0
 
-    def ginibre(rows):
-        """Ginibre states from one standard_normal call into states[rows]."""
-        k = rows.stop - rows.start
-        rng.standard_normal(out=z[:k])
-        _ginibre_into(z[:k], states[rows], zt[:k], tr[:k])
-
-    def near_vertex(rows):
+    def near_vertex(size):
         nonlocal drawn
-        at = np.arange(drawn, drawn + rows.stop - rows.start)
-        drawn += len(at)
+        at = np.arange(drawn, drawn + size)
+        drawn += size
         owner = np.searchsorted(starts, at, side="right") - 1
-        u = u_rng.uniform(0.0, tv_radius, len(at))
-        ginibre(rows)
-        x = states[rows]
-        x *= u[:, None, None]
+        u = u_rng.uniform(0.0, tv_radius, size)
+        p = rng.dirichlet(ginibre, size)
+        p *= u[:, None]
         level = wrong[owner]
-        x[np.arange(len(at)), level, level] += 1.0 - u
+        p[np.arange(size), level] += 1.0 - u
         first = at == starts[owner]
-        x[first] = vertices[owner[first]]
+        p[first] = np.eye(d)[level[first]]
+        return p
 
-    def diagonal(rows):
-        weights = rng.dirichlet(np.ones(d), rows.stop - rows.start)
-        np.einsum("...k,kij->...ij", weights, dec.projectors, out=states[rows])
-
-    for name, draw, count, exclusion in (
-        ("near_vertex", near_vertex, n_near, -np.inf),
-        ("bulk", ginibre, n_bulk, target_exclusion),
-        ("diagonal", diagonal, samples - n_near - n_bulk, target_exclusion),
+    for name, draw, count in (
+        ("near_vertex", near_vertex, n_near),
+        ("bulk", lambda size: rng.dirichlet(ginibre, size), n_bulk),
+        ("diagonal", lambda size: rng.dirichlet(np.ones(d), size), samples - n_near - n_bulk),
     ):
-        yield from _screened_states(name, draw, count, target, exclusion, states, p)
+        for size in _blocks(count):
+            yield name, draw(size)
 
 
 def certify_decay(
@@ -367,52 +340,50 @@ def certify_decay(
     samples: int,
     seed: int = 7,
 ) -> CertificateReport:
-    """Stratified sampling of the contraction ratio -A V_alpha / V_alpha.
+    """Stratified sampling of the contraction ratio -A V_alpha / V_alpha on diagonal states diag(p).
 
-    Strata: one third of the samples near the wrong vertices (within trace
-    distance TV_RADIUS, including the exact vertices), one third bulk
-    states G G^dag / tr from full-rank Ginibre factors G, one third
-    diagonal mixtures of the eigenspaces.  The ratio at rho equals the
-    ratio at Re rho, itself a density matrix, so every stratum samples
-    real states, with real Ginibre factors.  States with 1 - p_target <
-    TARGET_EXCLUSION are excluded from the bulk and diagonal strata (the
-    ratio is singular at the target).  nu_hat is the global minimum ratio;
-    certification requires nu_hat > 0.
+    Strata: one third of the samples near the wrong vertices (within total
+    variation distance TV_RADIUS, including the exact vertices), one third
+    with the populations of bulk states G G^T / tr from real Ginibre
+    factors G, one third uniform on the simplex; see _sample_strata.  The
+    generator is evaluated at diag(p) from the diagonal coordinates of the
+    observable rows (_diagonal_terms), where c = Delta p and m = 0, so no
+    state is built.  The bulk and diagonal laws put 1 - p_target < 1e-6,
+    near the singular target, with probability at most 1e-6^(d-1) per row,
+    and near-vertex rows keep p_target < TV_RADIUS.  nu_hat is the global
+    minimum ratio; certification requires nu_hat > 0, a claim about the
+    sampled diagonal states only.
 
     Each stratum is sampled and evaluated in near-equal blocks of at most
-    BLOCK states, so memory does not grow with samples; the blocks fold
-    into the stratum's result in draw order, and the report does not
-    depend on BLOCK (at least 3, see _blocks).  A seed fixes every
-    sampled state: the near-vertex mixing weights read a child stream of
-    SeedSequence(seed), every other draw np.random.default_rng(seed).
-    Bulk and diagonal candidates are drawn in rounds of exactly the block's
-    missing count and screened as one batch, which reads the stream
-    exactly as drawing and screening one state at a time.
+    BLOCK rows, so memory does not grow with samples; the blocks fold into
+    the stratum's result in draw order, and the report does not depend on
+    BLOCK (at least 3, see _blocks).  A seed fixes every sampled row: the
+    near-vertex mixing weights read a child stream of SeedSequence(seed),
+    every other draw np.random.default_rng(seed).
     """
     if samples < 3:
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
-    rows = _cm_rows(meas.dec, ctrl)
+    rows = _diagonal_rows(meas.dec, ctrl)
     strata = {}
     timing = {}
     clock = time.perf_counter()
-    for name, batch, p, draws in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS, TARGET_EXCLUSION):
+    for name, p in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS):
         sampled = time.perf_counter()
-        terms = _generator(batch, p, rows, meas, ctrl, w)
+        terms = _diagonal_terms(p, rows, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})
         lap["sample_s"] += sampled - clock
         lap["generator_s"] += time.perf_counter() - sampled
         ratio = -np.asarray(terms.AV) / v_alpha(p, w)
         worst = int(np.argmin(ratio))
         # blocks fold in draw order; strict < keeps the first occurrence of a tie, as argmin does
-        prev = strata.get(name, StratumResult(name, 0, np.inf, None, 0))
+        prev = strata.get(name, StratumResult(name, 0, np.inf, None))
         first = ratio[worst] < prev.min_ratio
         strata[name] = StratumResult(
-            name=name, samples=prev.samples + len(batch),
+            name=name, samples=prev.samples + len(p),
             min_ratio=float(ratio[worst]) if first else prev.min_ratio,
-            worst_populations=p[worst].copy() if first else prev.worst_populations,
-            draws=prev.draws + draws,
+            worst_populations=p[worst] if first else prev.worst_populations,
         )
         clock = time.perf_counter()
     strata = list(strata.values())

@@ -370,8 +370,7 @@ def test_cmd_certify_paths(tmp_path, capsys):
     counters = manifest["counters"]
     assert list(counters) == ["bulk", "diagonal", "near_vertex"]
     assert sum(c["samples"] for c in counters.values()) == 60
-    assert counters["near_vertex"] == {"draws": 20, "samples": 20}
-    assert all(c["draws"] >= c["samples"] for c in counters.values())
+    assert counters["near_vertex"] == {"samples": 20}
     timing = manifest["timing"]
     assert list(timing) == ["bulk", "diagonal", "near_vertex"]
     for stratum in timing.values():

@@ -5,7 +5,6 @@ import pytest
 
 from qndstab.core import (
     UnrecoverableStateError,
-    _ginibre_into,
     dissipator,
     hermitian_part,
     innovation_superop,
@@ -220,37 +219,3 @@ def test_random_density_matrix_real_products(n):
     assert np.linalg.matrix_rank(states[0], tol=1e-10) == n
 
 
-def _real_ginibre(z):
-    """_ginibre_into's real states from real factors z, shape (..., n, rank), on fresh buffers."""
-    out = np.empty(z.shape[:-1] + z.shape[-2:-1])
-    _ginibre_into(z, out, np.empty(np.swapaxes(z, -1, -2).shape), np.empty(z.shape[:-2]))
-    return out
-
-
-@pytest.mark.parametrize("n, rank", [(5, 5), (7, 7), (5, 2)])
-def test_ginibre_real_factor_states(rng, n, rank):
-    z = rng.standard_normal((3, 40, n, rank))
-    states = _real_ginibre(z)
-    assert states.shape == (3, 40, n, n) and states.dtype == float
-    ref = z @ np.swapaxes(z, -1, -2)
-    ref /= np.trace(ref, axis1=-2, axis2=-1)[..., None, None]
-    ulp = np.spacing(np.max(np.abs(ref), axis=(-2, -1), keepdims=True))
-    assert np.all(np.abs(states - ref) <= 8 * ulp)
-    # one product of the factor with its transposed copy gives an exactly symmetric state
-    assert np.array_equal(states, np.swapaxes(states, -1, -2))
-    for i, j in ((0, 0), (1, 17), (2, 39)):
-        assert _real_ginibre(z[i, j]).tobytes() == states[i, j].tobytes()
-    validate_density_matrix(states[0])
-    assert np.linalg.matrix_rank(states[0, 0], tol=1e-10) == rank
-
-
-def test_ginibre_workspace_reuse_matches_fresh_states(rng):
-    """One workspace, reused over blocks of falling size and rank 2-5, gives fresh buffers' bytes."""
-    n, rows = 5, 40
-    out = np.full((rows, n, n), np.nan)
-    zt, tr = np.full(rows * n * n, np.nan), np.full(rows, np.nan)
-    for k, rank in ((40, 5), (33, 2), (32, 4), (17, 3), (2, 5), (1, 2)):
-        z = rng.standard_normal((k, n, rank))
-        block = out[:k]
-        _ginibre_into(z, block, zt[: z.size].reshape(k, rank, n), tr[:k])
-        assert block.tobytes() == _real_ginibre(z).tobytes(), (k, rank)
