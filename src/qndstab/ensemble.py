@@ -71,7 +71,7 @@ change the bits of any trajectory, and ensembles aggregate in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,18 +153,20 @@ class CampaignConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.trajectories < 1:
             raise ValueError("trajectories must be >= 1")
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ValueError("t_final and dt must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if not 0.0 < self.dt < np.inf:  # a NaN fails too
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         steps = self.t_final / self.dt
+        if not 1.0 - 1e-6 <= steps < np.inf:
+            raise ValueError(f"t_final must be finite and positive, at least dt, got t_final={self.t_final}, dt={self.dt}")
         if abs(steps - round(steps)) > 1e-6:
             raise ValueError(f"t_final must be an integer multiple of dt, got {steps} steps")
         if round(steps) % self.record_stride != 0:
             raise ValueError("step count t_final/dt must be a multiple of record_stride")
-        if self.feedback_delay < 0:
-            raise ValueError("feedback_delay must be >= 0")
         lag = self.feedback_delay / self.dt
+        if not 0.0 <= lag < np.inf:
+            raise ValueError(f"feedback_delay must be finite and >= 0, got {self.feedback_delay}")
         if abs(lag - round(lag)) > 1e-6:
             raise ValueError("feedback_delay must be an integer multiple of dt")
         try:
@@ -379,7 +381,6 @@ class _Kernel:
 class TrajectoryTrace:
     """Strided record of one trajectory."""
 
-    times: np.ndarray
     error: np.ndarray
     v_open: np.ndarray
     final_populations: np.ndarray
@@ -387,22 +388,22 @@ class TrajectoryTrace:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Aggregated campaign output; per-trajectory traces retained for bootstrap fits."""
+    """A campaign's measurements, in trajectory index order, and estimate_rate's fit of error_traces.
+
+    The traces are (trajectories, records), recorded at times; the fit is
+    NaN where estimate_rate raises FitDomainError.
+    engaged_column_steps counts the column-steps on which the plant's
+    control rotation ran, over all trajectories.
+    """
 
     cfg: CampaignConfig
     times: np.ndarray
-    mean_error: np.ndarray
-    q10: np.ndarray
-    q50: np.ndarray
-    q90: np.ndarray
-    mean_v_open: np.ndarray
     error_traces: np.ndarray
     v_open_traces: np.ndarray
     final_populations: np.ndarray
     fitted_rate: float
     fit_ci: tuple[float, float]
-    # column-steps on which the plant's control rotation ran, over all trajectories
-    engaged_column_steps: int = 0
+    engaged_column_steps: int
 
 
 def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
@@ -503,8 +504,7 @@ def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     if not 0 <= index < cfg.trajectories:
         raise ValueError(f"trajectory index {index} outside 0..{cfg.trajectories - 1}")
     err, vop, final_p, _ = _integrate_chunk(cfg, index, index + 1)
-    times = np.arange(err.shape[-1]) * cfg.dt * cfg.record_stride
-    return TrajectoryTrace(times=times, error=err[0], v_open=vop[0], final_populations=final_p[0])
+    return TrajectoryTrace(error=err[0], v_open=vop[0], final_populations=final_p[0])
 
 
 def _chunk_bounds(trajectories: int, workers: int) -> list[tuple[int, int]]:
@@ -514,7 +514,7 @@ def _chunk_bounds(trajectories: int, workers: int) -> list[tuple[int, int]]:
 
 
 def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
-    """Run all trajectories of a campaign and aggregate statistics in index order."""
+    """Run all trajectories of a campaign, concatenate their traces in index order and fit the error's rate."""
     bounds = _chunk_bounds(cfg.trajectories, cfg.workers)
     if cfg.workers > 1 and len(bounds) > 1:
         # imported here, so single-worker campaigns never load multiprocessing
@@ -529,63 +529,44 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     vop = np.concatenate([p[1] for p in parts], axis=0)
     final_p = np.concatenate([p[2] for p in parts], axis=0)
     times = np.arange(err.shape[1]) * cfg.dt * cfg.record_stride
-    mean_error = np.mean(err, axis=0)
-    q10, q50, q90 = np.percentile(err, [10.0, 50.0, 90.0], axis=0)
-    mean_v_open = np.mean(vop, axis=0)
-    result = EnsembleResult(
-        cfg=cfg,
-        times=times,
-        mean_error=mean_error,
-        q10=q10,
-        q50=q50,
-        q90=q90,
-        mean_v_open=mean_v_open,
-        error_traces=err,
-        v_open_traces=vop,
-        final_populations=final_p,
-        fitted_rate=np.nan,
-        fit_ci=(np.nan, np.nan),
-        engaged_column_steps=sum(p[3] for p in parts),
-    )
     try:
-        nu, ci = estimate_rate(result)
+        nu, ci = estimate_rate(times, err, cfg.fit_window, cfg.base_seed)
     except FitDomainError:
         nu, ci = np.nan, (np.nan, np.nan)
-    return replace(result, fitted_rate=nu, fit_ci=ci)
+    return EnsembleResult(
+        cfg=cfg, times=times, error_traces=err, v_open_traces=vop, final_populations=final_p,
+        fitted_rate=nu, fit_ci=ci, engaged_column_steps=sum(p[3] for p in parts),
+    )
 
 
 def _fit_slope(times: np.ndarray, values: np.ndarray) -> float:
     return float(np.polyfit(times, np.log(values), 1)[0])
 
 
-def estimate_rate(result: EnsembleResult, series: str = "error") -> tuple[float, tuple[float, float]]:
-    """Least-squares exponential rate of a mean series, with a bootstrap CI.
+def estimate_rate(
+    times: np.ndarray, traces: np.ndarray, fit_window: tuple[float, float], seed: int
+) -> tuple[float, tuple[float, float]]:
+    """Least-squares exponential rate of the mean of traces (trajectories, records), with a bootstrap CI.
 
-    Fits the slope of log(mean) over the campaign's fit_window; the
-    confidence interval resamples trajectories with replacement
-    (BOOTSTRAP_RESAMPLES resamples, percentile 2.5/97.5).  series selects
-    the stabilization error sqrt(1 - p_target) or the open-loop Lyapunov
-    mean ("v_open").
+    Fits the slope of log(mean over trajectories) against times inside
+    fit_window = (t_start, t_end); the CI resamples trajectories with
+    replacement (BOOTSTRAP_RESAMPLES resamples keyed by seed, percentile
+    2.5/97.5).  FitDomainError: fewer than two records in the window, or a
+    mean there that is not positive and finite.
     """
-    if series == "error":
-        mean, traces = result.mean_error, result.error_traces
-    elif series == "v_open":
-        mean, traces = result.mean_v_open, result.v_open_traces
-    else:
-        raise ValueError(f"series must be 'error' or 'v_open', got {series!r}")
-    w0, w1 = result.cfg.fit_window
-    mask = (result.times >= w0) & (result.times <= w1)
+    w0, w1 = fit_window
+    mask = (times >= w0) & (times <= w1)
     if mask.sum() < 2:
-        raise FitDomainError(f"fit window {result.cfg.fit_window} selects fewer than two grid points")
-    vals = mean[mask]
+        raise FitDomainError(f"fit window {fit_window} selects fewer than two grid points")
+    vals = np.mean(traces, axis=0)[mask]
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise FitDomainError("mean series is nonpositive inside the fit window")
-    nu_hat = -_fit_slope(result.times[mask], vals)
+    twin = times[mask]
+    nu_hat = -_fit_slope(twin, vals)
     sub = traces[:, mask]
-    rng = np.random.Generator(np.random.Philox(key=[np.uint64(result.cfg.base_seed), np.uint64(2**62)]))
+    rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(2**62)]))
     n_traj = sub.shape[0]
     boot = np.empty(BOOTSTRAP_RESAMPLES)
-    twin = result.times[mask]
     for r in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, n_traj, size=n_traj)
         mboot = np.mean(sub[pick], axis=0)
@@ -602,14 +583,13 @@ def _fmt(x) -> str:
 
 
 def write_series_csv(result: EnsembleResult, path: str) -> None:
-    """Time series CSV: t, mean_error, q10, q50, q90 (full float precision), n_alive = trajectories."""
+    """Time series CSV, full float precision: t, then mean_error, q10, q50, q90 of error_traces, n_alive = trajectories."""
+    err = result.error_traces
+    columns = (result.times, np.mean(err, axis=0), *np.percentile(err, [10.0, 50.0, 90.0], axis=0))
     with open(path, "w", newline="") as fh:
         fh.write("t,mean_error,q10,q50,q90,n_alive\n")
-        for i in range(len(result.times)):
-            fh.write(
-                f"{_fmt(result.times[i])},{_fmt(result.mean_error[i])},{_fmt(result.q10[i])},"
-                f"{_fmt(result.q50[i])},{_fmt(result.q90[i])},{result.cfg.trajectories}\n"
-            )
+        for row in zip(*columns):
+            fh.write(",".join(map(_fmt, row)) + f",{result.cfg.trajectories}\n")
 
 
 def write_summary_csv(result: EnsembleResult, path: str) -> None:

@@ -286,7 +286,7 @@ def _blocks(count):
     return [count * (i + 1) // k - count * i // k for i in range(k)]
 
 
-def _sample_strata(dec, target, samples, seed, tv_radius):
+def _sample_strata(dec, target, samples, seed):
     """Yield (name, populations) blocks of the near-vertex, bulk and diagonal strata, in draw order.
 
     Each stratum draws the populations of the states it stands for.  Bulk
@@ -295,7 +295,7 @@ def _sample_strata(dec, target, samples, seed, tv_radius):
     independent chi^2_n).  Diagonal rows are Dirichlet(1, ..., 1).
     Near-vertex rows split evenly over the wrong vertices, the first
     segments one row longer; each row is (1 - u) e_k + u q, u q then 1 - u
-    added on the vertex's entry, with u in [0, tv_radius) from a stream of
+    added on the vertex's entry, with u in [0, TV_RADIUS) from a stream of
     its own, a child of SeedSequence(seed), and q a bulk draw from
     default_rng(seed), which the bulk and diagonal strata read after it;
     each segment's first row is then set to its exact vertex.  Each stream
@@ -315,7 +315,7 @@ def _sample_strata(dec, target, samples, seed, tv_radius):
         at = np.arange(drawn, drawn + size)
         drawn += size
         owner = np.searchsorted(starts, at, side="right") - 1
-        u = u_rng.uniform(0.0, tv_radius, size)
+        u = u_rng.uniform(0.0, TV_RADIUS, size)
         p = rng.dirichlet(ginibre, size)
         p *= u[:, None]
         level = wrong[owner]
@@ -369,7 +369,7 @@ def certify_decay(
     strata = {}
     timing = {}
     clock = time.perf_counter()
-    for name, p in _sample_strata(meas.dec, w.target, samples, seed, TV_RADIUS):
+    for name, p in _sample_strata(meas.dec, w.target, samples, seed):
         sampled = time.perf_counter()
         terms = _diagonal_terms(p, rows, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})

@@ -27,7 +27,7 @@ def build_spin_model(J: float) -> tuple[np.ndarray, np.ndarray]:
 
     J must be a positive integer or half-integer.
     """
-    two_j = round(2 * J)
+    two_j = round(2 * J) if 0.0 < J < np.inf else 0  # a NaN fails too
     if abs(2 * J - two_j) > 1e-12 or two_j <= 0:
         raise ValueError(f"J must be a positive integer or half-integer, got {J}")
     n = two_j + 1

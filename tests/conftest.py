@@ -79,6 +79,11 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return rho
 
 
+def plain_dissipator(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The dissipator a rho a - (a a rho + rho a a) / 2 of a Hermitian a, in plain matrix products."""
+    return a @ rho @ a - 0.5 * (a @ a @ rho + rho @ a @ a)
+
+
 def read_csv(path) -> list[dict[str, str]]:
     """The rows of a CSV file with a header line, each a dict of its fields as strings."""
     with open(path, newline="") as fh:

@@ -107,7 +107,8 @@ def _fig_summary(dirs, fig):
 
 def test_criterion_01_open_loop_rate(open_loop_campaign):
     result, elapsed = open_loop_campaign
-    nu, _ = estimate_rate(result, series="v_open")
+    cfg = result.cfg
+    nu, _ = estimate_rate(result.times, result.v_open_traces, cfg.fit_window, cfg.base_seed)
     ok = 0.32 <= nu <= 0.48 and elapsed < 300.0
     _report(1, "open-loop Lyapunov rate", ok, f"nu={nu:.4f} in [0.32, 0.48], runtime {elapsed:.1f}s < 300s")
 

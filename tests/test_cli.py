@@ -294,6 +294,17 @@ def test_cmd_run_bad_override_exits_2(tmp_path, capsys):
         ("certify", {"seed": -3}, [], "seed must be"),
         ("certify", {}, ["--samples", "2"], "samples=2"),
         ("certify", {"broken_link": 4}, [], "broken_link"),
+        ("certify", {"sigma_bar": float("nan")}, [], "sigma_bar must be finite"),
+        ("certify", {"sigma_bar": float("inf")}, [], "sigma_bar must be finite"),
+        ("run", {"t_final": float("inf")}, [], "t_final must be finite"),
+        ("run", {"feedback_delay": float("inf")}, [], "feedback_delay must be finite"),
+        ("run", {"dt": float("nan")}, [], "dt must be finite"),
+        ("run", {}, ["--dt", "inf"], "dt must be finite"),
+        ("run", {}, ["--dt", "1e10"], "at least dt"),
+        ("run", {"sigma_bar": float("nan")}, [], "sigma_bar must be finite"),
+        ("run", {"sigma_bar": float("inf")}, [], "sigma_bar must be finite"),
+        ("run", {"J": float("inf")}, [], "J must be"),
+        ("certify", {"J": float("nan")}, [], "J must be"),
     ],
 )
 def test_cmd_rule_violation_exits_2(tmp_path, capsys, verb, over, flags, needle):

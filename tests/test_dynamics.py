@@ -20,10 +20,7 @@ from qndstab.dynamics import (
 )
 from qndstab.spin import build_spin_model, spin2_preset
 
-
-def _diss(a, rho):
-    # reference dissipator, plain matrix products
-    return a @ rho @ a - 0.5 * (a @ a @ rho + rho @ a @ a)
+from conftest import plain_dissipator
 
 
 def _innov(l, rho):
@@ -130,7 +127,7 @@ def test_open_loop_step_matches_reference_composition(spin2_loose, rng):
     rho = random_density_matrix(5, rng)
     dt, dw = 1e-3, 0.02
     out = closed_loop_step(rho, meas, ctrl, StepInput(dt=dt, dW=dw))
-    moved = rho + _diss(meas.L, rho) * dt + np.sqrt(meas.eta) * _innov(meas.L, rho) * dw
+    moved = rho + plain_dissipator(meas.L, rho) * dt + np.sqrt(meas.eta) * _innov(meas.L, rho) * dw
     assert np.allclose(out.rho_next, project_to_physical(moved), atol=1e-13, rtol=0.0)
     ex = np.trace(meas.L @ rho).real
     assert out.dY == pytest.approx(2.0 * np.sqrt(meas.eta) * ex * dt + dw, rel=1e-12)
@@ -205,7 +202,7 @@ def test_closed_loop_step_matches_reference_composition(spin2_loose, rng):
     out = closed_loop_step(rho, meas, ctrl, StepInput(dt=dt, dW=dw, dB=db))
     sigma = feedback_gain(populations(rho, meas.dec), ctrl)
     assert sigma == pytest.approx(1.2)
-    moved = rho + _diss(meas.L, rho) * dt + np.sqrt(meas.eta) * _innov(meas.L, rho) * dw
+    moved = rho + plain_dissipator(meas.L, rho) * dt + np.sqrt(meas.eta) * _innov(meas.L, rho) * dw
     moved = unitary_conjugate(ctrl.H, sigma * db, moved)
     assert np.allclose(out.rho_next, project_to_physical(moved), atol=1e-13, rtol=0.0)
     assert out.dv == pytest.approx(sigma * db, rel=1e-15)
@@ -259,7 +256,7 @@ def test_closed_loop_population_generator(spin2_loose):
     mc = pair_means.mean()
     se = pair_means.std(ddof=1) / np.sqrt(n_pairs)
 
-    expected = np.trace(a @ (_diss(meas.L, rho) + sigma**2 * _diss(ctrl.H, rho))).real
+    expected = np.trace(a @ (plain_dissipator(meas.L, rho) + sigma**2 * plain_dissipator(ctrl.H, rho))).real
     assert abs(mc - expected) <= 3.0 * se + 1e-3
 
 
@@ -292,8 +289,9 @@ def test_control_setup_rejects_bad_parameters(spin2_loose):
     meas, ctrl = spin2_loose
     with pytest.raises(ValueError, match="target"):
         control_setup(ctrl.H, meas.dec, 5, 2.0, 0.6, 0.65)
-    with pytest.raises(ValueError, match="sigma_bar"):
-        control_setup(ctrl.H, meas.dec, 2, -1.0, 0.6, 0.65)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma_bar"):
+            control_setup(ctrl.H, meas.dec, 2, bad, 0.6, 0.65)
     with pytest.raises(ValueError, match="p_max"):
         control_setup(ctrl.H, meas.dec, 2, 2.0, 0.65, 0.6)
     with pytest.raises(ValueError, match="p_max"):

@@ -12,7 +12,6 @@ from qndstab.ensemble import (
     ESTIMATORS,
     CampaignConfig,
     DelayedGainBuffer,
-    EnsembleResult,
     FitDomainError,
     estimate_rate,
     noise_generator,
@@ -317,6 +316,8 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
         result = run_ensemble(cfg)
         assert np.all(result.error_traces == 0.0), level
         assert np.all(result.v_open_traces == 0.0), level
+        # an error of 0 at every record leaves nothing to fit (README, Quick start)
+        assert np.isnan(result.fitted_rate) and np.all(np.isnan(result.fit_ci)), level
         expected = np.zeros(5)
         expected[level] = 1.0
         assert np.array_equal(result.final_populations, np.tile(expected, (3, 1))), level
@@ -555,18 +556,35 @@ def test_plane_rotations_match_eigen_sum(J):
     assert np.max(np.abs(rot @ np.swapaxes(rot, 1, 2) - np.eye(n))) <= 1e-14
 
 
-def test_ensemble_aggregates_are_consistent():
+def _check_series_csv(result, path):
+    """Write result's series CSV to path and check it bit for bit: t, then np.mean and np.percentile of error_traces.
+
+    Returns the CSV's float columns by name.
+    """
+    write_series_csv(result, str(path))
+    rows = read_csv(path)
+    assert list(rows[0]) == ["t", "mean_error", "q10", "q50", "q90", "n_alive"]
+    assert [row["n_alive"] for row in rows] == [str(result.cfg.trajectories)] * len(result.times)
+    err = result.error_traces
+    expected = {"t": result.times, "mean_error": np.mean(err, axis=0)}
+    expected.update(zip(("q10", "q50", "q90"), np.percentile(err, [10.0, 50.0, 90.0], axis=0)))
+    got = {key: np.array([float(row[key]) for row in rows]) for key in expected}
+    for key, column in expected.items():
+        assert got[key].tobytes() == column.tobytes(), key
+    return got
+
+
+def test_ensemble_aggregates_are_consistent(tmp_path):
     cfg = _small_cfg(trajectories=8, t_final=1.0, record_stride=10, fit_window=(0.2, 0.8))
     result = run_ensemble(cfg)
-    assert result.error_traces.shape == (8, 101)
+    assert result.error_traces.shape == result.v_open_traces.shape == (8, 101)
     # no trajectory is lost, so the series CSV's n_alive column is cfg.trajectories
     assert np.all(np.isfinite(result.error_traces))
-    assert np.array_equal(result.mean_error, np.nanmean(result.error_traces, axis=0))
-    assert np.array_equal(result.mean_v_open, np.nanmean(result.v_open_traces, axis=0))
-    assert np.all(result.q10 <= result.q50 + 1e-15)
-    assert np.all(result.q50 <= result.q90 + 1e-15)
+    got = _check_series_csv(result, tmp_path / "series.csv")
+    assert np.all(got["q10"] <= got["q50"] + 1e-15)
+    assert np.all(got["q50"] <= got["q90"] + 1e-15)
     # the stored fit is reproducible from the result itself
-    nu, ci = estimate_rate(result)
+    nu, ci = estimate_rate(result.times, result.error_traces, cfg.fit_window, cfg.base_seed)
     assert result.fitted_rate == nu
     assert result.fit_ci == ci
 
@@ -574,35 +592,13 @@ def test_ensemble_aggregates_are_consistent():
 # ---------------------------------------------------------------- rate fits
 
 
-def _synthetic_result(traces, times, v_traces=None, base_seed=SEED, fit_window=(1.0, 9.0)):
-    cfg = CampaignConfig(
-        p_min=0.9, t_final=float(times[-1]), dt=1e-3,
-        record_stride=int(round((times[1] - times[0]) / 1e-3)),
-        trajectories=traces.shape[0], base_seed=base_seed, fit_window=fit_window,
-    )
-    if v_traces is None:
-        v_traces = traces
-    return EnsembleResult(
-        cfg=cfg,
-        times=times,
-        mean_error=np.nanmean(traces, axis=0),
-        q10=np.nanpercentile(traces, 10.0, axis=0),
-        q50=np.nanpercentile(traces, 50.0, axis=0),
-        q90=np.nanpercentile(traces, 90.0, axis=0),
-        mean_v_open=np.nanmean(v_traces, axis=0),
-        error_traces=traces,
-        v_open_traces=v_traces,
-        final_populations=np.full((traces.shape[0], 5), 0.2),
-        fitted_rate=np.nan,
-        fit_ci=(np.nan, np.nan),
-    )
+WINDOW = (1.0, 9.0)
 
 
 def test_estimate_rate_exact_exponential():
     times = np.arange(101) * 0.1
     traces = np.tile(np.exp(-0.3 * times), (32, 1))
-    result = _synthetic_result(traces, times)
-    nu, (lo, hi) = estimate_rate(result)
+    nu, (lo, hi) = estimate_rate(times, traces, WINDOW, SEED)
     assert nu == pytest.approx(0.3, abs=1e-9)
     # identical trajectories: every resample refits the same series
     assert lo == pytest.approx(nu, abs=1e-9)
@@ -613,37 +609,26 @@ def test_estimate_rate_tolerates_modulation():
     times = np.arange(101) * 0.1
     clean = np.exp(-0.3 * times)
     traces = np.tile(clean * (1.0 + 0.01 * np.sin(2.0 * np.pi * times / 3.0)), (32, 1))
-    nu, _ = estimate_rate(_synthetic_result(traces, times))
+    nu, _ = estimate_rate(times, traces, WINDOW, SEED)
     assert abs(nu - 0.3) < 0.01
 
 
 def test_estimate_rate_constant_series_gives_zero():
     times = np.arange(101) * 0.1
     traces = np.full((8, 101), 0.5)
-    nu, _ = estimate_rate(_synthetic_result(traces, times))
+    nu, _ = estimate_rate(times, traces, WINDOW, SEED)
     assert abs(nu) < 1e-12
-
-
-def test_estimate_rate_selects_series():
-    times = np.arange(101) * 0.1
-    err = np.tile(np.exp(-0.3 * times), (8, 1))
-    vop = np.tile(np.exp(-0.7 * times), (8, 1))
-    result = _synthetic_result(err, times, v_traces=vop)
-    nu_v, _ = estimate_rate(result, series="v_open")
-    assert nu_v == pytest.approx(0.7, abs=1e-9)
-    with pytest.raises(ValueError, match="series"):
-        estimate_rate(result, series="martingale")
 
 
 def test_estimate_rate_domain_errors():
     times = np.arange(101) * 0.1
     traces = np.tile(np.exp(-0.3 * times), (8, 1))
     with pytest.raises(FitDomainError, match="fewer than two"):
-        estimate_rate(_synthetic_result(traces, times, fit_window=(1.0, 1.05)))
+        estimate_rate(times, traces, (1.0, 1.05), SEED)
     dead = traces.copy()
     dead[:, 50] = 0.0
     with pytest.raises(FitDomainError, match="nonpositive"):
-        estimate_rate(_synthetic_result(dead, times))
+        estimate_rate(times, dead, WINDOW, SEED)
 
 
 def test_estimate_rate_bootstrap_is_deterministic():
@@ -651,11 +636,10 @@ def test_estimate_rate_bootstrap_is_deterministic():
     rng = np.random.default_rng(3)
     traces = np.exp(-0.3 * times) * (1.0 + 0.05 * rng.standard_normal((32, 101)))
     traces = np.clip(traces, 1e-6, None)
-    result = _synthetic_result(traces, times)
-    first = estimate_rate(result)
-    second = estimate_rate(result)
+    first = estimate_rate(times, traces, WINDOW, SEED)
+    second = estimate_rate(times, traces, WINDOW, SEED)
     assert first == second
-    third = estimate_rate(_synthetic_result(traces, times, base_seed=SEED + 1))
+    third = estimate_rate(times, traces, WINDOW, SEED + 1)
     assert first[0] == third[0]  # point estimate ignores the bootstrap seed
     assert first[1] != third[1]
 
@@ -669,17 +653,9 @@ def test_csv_round_trips(tmp_path):
         dt=1e-3, record_stride=100, base_seed=77, fit_window=(0.5, 1.5),
     )
     result = run_ensemble(cfg)
-    series_path = tmp_path / "series.csv"
+    _check_series_csv(result, tmp_path / "series.csv")
     summary_path = tmp_path / "summary.csv"
-    write_series_csv(result, str(series_path))
     write_summary_csv(result, str(summary_path))
-
-    rows = read_csv(series_path)
-    assert list(rows[0]) == ["t", "mean_error", "q10", "q50", "q90", "n_alive"]
-    for key, column in (("t", result.times), ("mean_error", result.mean_error), ("q10", result.q10),
-                        ("q50", result.q50), ("q90", result.q90)):
-        assert np.array_equal([float(row[key]) for row in rows], column), key
-    assert [row["n_alive"] for row in rows] == [str(cfg.trajectories)] * len(result.times)
 
     (summary,) = read_csv(summary_path)
     assert list(summary) == [

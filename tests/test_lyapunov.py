@@ -27,9 +27,7 @@ from qndstab.lyapunov import (
     v_open,
 )
 
-
-def _diss(a, rho):
-    return a @ rho @ a - 0.5 * (a @ a @ rho + rho @ a @ a)
+from conftest import plain_dissipator
 
 
 # ------------------------------------------------------- open-loop Lyapunov
@@ -174,7 +172,7 @@ def test_generator_matches_reference_formulas(spin2_tight, spin2_weights, rng):
         rho = batch[i]
         p = populations(rho, meas.dec)
         ap = p @ w.alpha.T
-        dh = _diss(ctrl.H, rho)
+        dh = plain_dissipator(ctrl.H, rho)
         c = np.array([np.trace(pi @ dh).real for pi in meas.dec.projectors])
         com = ctrl.H @ rho - rho @ ctrl.H
         m = np.array([np.real(1j * np.trace(pi @ com)) for pi in meas.dec.projectors])
@@ -225,7 +223,7 @@ def test_generator_matches_reference_formulas_on_general_pair(rng):
     for i, rho in enumerate(batch):
         p = populations(rho, dec)
         ap = p @ w.alpha.T
-        dh = _diss(h, rho)
+        dh = plain_dissipator(h, rho)
         c = np.array([np.trace(pi @ dh).real for pi in dec.projectors])
         com = h @ rho - rho @ h
         m = np.array([np.real(1j * np.trace(pi @ com)) for pi in dec.projectors])
@@ -465,16 +463,15 @@ def test_certify_decay_matches_sequential_sampler(
         meas, ctrl, w = _general_pair(rng)
     else:
         (meas, ctrl), w = request.getfixturevalue(preset), spin2_weights
-    args = (meas.dec, ctrl.target, samples, seed, tv_radius)
-    expected = _sequential_strata(*args)
-    batched = _strata_rows(_sample_strata(*args))
+    monkeypatch.setattr(lyapunov, "TV_RADIUS", tv_radius)
+    expected = _sequential_strata(meas.dec, ctrl.target, samples, seed, tv_radius)
+    batched = _strata_rows(_sample_strata(meas.dec, ctrl.target, samples, seed))
     # every row, bit for bit, not just the worst one the certificate prints
     assert list(batched) == list(expected)
     for name, ref in expected.items():
         assert batched[name].shape == ref.shape and batched[name].dtype == ref.dtype == float
         assert batched[name].tobytes() == ref.tobytes()
     _assert_clear_of_target(expected, ctrl.target, target_exclusion)
-    monkeypatch.setattr(lyapunov, "TV_RADIUS", tv_radius)
     report = certify_decay(meas, ctrl, w, samples=samples, seed=seed)
     assert certificate_to_csv(report) == _certificate_csv(expected, meas, ctrl, w, samples)
 
@@ -484,7 +481,7 @@ def test_near_vertex_stratum_specification(request, rng, pair, samples):
     """The near-vertex stratum's recipe, checked on the population rows alone and not on their draw order."""
     meas, ctrl = _general_pair(rng)[:2] if pair == "general" else request.getfixturevalue(pair)
     dec, target = meas.dec, ctrl.target
-    strata = _strata_rows(_sample_strata(dec, target, samples, 5, lyapunov.TV_RADIUS))
+    strata = _strata_rows(_sample_strata(dec, target, samples, 5))
     p = strata["near_vertex"]
     count = samples // 3
     assert list(strata)[0] == "near_vertex" and p.shape == (count, dec.d) and p.dtype == float
@@ -511,7 +508,7 @@ def test_bulk_rows_follow_the_populations_of_real_ginibre_states(spin2_tight):
     Dirichlet(n), the law of complex Ginibre states, lies about 0.1 away.
     """
     meas, ctrl = spin2_tight
-    bulk = _strata_rows(_sample_strata(meas.dec, ctrl.target, 60_000, 3, lyapunov.TV_RADIUS))["bulk"]
+    bulk = _strata_rows(_sample_strata(meas.dec, ctrl.target, 60_000, 3))["bulk"]
     z = np.random.default_rng(4).standard_normal((20_000, 5, 5))
     gram = z @ np.swapaxes(z, -1, -2)
     states = np.diagonal(gram, axis1=-2, axis2=-1) / np.trace(gram, axis1=-2, axis2=-1)[:, None]
@@ -533,8 +530,8 @@ def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_
     if pair == "zero_noise":
         # the generator vanishes at every exact wrong vertex: the near-vertex minimum 0 ties across blocks
         ctrl = control_setup(ctrl.H, meas.dec, ctrl.target, 0.0, ctrl.p_min, ctrl.p_max)
-    args = (meas.dec, ctrl.target, 300, 5, lyapunov.TV_RADIUS)
-    expected = {name: ref.tobytes() for name, ref in _sequential_strata(*args).items()}
+    args = (meas.dec, ctrl.target, 300, 5)
+    expected = {name: ref.tobytes() for name, ref in _sequential_strata(*args, lyapunov.TV_RADIUS).items()}
     # 300 samples make strata of 100 rows.  Blocks of 2 hold no lone row, whose generator bits may
     # differ (generator_terms); blocks of 3 and 7 are uneven and cut across the near-vertex segments.
     csvs = []

@@ -47,7 +47,7 @@ def test_spin_family_hermitian_and_connected(J):
     assert np.all(off[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1] == 0.0)
 
 
-@pytest.mark.parametrize("J", [0, -1, 0.7, 2.3])
+@pytest.mark.parametrize("J", [0, -1, 0.7, 2.3, float("nan"), float("inf")])
 def test_build_spin_model_rejects_bad_J(J):
     with pytest.raises(ValueError, match="half-integer"):
         build_spin_model(J)
