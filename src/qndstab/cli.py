@@ -169,10 +169,13 @@ def _campaign(doc: dict) -> CampaignConfig:
         raise ConfigError(f"invalid campaign config: {exc}") from exc
 
 
-def parse_certify_config(text: str) -> dict:
-    """Parse and validate a JSON certification document."""
+def parse_certify_config(text: str) -> tuple[dict, tuple]:
+    """Parse and validate a JSON certification document: (the document with its defaults, its model's (meas, ctrl))."""
     out = {**_CERTIFY_DEFAULTS, **_load(text, _CERTIFY_KEYS, "certification")}
-    _certify_setups(out)
+    try:
+        setups = spin2_preset(**{k: out.get(k) for k in MODEL_FIELDS})
+    except ValueError as exc:
+        raise ConfigError(f"invalid certification config: {exc}") from exc
     if "broken_link" in out:
         n_couplings = int(round(2 * out["J"]))
         if not 0 <= out["broken_link"] < n_couplings:
@@ -180,14 +183,7 @@ def parse_certify_config(text: str) -> dict:
                 f"invalid certification config: broken_link: must index a ladder "
                 f"coupling 0..{n_couplings - 1}, got {out['broken_link']}"
             )
-    return out
-
-
-def _certify_setups(doc: dict):
-    try:
-        return spin2_preset(**{k: doc.get(k) for k in MODEL_FIELDS})
-    except ValueError as exc:
-        raise ConfigError(f"invalid certification config: {exc}") from exc
+    return out, setups
 
 
 def _environment() -> dict:
@@ -289,8 +285,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    doc = _overrides(parse_certify_config(_read(args.config)), args)
-    meas, ctrl = _certify_setups(doc)
+    doc, (meas, ctrl) = parse_certify_config(_read(args.config))
+    doc = _overrides(doc, args)  # no flag sets a model field, so the setups stand
     if "broken_link" in doc:
         # toy model with one ladder coupling removed; disconnects the actuation graph
         h = ctrl.H.copy()

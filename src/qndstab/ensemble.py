@@ -176,6 +176,9 @@ class CampaignConfig:
         object.__setattr__(self, "fit_window", (w0, w1))
         if not (0.0 <= w0 < w1 <= self.t_final):
             raise ValueError(f"fit_window must satisfy 0 <= start < end <= t_final, got {self.fit_window}")
+        times = self.record_times
+        if np.count_nonzero((times >= w0) & (times <= w1)) < 2:
+            raise ValueError(f"fit_window {self.fit_window} holds fewer than two record times, one every {self.dt * self.record_stride:g}")
         if self.initial not in ("mixed", "target"):
             raise ValueError(f"initial must be 'mixed' or 'target', got {self.initial!r}")
         if self.workers < 1:
@@ -190,6 +193,10 @@ class CampaignConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def record_times(self) -> np.ndarray:
+        return np.arange(self.n_steps // self.record_stride + 1) * self.dt * self.record_stride
 
 
 def noise_generator(base_seed: int, index: int, stream: int) -> np.random.Generator:
@@ -528,7 +535,7 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     err = np.concatenate([p[0] for p in parts], axis=0)
     vop = np.concatenate([p[1] for p in parts], axis=0)
     final_p = np.concatenate([p[2] for p in parts], axis=0)
-    times = np.arange(err.shape[1]) * cfg.dt * cfg.record_stride
+    times = cfg.record_times
     try:
         nu, ci = estimate_rate(times, err, cfg.fit_window, cfg.base_seed)
     except FitDomainError:

@@ -22,14 +22,15 @@ c_k = tr(Pi_k D_H(rho)) is the expectation of the Heisenberg-picture
 observable D_H*(Pi_k) = H Pi_k H - (H^2 Pi_k + Pi_k H^2)/2, and m_k that of
 i [Pi_k, H].  For H = iA both observables are real, so c and m read only
 Re rho: one float64 einsum over each state's n^2 real coordinates against
-fixed weight rows (core._expectations).  On a diagonal state rho = diag(p)
-only the rows' diagonal coordinates count: c = Delta p, and m = 0 exactly.
+fixed weight rows (core._expectations).  On a diagonal state rho = diag(p),
+c = Delta p and m = 0 exactly, and since Delta alpha_s = -beta_s with Delta
+symmetric, alpha_s . c = -beta_s . p: f = -sum_s (beta_s . p) / sqrt(alpha_s . p).
 certify_decay samples populations p in stratified fashion, evaluates the
-generator at diag(p) from those coordinates, and reports the empirical
-contraction margin nu_hat = min(-A V_alpha / V_alpha); a strictly positive
-margin certifies A V_alpha <= -nu_hat V_alpha on the sampled diagonal
-states.  It says nothing about coherent states, where V_alpha can grow at
-populations whose diagonal state decays.
+ratio at diag(p) from p alone in one pass per block (_diagonal_ratio), and
+reports the empirical contraction margin nu_hat = min(-A V_alpha / V_alpha);
+a strictly positive margin certifies A V_alpha <= -nu_hat V_alpha on the
+sampled diagonal states.  It says nothing about coherent states, where
+V_alpha can grow at populations whose diagonal state decays.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _expectations, populations
+from .core import _expectations, _rowsum, populations
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import graph_connected
 
@@ -195,7 +196,16 @@ def generator_terms(
     """
     rho, d = np.asarray(rho), meas.dec.d
     cm = _expectations(rho, _cm_rows(meas.dec, ctrl))
-    return _generator(populations(rho, meas.dec), cm[..., :d], cm[..., d:], meas, ctrl, w)
+    p = populations(rho, meas.dec)
+    ap, sq, g = _weighted(p, meas, w)
+    sigma = np.asarray(feedback_gain(p, ctrl))
+    f = np.sum((cm[..., :d] @ w.alpha.T) / sq, axis=-1)
+    hnum = cm[..., d:] @ w.alpha.T
+    h = np.sum(hnum * hnum / (ap * sq), axis=-1)
+    av = 0.5 * sigma * sigma * f - 0.5 * meas.eta * g - 0.125 * sigma * sigma * h
+    if av.ndim == 0:
+        return GeneratorTerms(f=float(f), g=float(g), h=float(h), AV=float(av))
+    return GeneratorTerms(f=f, g=g, h=h, AV=av)
 
 
 def _cm_rows(dec, ctrl):
@@ -210,46 +220,30 @@ def _cm_rows(dec, ctrl):
     return np.swapaxes(obs, -1, -2).reshape(len(obs), -1)
 
 
-def _diagonal_rows(dec, ctrl):
-    """The diagonal coordinates of the c rows of _cm_rows, shape (d, n): on rho = diag(p) they give c = Delta p.
+def _diagonal_ratio(p, meas, ctrl, w) -> np.ndarray:
+    """-A V_alpha / V_alpha at the diagonal states diag(p) of a (rows, d) population block.
 
-    The m rows vanish there, as i [Pi_k, H] has a zero diagonal: m = 0 exactly.
+    There c = Delta p and m = 0, so h = 0; the weights solve Delta alpha_s = -beta_s
+    on every column (solve_alpha checks it) and Delta is symmetric, so alpha_s . c =
+    -beta_s . p.  V_alpha sums the same square roots; sums over s run column by column.
     """
-    return np.ascontiguousarray(_cm_rows(dec, ctrl)[: dec.d, :: dec.n + 1])
+    ap, sq, g = _weighted(p, meas, w)
+    sigma = feedback_gain(p, ctrl)
+    f = -_rowsum(((p @ w.beta.T) / sq).T)
+    return (0.5 * meas.eta * g - 0.5 * sigma * sigma * f) / _rowsum(sq.T)
 
 
-def _diagonal_terms(p, rows, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms at the diagonal states diag(p), read from p and rows = _diagonal_rows, without building a state.
-
-    One einsum without optimize, as in core._expectations, so no BLAS call
-    sums over the batch axis.
-    """
-    return _generator(p, np.einsum("...x,kx->...k", p, rows), None, meas, ctrl, w)
-
-
-def _generator(p, c, m, meas, ctrl, w) -> GeneratorTerms:
-    """generator_terms at populations p and expectations c and m the caller has computed; m None stands for m = 0."""
+def _weighted(p, meas, w):
+    """(ap, sq, g): ap = p @ alpha^T, sq its square roots, g at populations p; EvaluatedAtTargetError at p_target = 1."""
     if np.any(p[..., w.target] >= 1.0):
         raise EvaluatedAtTargetError("generator terms are singular at the target vertex (p_target = 1)")
     ap = p @ w.alpha.T
     if np.any(ap <= 0.0):
         raise EvaluatedAtTargetError("alpha-weighted populations vanished; state is at the target vertex")
-    sigma = np.asarray(feedback_gain(p, ctrl))
-    lam = meas.dec.eigenvalues
-    varpi = p @ lam
     sq = np.sqrt(ap)
-    f = np.sum((c @ w.alpha.T) / sq, axis=-1)
-    gnum = ((lam - varpi[..., None]) * p) @ w.alpha.T
-    g = np.sum(gnum * gnum / (ap * sq), axis=-1)
-    if m is None:
-        h = np.zeros_like(g)
-    else:
-        hnum = m @ w.alpha.T
-        h = np.sum(hnum * hnum / (ap * sq), axis=-1)
-    av = 0.5 * sigma * sigma * f - 0.5 * meas.eta * g - 0.125 * sigma * sigma * h
-    if av.ndim == 0:
-        return GeneratorTerms(f=float(f), g=float(g), h=float(h), AV=float(av))
-    return GeneratorTerms(f=f, g=g, h=h, AV=av)
+    lam = meas.dec.eigenvalues
+    gnum = ((lam - (p @ lam)[..., None]) * p) @ w.alpha.T
+    return ap, sq, _rowsum(np.moveaxis(gnum * gnum / (ap * sq), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -346,8 +340,8 @@ def certify_decay(
     variation distance TV_RADIUS, including the exact vertices), one third
     with the populations of bulk states G G^T / tr from real Ginibre
     factors G, one third uniform on the simplex; see _sample_strata.  The
-    generator is evaluated at diag(p) from the diagonal coordinates of the
-    observable rows (_diagonal_terms), where c = Delta p and m = 0, so no
+    ratio is evaluated at diag(p) from p alone (_diagonal_ratio): there
+    m = 0 and the weights turn alpha_s . Delta p into -beta_s . p, so no
     state is built.  The bulk and diagonal laws put 1 - p_target < 1e-6,
     near the singular target, with probability at most 1e-6^(d-1) per row,
     and near-vertex rows keep p_target < TV_RADIUS.  nu_hat is the global
@@ -365,17 +359,15 @@ def certify_decay(
         raise ValueError(f"need at least one sample per stratum, got samples={samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got seed={seed}")
-    rows = _diagonal_rows(meas.dec, ctrl)
     strata = {}
     timing = {}
     clock = time.perf_counter()
     for name, p in _sample_strata(meas.dec, w.target, samples, seed):
         sampled = time.perf_counter()
-        terms = _diagonal_terms(p, rows, meas, ctrl, w)
+        ratio = _diagonal_ratio(p, meas, ctrl, w)
         lap = timing.setdefault(name, {"sample_s": 0.0, "generator_s": 0.0})
         lap["sample_s"] += sampled - clock
         lap["generator_s"] += time.perf_counter() - sampled
-        ratio = -np.asarray(terms.AV) / v_alpha(p, w)
         worst = int(np.argmin(ratio))
         # blocks fold in draw order; strict < keeps the first occurrence of a tie, as argmin does
         prev = strata.get(name, StratumResult(name, 0, np.inf, None))

@@ -109,6 +109,7 @@ def test_parse_config_full_document():
         ('{"p_min": 0.9, "seed": -5}', "base_seed"),
         ('{"p_min": 0.9, "seed": 18446744073709551616}', "base_seed"),
         ('{"p_min": 0.9, "fit_window": [1, null]}', "fit_window"),
+        ('{"p_min": 0.6, "t_final": 1.0, "trajectories": 4, "fit_window": [0.5, 0.55]}', "fewer than two record times"),
         ('{"p_min": 0.9, "trajectories": true}', "expected int, got bool"),
         ('{"p_min": 0.9, "trajectories": 10.5}', "trajectories"),
         ('{"p_min": "high"}', "expected float, got str"),
@@ -150,7 +151,8 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, verb, kind):
 
 
 def test_parse_certify_config_defaults():
-    doc = parse_certify_config('{"p_min": 0.9}')
+    doc, (meas, ctrl) = parse_certify_config('{"p_min": 0.9}')
+    assert (meas.eta, ctrl.p_min) == (0.8, 0.9) and ctrl.p_max == pytest.approx(0.95)
     assert doc["J"] == 2.0
     assert doc["eta"] == 0.8
     assert doc["saturation"] == "piecewise_linear"
@@ -181,7 +183,7 @@ def test_parse_certify_config_rejections():
     ):
         with pytest.raises(ConfigError, match=needle):
             parse_certify_config(text)
-    assert parse_certify_config('{"p_min": 0.9, "broken_link": 3}')["broken_link"] == 3
+    assert parse_certify_config('{"p_min": 0.9, "broken_link": 3}')[0]["broken_link"] == 3
 
 
 # ------------------------------------------------------------------- verbs

@@ -188,7 +188,7 @@ def test_generator_matches_reference_formulas(spin2_tight, spin2_weights, rng):
         assert terms.AV[i] == pytest.approx(av, rel=1e-9)
 
 
-def _general_pair(rng):
+def _general_pair(rng, saturation="piecewise_linear"):
     """A random pair of the model class beyond the spin ladder; target level 1.
 
     L = diag(l) with l strictly descending and unequal gaps, H = i(A - A^T)
@@ -196,7 +196,7 @@ def _general_pair(rng):
     """
     meas = measurement_setup(np.diag(1.0 - np.cumsum(rng.uniform(0.3, 1.5, 5))), eta=0.7)
     a = rng.standard_normal((5, 5))
-    ctrl = control_setup(1j * (a - a.T), meas.dec, 1, 2.0, 0.51, 0.7)
+    ctrl = control_setup(1j * (a - a.T), meas.dec, 1, 2.0, 0.51, 0.7, saturation)
     return meas, ctrl, solve_alpha(laplacian_matrix(ctrl.H, meas.dec), ctrl.target)
 
 
@@ -425,11 +425,10 @@ def _strata_rows(blocks):
 
 def _certificate_csv(strata, meas, ctrl, w, samples):
     """certificate.csv of the population rows strata, each stratum evaluated as one batch."""
-    rows = lyapunov._diagonal_rows(meas.dec, ctrl)
     lines = ["stratum,samples,min_ratio,worst_populations"]
     best, best_p = np.inf, None
     for name, p in strata.items():
-        ratio = -lyapunov._diagonal_terms(p, rows, meas, ctrl, w).AV / v_alpha(p, w)
+        ratio = lyapunov._diagonal_ratio(p, meas, ctrl, w)
         worst = int(np.argmin(ratio))
         lines.append(f"{name},{len(p)},{float(ratio[worst])!r},{';'.join(repr(float(x)) for x in p[worst])}")
         if ratio[worst] < best:
@@ -549,20 +548,25 @@ def test_certificate_does_not_depend_on_blocks(request, monkeypatch, rng, spin2_
 
 
 @pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
-@pytest.mark.parametrize("J", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("J", [1, 1.5, 2, 3, "general"])
 def test_population_path_matches_generator_terms(rng, J, saturation):
-    """certify_decay's per-row evaluation equals generator_terms at diag(p), to 1e-12 of the size of the terms.
+    """certify_decay's one-pass ratio equals -A V_alpha / V_alpha from generator_terms at diag(p), to 1e-12 of the size of the terms.
 
-    The rows: Dirichlet(1) points, the exact wrong eigenstates, and points
-    on the gain ramp, whose largest wrong population lies inside
-    (p_min, p_max).  g reads p alone and h is 0 on both paths.  f and A V
-    sum the same products in another order; as they may cancel, 1e-12 is
-    taken relative to the sum of their products' magnitudes.
+    The pairs: the spin ladder at each J, and _general_pair (A dense), so
+    the identity alpha_s . Delta p = -beta_s . p that the one-pass f reads
+    is checked off the ladder.  The rows: Dirichlet(1) points, the exact
+    wrong eigenstates, and points on the gain ramp, whose largest wrong
+    population lies inside (p_min, p_max).  h is 0 at diag(p).  The two f
+    sum different products of one value; as f and g may cancel, 1e-12 is
+    taken relative to the sum of the magnitudes of A V's products, over V_alpha.
     """
-    meas, ctrl = spin2_preset(0.6, J=J, saturation=saturation)
+    if J == "general":
+        meas, ctrl, w = _general_pair(rng, saturation)
+    else:
+        meas, ctrl = spin2_preset(0.6, J=J, saturation=saturation)
+        w = solve_alpha(laplacian_matrix(ctrl.H, meas.dec), ctrl.target)
     dec, target = meas.dec, ctrl.target
     delta = laplacian_matrix(ctrl.H, dec)
-    w = solve_alpha(delta, target)
     wrong = [k for k in range(dec.d) if k != target]
     top = rng.uniform(ctrl.p_min, ctrl.p_max, 200)
     rest = rng.dirichlet(np.ones(dec.d - 1), 200) * (1.0 - top)[:, None]
@@ -570,16 +574,15 @@ def test_population_path_matches_generator_terms(rng, J, saturation):
     sigma = feedback_gain(ramp, ctrl)
     assert np.all((sigma > 0.0) & (sigma < ctrl.sigma_bar))
     p = np.concatenate([rng.dirichlet(np.ones(dec.d), 400), np.eye(dec.d)[wrong], ramp])
-    got = lyapunov._diagonal_terms(p, lyapunov._diagonal_rows(dec, ctrl), meas, ctrl, w)
+    got = lyapunov._diagonal_ratio(p, meas, ctrl, w)
     ref = generator_terms(p[:, :, None] * np.eye(dec.d), meas, ctrl, w)
-    assert got.g.tobytes() == ref.g.tobytes()
-    assert np.all(got.h == 0.0) and np.all(ref.h == 0.0)
+    assert np.all(ref.h == 0.0)
     sq = np.sqrt(p @ w.alpha.T)
+    v = np.sum(sq, axis=-1)
     f_size = np.sum((p @ np.abs(delta).T @ w.alpha.T) / sq, axis=-1)
     av_size = 0.5 * feedback_gain(p, ctrl) ** 2 * f_size + 0.5 * meas.eta * ref.g
-    assert np.all(np.abs(got.f - ref.f) <= 1e-12 * f_size)
-    assert np.all(np.abs(got.AV - ref.AV) <= 1e-12 * av_size)
-    assert np.count_nonzero(got.AV > 0.0) and np.count_nonzero(got.AV < 0.0)
+    assert np.all(np.abs(got + ref.AV / v) <= 1e-12 * av_size / v)
+    assert np.count_nonzero(got > 0.0) and np.count_nonzero(got < 0.0)
 
 
 def test_readme_coherent_witness(spin2_tight, spin2_weights):
@@ -587,12 +590,11 @@ def test_readme_coherent_witness(spin2_tight, spin2_weights):
     meas, ctrl = spin2_tight
     v = np.sqrt([0.0, 0.923, 0.0, 0.077, 0.0])
     terms = generator_terms(np.outer(v, v), meas, ctrl, spin2_weights)
-    p = np.stack([v * v] * 2)
-    diagonal = lyapunov._diagonal_terms(p, lyapunov._diagonal_rows(meas.dec, ctrl), meas, ctrl, spin2_weights)
+    diagonal = lyapunov._diagonal_ratio(np.stack([v * v] * 2), meas, ctrl, spin2_weights)
     v_a = v_alpha(v * v, spin2_weights)
     assert round(terms.AV, 3) == 0.108 and round(v_a, 2) == 4.89
     assert round(-terms.AV / v_a, 3) == -0.022
-    assert round(-diagonal.AV[0] / v_a, 3) == 0.318
+    assert round(diagonal[0], 3) == 0.318
 
 
 def test_readme_verdict_table(spin2_weights):
