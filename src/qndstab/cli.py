@@ -266,6 +266,8 @@ def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str)
     write_summary_csv(result, summary)
     config = asdict(cfg)
     config.pop("workers")  # runtime-only, so it must not leak into artifacts
+    _, ctrl = cfg.setups()
+    config.update(p_max=ctrl.p_max, sigma_bar=ctrl.sigma_bar)  # the resolved defaults, as the summary prints them
     counters = {
         "steps": cfg.n_steps,
         "trajectories": cfg.trajectories,
@@ -311,7 +313,8 @@ def _cmd_certify(args) -> int:
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))
     counters = {s.name: {"samples": s.samples} for s in report.strata}
-    _write_manifest(out_dir, "certificate_manifest.json", "certify", doc, (cert_path,), counters, report.timing)
+    config = {**doc, "p_max": ctrl.p_max, "sigma_bar": ctrl.sigma_bar}  # the resolved defaults
+    _write_manifest(out_dir, "certificate_manifest.json", "certify", config, (cert_path,), counters, report.timing)
     flag = "certified" if report.certified else "NOT certified"
     print(
         f"certify: nu_hat={report.nu_hat!r} ({flag}) over {report.samples} samples; "

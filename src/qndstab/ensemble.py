@@ -60,10 +60,10 @@ Every reduction over a state index takes a fixed order at every batch
 width: an explicit accumulation over rows, a banded sum over the nonzero
 bands of the actuation Laplacian in ascending index, a per-matrix product,
 the per-row einsum over one (cos, sin) pair per rotation plane that builds
-each rotation, a max, or v_open on an (m, n) C-order copy.  numpy's own
-sums pick their order from the memory layout, and a width-1 chunk is
-contiguous along the state axis, so they are not used over that axis.  A
-trajectory's bits therefore do not depend on which rows share its batch.
+each rotation, or a max.  numpy's own sums pick their order from the
+memory layout, and a width-1 chunk is contiguous along the state axis, so
+they are not used over that axis.  A trajectory's bits therefore do not
+depend on which rows share its batch.
 run_ensemble cuts the ensemble into contiguous chunks, at least one per
 worker; worker count, chunk layout and recording stride therefore never
 change the bits of any trajectory, and ensembles aggregate in index order.
@@ -78,7 +78,6 @@ import numpy as np
 from .core import DEGENERACY_TOL, UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 from .filters import _averaged_control, _bands, _population_update, laplacian_matrix
-from .lyapunov import v_open
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
 __all__ = [
@@ -389,7 +388,6 @@ class TrajectoryTrace:
     """Strided record of one trajectory."""
 
     error: np.ndarray
-    v_open: np.ndarray
     final_populations: np.ndarray
 
 
@@ -406,7 +404,6 @@ class EnsembleResult:
     cfg: CampaignConfig
     times: np.ndarray
     error_traces: np.ndarray
-    v_open_traces: np.ndarray
     final_populations: np.ndarray
     fitted_rate: float
     fit_ci: tuple[float, float]
@@ -416,8 +413,8 @@ class EnsembleResult:
 def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     """Advance trajectories start..stop-1 in lockstep in real arithmetic; see module docstring.
 
-    Returns the recorded errors and v_open values (m, n_rec), the final
-    populations (m, n) and the number of column-steps the plant rotated.
+    Returns the recorded errors (m, n_rec), the final populations (m, n)
+    and the number of column-steps the plant rotated.
     """
     meas, ctrl = cfg.setups()
     n, target, dt = meas.dec.n, ctrl.target, cfg.dt
@@ -438,7 +435,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     stride = cfg.record_stride
     n_rec = n_steps // stride + 1
     err = np.empty((m, n_rec))
-    vop = np.empty((m, n_rec))
     sqdt = np.sqrt(dt)
     # allocated once and refilled in place, so a chunk's peak memory does not
     # depend on where the allocator puts the rotation's data-dependent arrays;
@@ -458,9 +454,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
         # the error is the root of the summed wrong populations, which keep
         # their full relative precision where 1 - p_target rounds to 0
         err[:, slot] = np.sqrt(np.clip(_rowsum([p[k] for k in wrong]), 0.0, 1.0))
-        # v_open sums over its last axis; an (m, n) C-order copy keeps that
-        # sum's order the same at every width
-        vop[:, slot] = v_open(np.ascontiguousarray(p.T))
 
     _record(0, rho[:n])
 
@@ -499,7 +492,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             if step % stride == 0:
                 _record(step // stride, rho[:n])
 
-    return err, vop, np.ascontiguousarray(rho[:n].T), engaged
+    return err, np.ascontiguousarray(rho[:n].T), engaged
 
 
 def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
@@ -510,8 +503,8 @@ def run_trajectory(cfg: CampaignConfig, index: int) -> TrajectoryTrace:
     """
     if not 0 <= index < cfg.trajectories:
         raise ValueError(f"trajectory index {index} outside 0..{cfg.trajectories - 1}")
-    err, vop, final_p, _ = _integrate_chunk(cfg, index, index + 1)
-    return TrajectoryTrace(error=err[0], v_open=vop[0], final_populations=final_p[0])
+    err, final_p, _ = _integrate_chunk(cfg, index, index + 1)
+    return TrajectoryTrace(error=err[0], final_populations=final_p[0])
 
 
 def _chunk_bounds(trajectories: int, workers: int) -> list[tuple[int, int]]:
@@ -533,16 +526,15 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
     else:
         parts = [_integrate_chunk(cfg, a, b) for a, b in bounds]
     err = np.concatenate([p[0] for p in parts], axis=0)
-    vop = np.concatenate([p[1] for p in parts], axis=0)
-    final_p = np.concatenate([p[2] for p in parts], axis=0)
+    final_p = np.concatenate([p[1] for p in parts], axis=0)
     times = cfg.record_times
     try:
         nu, ci = estimate_rate(times, err, cfg.fit_window, cfg.base_seed)
     except FitDomainError:
         nu, ci = np.nan, (np.nan, np.nan)
     return EnsembleResult(
-        cfg=cfg, times=times, error_traces=err, v_open_traces=vop, final_populations=final_p,
-        fitted_rate=nu, fit_ci=ci, engaged_column_steps=sum(p[3] for p in parts),
+        cfg=cfg, times=times, error_traces=err, final_populations=final_p,
+        fitted_rate=nu, fit_ci=ci, engaged_column_steps=sum(p[2] for p in parts),
     )
 
 

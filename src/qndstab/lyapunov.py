@@ -36,7 +36,7 @@ V_alpha can grow at populations whose diagonal state decays.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .filters import graph_connected
 
 __all__ = [
     "CertificationImpossibleError",
-    "v_open",
     "default_beta",
     "solve_alpha",
     "certify_decay",
@@ -369,14 +368,14 @@ def certify_decay(
         lap["sample_s"] += sampled - clock
         lap["generator_s"] += time.perf_counter() - sampled
         worst = int(np.argmin(ratio))
-        # blocks fold in draw order; strict < keeps the first occurrence of a tie, as argmin does
-        prev = strata.get(name, StratumResult(name, 0, np.inf, None))
-        first = ratio[worst] < prev.min_ratio
-        strata[name] = StratumResult(
-            name=name, samples=prev.samples + len(p),
-            min_ratio=float(ratio[worst]) if first else prev.min_ratio,
-            worst_populations=p[worst] if first else prev.worst_populations,
-        )
+        # a stratum's first block sets its row, even at a ratio of +inf; later
+        # blocks fold in draw order, and strict < keeps the first occurrence
+        # of a tie, as argmin does
+        prev = strata.get(name)
+        if prev is None or ratio[worst] < prev.min_ratio:
+            strata[name] = StratumResult(name, len(p) + (prev.samples if prev else 0), float(ratio[worst]), p[worst])
+        else:
+            strata[name] = replace(prev, samples=prev.samples + len(p))
         clock = time.perf_counter()
     strata = list(strata.values())
     worst = min(strata, key=lambda s: s.min_ratio)  # the first stratum on a tie

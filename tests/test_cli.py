@@ -223,6 +223,9 @@ def test_cmd_run_emits_artifacts(tmp_path, capsys):
     assert manifest["config"]["base_seed"] == 123
     assert manifest["config"]["fit_window"] == [0.5, 1.5]
     assert "workers" not in manifest["config"]
+    # the resolved model defaults, as the summary prints them
+    assert manifest["config"]["p_max"] == float(summary["p_max"]) == 0.65
+    assert manifest["config"]["sigma_bar"] == float(summary["sigma_bar"]) == 2.0
     for name, digest in manifest["checksums"].items():
         assert _sha256(out / name) == digest
     assert set(manifest["checksums"]) == {"run_series.csv", "run_summary.csv"}
@@ -379,6 +382,8 @@ def test_cmd_certify_paths(tmp_path, capsys):
     assert (out / "certificate.csv").exists()
     manifest = json.loads((out / "certificate_manifest.json").read_text())
     assert manifest["config"]["samples"] == 60
+    # the resolved model defaults p_min + 0.05 and sqrt((2J+1) eta)
+    assert manifest["config"]["p_max"] == 0.9 + 0.05 and manifest["config"]["sigma_bar"] == 2.0
     assert _sha256(out / "certificate.csv") == manifest["checksums"]["certificate.csv"]
     counters = manifest["counters"]
     assert list(counters) == ["bulk", "diagonal", "near_vertex"]
@@ -409,6 +414,21 @@ def test_cmd_certify_zero_noise_not_certified(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, {"p_min": 0.6, "sigma_bar": 0.0, "samples": 60})
     assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 1
     assert "NOT certified" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cmd_certify_stratum_of_infinite_ratios(tmp_path, capsys):
+    """sigma_bar^2 overflows, so every near-vertex ratio is +inf: that stratum still reports its first row, and the others decide."""
+    out = tmp_path / "cert_inf"
+    cfg_path = _write_config(tmp_path, {"p_min": 0.9, "sigma_bar": 1e155, "samples": 300})
+    assert main(["certify", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "(certified)" in capsys.readouterr().out
+    rows = {row["stratum"]: row for row in read_csv(out / "certificate.csv")}
+    assert list(rows) == ["near_vertex", "bulk", "diagonal", "all"]
+    assert rows["near_vertex"]["min_ratio"] == "inf"
+    # the first near-vertex row is the exact wrong eigenstate 0
+    assert rows["near_vertex"]["worst_populations"] == "1.0;0.0;0.0;0.0;0.0"
+    assert 0.0 < float(rows["all"]["min_ratio"]) < float("inf")
 
 
 def test_cmd_certify_broken_link_exits_2(tmp_path, capsys):

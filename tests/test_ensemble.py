@@ -21,7 +21,6 @@ from qndstab.ensemble import (
     write_summary_csv,
 )
 from qndstab.filters import laplacian_matrix, population_filter_step
-from qndstab.lyapunov import v_open
 from qndstab.spin import build_spin_model, spin2_preset
 
 from conftest import read_csv, trace
@@ -182,78 +181,19 @@ def _record_increment(rho, meas, dw, dt):
     return 2.0 * np.sqrt(meas.eta) * np.einsum("ij,...ji->...", meas.L, rho).real * dt + dw
 
 
-def test_engine_matches_public_step_composition():
-    """The lockstep integrator agrees with the Kraus step composed from core primitives.
+@pytest.mark.parametrize("estimator", ["truth", "reduced_filter", "population_filter"])
+def test_engine_matches_complex_kraus_reference(estimator):
+    """The lockstep integrator agrees with a complex Kraus plant composed from core primitives, beside each estimator.
 
-    At p_min 0.51 the control engages after about 550 of the 1000 steps, so
-    the rotation is pinned too.
+    The reference takes the complex Kraus measurement step and the control
+    rotation on the plant.  The reduced filter takes the same measurement
+    step and then the averaged control channel's Kraus map; the population
+    filter is filters.population_filter_step.  The plant's gain is read from
+    the estimator, so any difference in it moves the recorded errors of the
+    true state.  At p_min 0.51 the control engages partway through the
+    1000 steps, so the rotation is pinned too.
     """
-    cfg = _small_cfg(p_min=0.51, p_max=0.56, t_final=1.0)
-    steps = cfg.n_steps
-    trace_ = run_trajectory(cfg, 0)
-    meas, ctrl = cfg.setups()
-    dw = noise_generator(SEED, 0, 0).standard_normal(steps) * np.sqrt(cfg.dt)
-    db = noise_generator(SEED, 0, 1).standard_normal(steps) * np.sqrt(cfg.dt)
-    rho = np.eye(5, dtype=complex) / 5.0
-    errs = [np.sqrt(1.0 - populations(rho, meas.dec)[ctrl.target])]
-    vops = [v_open(populations(rho, meas.dec))]
-    engaged = 0
-    for j in range(steps):
-        dv = feedback_gain(populations(rho, meas.dec), ctrl) * db[j]
-        engaged += dv != 0.0
-        dy = _record_increment(rho, meas, dw[j], cfg.dt)
-        rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
-        rho = rho / trace(rho)
-        p = populations(rho, meas.dec)
-        errs.append(np.sqrt(max(1.0 - p[ctrl.target], 0.0)))
-        vops.append(v_open(p))
-    assert engaged > 0  # the control rotation is part of the composition
-    assert trace_.error.shape == (steps + 1,)
-    assert np.max(np.abs(trace_.error - errs)) < 1e-9
-    assert np.max(np.abs(trace_.v_open - vops)) < 1e-9
-    assert np.max(np.abs(trace_.final_populations - populations(rho, meas.dec))) < 1e-9
-
-
-def test_engine_reduced_filter_matches_complex_kraus_step():
-    """The engine's real reduced filter agrees with its complex Kraus form built from core primitives.
-
-    The reference takes the complex Kraus measurement step, then the
-    averaged control channel's Kraus map.  The plant's gain is read from
-    the filter, so any difference in the filter moves the recorded errors
-    of the true state.
-    """
-    cfg = _small_cfg(estimator="reduced_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
-    result = run_ensemble(cfg)
-    meas, ctrl = cfg.setups()
-    m, steps = cfg.trajectories, cfg.n_steps
-    dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
-    db = np.stack([noise_generator(SEED, i, 1).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
-    rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (m, 5, 5)).copy()
-    rho_hat = rho.copy()
-    errs = [np.sqrt(1.0 - populations(rho, meas.dec)[:, ctrl.target])]
-    engaged = 0
-    for j in range(steps):
-        sigma = feedback_gain(populations(rho_hat, meas.dec), ctrl)
-        dv = sigma * db[:, j]
-        engaged += np.count_nonzero(dv)
-        dy = _record_increment(rho, meas, dw[:, j], cfg.dt)
-        rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
-        rho = rho / trace(rho)[:, None, None]
-        rho_hat = _averaged_control_step(_kraus_step(rho_hat, meas, dy, cfg.dt), ctrl.H, sigma, cfg.dt)
-        rho_hat = rho_hat / trace(rho_hat)[:, None, None]
-        errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
-    assert engaged > steps  # the filter drives the plant on many steps
-    assert np.max(np.abs(result.error_traces - np.stack(errs, axis=1))) < 1e-9
-    assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
-
-
-def test_engine_population_filter_matches_public_filter_step():
-    """The engine's population filter agrees with filters.population_filter_step beside a Kraus plant.
-
-    The plant's gain is read from the filter, so any difference in the
-    filter moves the recorded errors of the true state.
-    """
-    cfg = _small_cfg(estimator="population_filter", p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
+    cfg = _small_cfg(estimator=estimator, p_min=0.51, p_max=0.56, trajectories=4, t_final=1.0)
     result = run_ensemble(cfg)
     meas, ctrl = cfg.setups()
     delta = laplacian_matrix(ctrl.H, meas.dec)
@@ -261,18 +201,32 @@ def test_engine_population_filter_matches_public_filter_step():
     dw = np.stack([noise_generator(SEED, i, 0).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
     db = np.stack([noise_generator(SEED, i, 1).standard_normal(steps) for i in range(m)]) * np.sqrt(cfg.dt)
     rho = np.broadcast_to(np.eye(5, dtype=complex) / 5.0, (m, 5, 5)).copy()
+    rho_hat = rho.copy()
     p_hat = np.full((m, 5), 0.2)
     errs = [np.sqrt(1.0 - populations(rho, meas.dec)[:, ctrl.target])]
     engaged = 0
     for j in range(steps):
-        dv = feedback_gain(p_hat, ctrl) * db[:, j]
+        if estimator == "truth":
+            p_est = populations(rho, meas.dec)
+        elif estimator == "reduced_filter":
+            p_est = populations(rho_hat, meas.dec)
+        else:
+            p_est = p_hat
+        sigma = feedback_gain(p_est, ctrl)
+        dv = sigma * db[:, j]
         engaged += np.count_nonzero(dv)
         dy = _record_increment(rho, meas, dw[:, j], cfg.dt)
         rho = unitary_conjugate(ctrl.H, dv, _kraus_step(rho, meas, dy, cfg.dt))
         rho = rho / trace(rho)[:, None, None]
-        p_hat = population_filter_step(p_hat, meas, ctrl, delta, dy, cfg.dt)
+        if estimator == "reduced_filter":
+            rho_hat = _averaged_control_step(_kraus_step(rho_hat, meas, dy, cfg.dt), ctrl.H, sigma, cfg.dt)
+            rho_hat = rho_hat / trace(rho_hat)[:, None, None]
+        elif estimator == "population_filter":
+            p_hat = population_filter_step(p_hat, meas, ctrl, delta, dy, cfg.dt)
         errs.append(np.sqrt(np.clip(1.0 - populations(rho, meas.dec)[:, ctrl.target], 0.0, None)))
-    assert engaged > steps  # the filter drives the plant on many steps
+    # the control rotation is part of the composition; a filter drives the plant on many steps
+    assert engaged > (0 if estimator == "truth" else steps)
+    assert result.error_traces.shape == (m, steps + 1)
     assert np.max(np.abs(result.error_traces - np.stack(errs, axis=1))) < 1e-9
     assert np.max(np.abs(result.final_populations - populations(rho, meas.dec))) < 1e-9
 
@@ -315,7 +269,6 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
         monkeypatch.setattr(ensemble, "spin2_preset", lambda ctrl_k=ctrl_k, **model: (meas, ctrl_k))
         result = run_ensemble(cfg)
         assert np.all(result.error_traces == 0.0), level
-        assert np.all(result.v_open_traces == 0.0), level
         # an error of 0 at every record leaves nothing to fit (README, Quick start)
         assert np.isnan(result.fitted_rate) and np.all(np.isnan(result.fit_ci)), level
         expected = np.zeros(5)
@@ -388,7 +341,6 @@ def test_run_trajectory_equals_ensemble_member():
     for index in (0, 3, 4):
         trace = run_trajectory(cfg, index)
         assert np.array_equal(trace.error, result.error_traces[index])
-        assert np.array_equal(trace.v_open, result.v_open_traces[index])
         assert np.array_equal(trace.final_populations, result.final_populations[index])
     with pytest.raises(ValueError, match="index"):
         run_trajectory(cfg, 5)
@@ -404,7 +356,7 @@ def test_truth_and_full_observer_agree_from_shared_start():
     r_t = run_ensemble(_small_cfg(**shared))
     r_o = run_ensemble(_small_cfg(estimator="full_observer", **shared))
     assert np.any(r_t.error_traces != run_ensemble(_small_cfg(sigma_bar=0.0, **shared)).error_traces)
-    for name in ("error_traces", "v_open_traces", "final_populations"):
+    for name in ("error_traces", "final_populations"):
         assert getattr(r_t, name).tobytes() == getattr(r_o, name).tobytes()
     assert r_t.fitted_rate == r_o.fitted_rate
 
@@ -452,7 +404,7 @@ def test_noise_tiles_and_block_edges_keep_every_trajectory():
     the same bytes and the same engaged column-steps.
     """
     assert 700 % ensemble.NOISE_BLOCK != 0 and -(-130 // ensemble.NOISE_TILE) == 3
-    fields = ("error_traces", "v_open_traces", "final_populations")
+    fields = ("error_traces", "final_populations")
     for estimator in ("truth", "population_filter"):
         cfg = _small_cfg(
             trajectories=130, t_final=0.7, record_stride=10, p_min=0.51, p_max=0.56,
@@ -463,7 +415,6 @@ def test_noise_tiles_and_block_edges_keep_every_trajectory():
         for index in (0, 63, 64, 127, 128, 129):
             twin = run_trajectory(cfg, index)
             assert twin.error.tobytes() == r1.error_traces[index].tobytes(), (estimator, index)
-            assert twin.v_open.tobytes() == r1.v_open_traces[index].tobytes(), (estimator, index)
             assert twin.final_populations.tobytes() == r1.final_populations[index].tobytes(), (estimator, index)
         for workers in (2, 3):
             rw = run_ensemble(replace(cfg, workers=workers))
@@ -495,7 +446,7 @@ def test_ensemble_layout_invariant_at_nine_levels(monkeypatch):
     width-1 chunk too; the control engages on every row.
     """
     monkeypatch.setattr(ensemble, "CHUNK", 3)
-    fields = ("error_traces", "v_open_traces", "final_populations")
+    fields = ("error_traces", "final_populations")
     for estimator in ESTIMATORS:
         cfg = _small_cfg(J=4.0, trajectories=7, p_min=0.51, p_max=0.56, t_final=1.0, estimator=estimator, fit_window=(0.1, 0.9))
         r1 = run_ensemble(cfg)
@@ -506,7 +457,6 @@ def test_ensemble_layout_invariant_at_nine_levels(monkeypatch):
         for index in (0, 6):
             twin = run_trajectory(cfg, index)
             assert twin.error.tobytes() == r1.error_traces[index].tobytes(), (estimator, index)
-            assert twin.v_open.tobytes() == r1.v_open_traces[index].tobytes(), (estimator, index)
             assert twin.final_populations.tobytes() == r1.final_populations[index].tobytes(), (estimator, index)
 
 
@@ -577,7 +527,7 @@ def _check_series_csv(result, path):
 def test_ensemble_aggregates_are_consistent(tmp_path):
     cfg = _small_cfg(trajectories=8, t_final=1.0, record_stride=10, fit_window=(0.2, 0.8))
     result = run_ensemble(cfg)
-    assert result.error_traces.shape == result.v_open_traces.shape == (8, 101)
+    assert result.error_traces.shape == (8, 101)
     # no trajectory is lost, so the series CSV's n_alive column is cfg.trajectories
     assert np.all(np.isfinite(result.error_traces))
     got = _check_series_csv(result, tmp_path / "series.csv")
