@@ -2,10 +2,10 @@
 
 Simulation and verification toolkit for continuous quantum measurement with
 a Brownian-modulated control Hamiltonian: trajectory integration (open loop
-and noise-assisted closed loop), state estimators (full observer, reduced
-filter, population filter), Lyapunov machinery (graph-Laplacian alpha
-weights, generator decomposition, sampled decay certification), and
-ensemble campaigns with deterministic seeding.  The package root exports
+and noise-assisted closed loop), state estimators (reduced filter,
+population filter), Lyapunov machinery (graph-Laplacian alpha weights,
+generator decomposition, sampled decay certification), and ensemble
+campaigns with deterministic seeding.  The package root exports
 only __version__; import from the submodules (qndstab.ensemble, ...).
 """
 

@@ -117,8 +117,8 @@ def control_setup(
         raise ValueError(f"H dim {H.shape[-1]} does not match measurement dim {dec.n}")
     if not 0 <= target < dec.d:
         raise ValueError(f"target index {target} outside 0..{dec.d - 1}")
-    if not 0.0 <= sigma_bar < np.inf:  # a NaN fails too
-        raise ValueError(f"sigma_bar must be finite and >= 0, got {sigma_bar}")
+    if not (sigma_bar >= 0.0 and float(sigma_bar) * float(sigma_bar) < np.inf):  # a NaN fails too
+        raise ValueError(f"sigma_bar must be finite and >= 0 with a finite square, got {sigma_bar}")
     if not 0.5 < p_min < p_max < 1.0:
         raise ValueError(f"need 1 > p_max > p_min > 1/2, got p_min={p_min}, p_max={p_max}")
     if saturation not in SATURATIONS:

@@ -35,11 +35,8 @@ multiplied by the plant's Schur factor, then its control stage runs.  The
 matrix control stages run only on the columns where they are nonzero:
 _Packed.update_active unpacks those columns into (k, n, n) matrices and
 packs the stage's products back, symmetrized, so no other state is
-unpacked.  The full observer knows Y and B and starts at the true state,
-so its step is the plant's step with the same factor and dB: the engine
-runs no copy of it, and a full_observer campaign gives exactly the truth
-trajectories at the truth cost.  The two filters replace the rotation by
-its average under the delayed gain sigma: the reduced filter applies
+unpacked.  The two filters replace the rotation by its average under
+the delayed gain sigma: the reduced filter applies
 filters._averaged_control, and the population filter, on the factor's
 rows [:n], that channel's first-order diagonal (filters._population_update,
 which filters.population_filter_step runs too).  Where sigma = 0 both take
@@ -94,7 +91,7 @@ __all__ = [
 DEFAULT_SEED = 20260814
 # The CampaignConfig fields that spin2_preset turns into the model.
 MODEL_FIELDS = ("J", "eta", "p_min", "p_max", "sigma_bar", "saturation")
-ESTIMATORS = ("truth", "full_observer", "reduced_filter", "population_filter")
+ESTIMATORS = ("truth", "reduced_filter", "population_filter")
 
 # Most trajectories one chunk advances in lockstep; it bounds a chunk's memory.
 # run_ensemble cuts [0, trajectories) into max(workers, ceil(trajectories /
@@ -121,8 +118,8 @@ class CampaignConfig:
     p_max defaults to p_min + 0.05 and sigma_bar to sqrt((2J+1) eta) when
     left as None.  fit_window is two times, stored as floats, inside
     [0, t_final].  feedback_delay is a zero-order hold on the gain signal
-    sigma and must be an integer multiple of dt; the gain is zero for
-    t < feedback_delay (open-loop warm start).  initial selects the shared
+    sigma, an integer multiple of dt and at most t_final; the gain is zero
+    for t < feedback_delay (open-loop warm start).  initial selects the shared
     starting state: "mixed" is the maximally mixed state I/n, "target" the
     target eigenstate (plant and estimator always start at the same state).
     Construction checks every field, the model fields through
@@ -168,6 +165,8 @@ class CampaignConfig:
             raise ValueError(f"feedback_delay must be finite and >= 0, got {self.feedback_delay}")
         if abs(lag - round(lag)) > 1e-6:
             raise ValueError("feedback_delay must be an integer multiple of dt")
+        if round(lag) > round(steps):
+            raise ValueError(f"feedback_delay must be at most t_final, got feedback_delay={self.feedback_delay}, t_final={self.t_final}")
         try:
             w0, w1 = map(float, self.fit_window)
         except (TypeError, ValueError):
@@ -426,7 +425,12 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     p0 = np.eye(n)[target] if cfg.initial == "target" else np.full(n, 1.0 / n)
     rho = np.tile(kern.pk.pack(np.diag(p0)[None]), (1, m))
     rho_hat = rho.copy() if estimator == "reduced_filter" else None
-    p_hat = np.tile(p0[:, None], (1, m)) if estimator == "population_filter" else None
+    # the populations the gain reads: a view of rho or rho_hat, which are only
+    # updated in place, or the population filter's state, replaced every step
+    if estimator == "population_filter":
+        p_est = np.tile(p0[:, None], (1, m))
+    else:
+        p_est = (rho if rho_hat is None else rho_hat)[:n]
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -469,12 +473,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             # one contiguous pass; a strided multiply into the tile's columns costs more
             rows[:blen] *= sqdt
         for j in range(blen):
-            if estimator in ("truth", "full_observer"):
-                p_est = rho[:n]
-            elif estimator == "population_filter":
-                p_est = p_hat
-            else:
-                p_est = rho_hat[:n]
             sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
             dv = sigma_app * db_rows[j] if need_b else zero_dv
 
@@ -486,7 +484,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
                 kern.reduced(rho_hat, factor, sigma_app)
                 _normalize(rho_hat, n, start, step + 1)
             elif estimator == "population_filter":
-                p_hat = kern.population(p_hat, factor, sigma_app)
+                p_est = kern.population(p_est, factor, sigma_app)
 
             step += 1
             if step % stride == 0:

@@ -14,10 +14,8 @@ step (Rouchon and Ralph, Phys. Rev. A 91, 012118, 2015):
    (gain identically zero) both take exactly the plant's measurement
    stage, so the population filter is the reduced filter's diagonal.
 
-The full observer knows both Y and B and, started at the true state, is
-the plant itself, so it has no update of its own.  The population filter
-is the cheapest usable estimator for the feedback law, since the gain
-depends on the state only through the populations.
+The population filter is the cheapest usable estimator for the feedback
+law, since the gain depends on the state only through the populations.
 """
 
 from __future__ import annotations

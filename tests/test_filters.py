@@ -78,7 +78,7 @@ def test_graph_connected_cases(spin2_delta, spin2_loose):
     assert not graph_connected(laplacian_matrix(h, meas.dec))
 
 
-# ------------------------------------------------------------ full observer
+# --------------------------------------------------------------- plant step
 #
 # Spin-2 states in the campaign engine's packed real layout: L = J_z is
 # diagonal with descending eigenvalues, so the working basis needs no
@@ -94,10 +94,7 @@ def _lvec(meas):
 
 
 def _plant_step(rho, kern, dy):
-    """The engine's open-loop Kraus step on packed states, in place, on the kernel's factor of dy; returns the factor.
-
-    Started at the true state, the full observer takes this very step.
-    """
+    """The engine's open-loop Kraus step on packed states, in place, on the kernel's factor of dy; returns the factor."""
     factor = kern.factor(np.atleast_1d(dy))
     rho *= factor
     _normalize(rho, 5, 0, 1)
@@ -112,7 +109,7 @@ def _reduced_step(rho_hat, kern, ctrl, factor):
     return out
 
 
-def test_full_observer_fixes_target_vertex(spin2_loose):
+def test_plant_step_fixes_target_vertex(spin2_loose):
     meas, ctrl = spin2_loose
     vertex = PK.pack(meas.dec.projectors[ctrl.target].real[None])
     # the gain is zero at the target, so no rotation follows the Kraus step
@@ -122,7 +119,7 @@ def test_full_observer_fixes_target_vertex(spin2_loose):
     assert np.array_equal(out, vertex)
 
 
-def test_full_observer_sigma_bar_zero_fixes_all_vertices(spin2_loose):
+def test_plant_step_sigma_bar_zero_fixes_all_vertices(spin2_loose):
     meas, ctrl = spin2_loose
     kern = _Kernel(meas, ctrl, 1e-3, 1)
     # with sigma_bar = 0 no rotation follows the Kraus step, at any vertex
@@ -136,7 +133,7 @@ def test_full_observer_sigma_bar_zero_fixes_all_vertices(spin2_loose):
 # ----------------------------------------------------------- reduced filter
 
 
-def test_reduced_filter_inactive_gain_equals_full_observer(spin2_loose):
+def test_reduced_filter_inactive_gain_equals_plant_step(spin2_loose):
     meas, ctrl = spin2_loose
     # populations all below p_min: sigma = 0, and the filter takes the plant's step
     rho_hat = np.diag([0.3, 0.25, 0.2, 0.15, 0.1])
@@ -370,11 +367,11 @@ def test_filters_agree_in_open_loop(spin2_loose, spin2_delta):
     assert np.max(np.abs(p_hat - rho_red[:5, 0])) < 1e-6
 
 
-def test_full_observer_identifies_state_from_record(spin2_loose):
-    """Observer started at the wrong state gains overlap with the plant.
+def test_filter_started_mixed_identifies_state_from_record(spin2_loose):
+    """A filter started at I/n, not at the plant's state, gains overlap with the plant.
 
-    In open loop the full observer takes the plant's Kraus step, driven by
-    the plant's record increments.
+    In open loop the filter takes the plant's Kraus step, driven by the
+    plant's record increments.
     """
     meas, ctrl = spin2_loose
     rng = default_rng(31)

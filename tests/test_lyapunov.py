@@ -1,6 +1,7 @@
 """Lyapunov functions, weight solve, closed-form generator, certification."""
 
 import csv
+import dataclasses
 import io
 import tracemalloc
 
@@ -314,6 +315,31 @@ def test_spin_generator_reads_only_the_real_part(rng, J, saturation):
             assert getattr(terms, name).tobytes() == getattr(full, name).tobytes(), name
 
 
+@pytest.mark.parametrize("saturation", ["piecewise_linear", "smoothstep"])
+@pytest.mark.parametrize("p_min", [0.6, 0.9])
+def test_qubit_generator_matches_angle_sde_on_pure_states(p_min, saturation):
+    """At J = 1/2 and eta = 1, -A V_alpha / V_alpha on cos(t/2)|+1/2> + sin(t/2)|-1/2> has a closed form in t.
+
+    Written from the SDE of the Bloch angle, not from the package's traces:
+    L = sigma_z / 2 and H = -sigma_y / 2, so a pure state stays pure and
+    dt = -(1/2) sin t cos t dt - sin t dW + sigma dB (up to the sign of dB).
+    V_alpha = sqrt(a) sin(t/2) for the one wrong level, and Ito's rule gives
+    -A V / V = (1/4) cos t (1 + cos t) + (sin^2 t + sigma^2) / 8.
+    """
+    meas, ctrl = spin2_preset(p_min, J=0.5, eta=1.0, saturation=saturation)
+    assert ctrl.target == 0
+    w = solve_alpha(laplacian_matrix(ctrl.H, meas.dec), ctrl.target)
+    theta = np.linspace(0.0, np.pi, 401)[1:]
+    v = np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)
+    p = v * v
+    sigma = feedback_gain(p, ctrl)
+    assert np.count_nonzero(sigma == 0.0) and np.count_nonzero(sigma == ctrl.sigma_bar)
+    assert np.count_nonzero((sigma > 0.0) & (sigma < ctrl.sigma_bar))
+    got = -generator_terms(v[:, :, None] * v[:, None, :], meas, ctrl, w).AV / v_alpha(p, w)
+    want = 0.25 * np.cos(theta) * (1.0 + np.cos(theta)) + (np.sin(theta) ** 2 + sigma**2) / 8.0
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
 def test_generator_raises_at_target(spin2_tight, spin2_weights):
     meas, ctrl = spin2_tight
     vertex = meas.dec.projectors[ctrl.target].astype(complex)
@@ -377,6 +403,23 @@ def test_certify_decay_zero_noise_fails(spin2_loose, spin2_weights):
     # without exploration noise the generator vanishes there
     assert not report.certified
     assert report.nu_hat <= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_certify_decay_stratum_of_infinite_ratios(spin2_tight, spin2_weights):
+    """sigma_bar^2 overflows, so every near-vertex ratio is +inf: that stratum still reports its first row, and the others decide.
+
+    control_setup refuses such a sigma_bar, so only a ControlSetup built around it reaches this fold.
+    """
+    meas, ctrl = spin2_tight
+    report = certify_decay(meas, dataclasses.replace(ctrl, sigma_bar=1e155), spin2_weights, samples=300, seed=7)
+    assert report.certified
+    rows = {row["stratum"]: row for row in csv.DictReader(io.StringIO(certificate_to_csv(report)))}
+    assert list(rows) == ["near_vertex", "bulk", "diagonal", "all"]
+    assert rows["near_vertex"]["min_ratio"] == "inf"
+    # the first near-vertex row is the exact wrong eigenstate 0
+    assert rows["near_vertex"]["worst_populations"] == "1.0;0.0;0.0;0.0;0.0"
+    assert 0.0 < float(rows["all"]["min_ratio"]) < float("inf")
 
 
 def test_certify_decay_rejects_tiny_sample_budget(spin2_loose, spin2_weights):
