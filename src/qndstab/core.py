@@ -223,6 +223,15 @@ def _rowsum(rows: np.ndarray, weights=None) -> np.ndarray:
     return total
 
 
+def _normalize(x: np.ndarray, n: int, start: int, step: int, state: str = "plant") -> None:
+    """Divide each column of batch-last x by its trace, the sum of its rows [:n], in place; a nonpositive or non-finite trace is unrecoverable."""
+    tr = _rowsum(x[:n])
+    if not (tr.min() > 0.0 and tr.max() < np.inf):  # a NaN fails both
+        bad = int(np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0])
+        raise UnrecoverableStateError(f"{state} of trajectory {start + bad} has trace {float(tr[bad])!r} after step {step}")
+    x /= tr
+
+
 def _kraus_rows(lvec: np.ndarray, dt: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constant rows of the Kraus diagonal for L = diag(lvec): l, l^2 and 1 - l^2 dt/2, each tiled to (n, width).
 

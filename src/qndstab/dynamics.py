@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 SATURATIONS = ("piecewise_linear", "smoothstep")
+# Largest sigma_bar^2 ||A||^2 (H = iA) that control_setup accepts, and a campaign times dt: the filters' control
+# stage squares sigma^2 dt ||A||^2 and the certificate scales sigma^2 by weights of order 1/||A||^2, far below 1.8e308.
+CONTROL_RATE_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,8 @@ def control_setup(
         raise ValueError(f"H dim {H.shape[-1]} does not match measurement dim {dec.n}")
     if not 0 <= target < dec.d:
         raise ValueError(f"target index {target} outside 0..{dec.d - 1}")
-    if not (sigma_bar >= 0.0 and float(sigma_bar) * float(sigma_bar) < np.inf):  # a NaN fails too
-        raise ValueError(f"sigma_bar must be finite and >= 0 with a finite square, got {sigma_bar}")
+    if not (sigma_bar >= 0.0 and float(sigma_bar) * float(sigma_bar) * float(np.linalg.norm(H.imag, 2)) ** 2 <= CONTROL_RATE_MAX):  # a NaN fails too
+        raise ValueError(f"sigma_bar must be finite and >= 0 with sigma_bar^2 ||A||^2 <= {CONTROL_RATE_MAX:g}, got {sigma_bar}")
     if not 0.5 < p_min < p_max < 1.0:
         raise ValueError(f"need 1 > p_max > p_min > 1/2, got p_min={p_min}, p_max={p_max}")
     if saturation not in SATURATIONS:

@@ -15,11 +15,12 @@ elementwise product of rho with m m^T + (1 - eta) dt l l^T.  That factor
 is positive semidefinite, so by the Schur product theorem the state stays
 positive semidefinite with no repair, and every eigenstate of L is an
 exact fixed point (the update only rescales its one nonzero entry, and
-the trace division restores it).  A nonpositive or non-finite trace
-raises UnrecoverableStateError.  Every control rotation exp(-iH x) =
-exp(A x) is real orthogonal, so from a real initial state the state stays
-real symmetric; _rotation_planes builds it from one (cos, sin) pair per
-rotation plane of A, which needs H to have a nondegenerate spectrum.
+the trace division restores it).  A nonpositive or non-finite trace, of
+the plant or of an estimate, raises UnrecoverableStateError.  Every
+control rotation exp(-iH x) = exp(A x) is real orthogonal, so from a real
+initial state the state stays real symmetric; _rotation_planes builds it
+from one (cos, sin) pair per rotation plane of A, which needs H to have a
+nondegenerate spectrum.
 
 States are float64, packed and batch-last: a chunk of m trajectories
 carries its n x n states as one (n(n+1)/2, m) array, the n diagonal entries
@@ -29,9 +30,11 @@ gain, the measurement update, the trace, the record increment and the
 population filter are row operations on contiguous rows of m; the
 populations are the view [:n].
 
-Every state the engine carries takes the same two-stage step, which one
-kernel (_Kernel, its constants built once per chunk) runs: it is
-multiplied by the plant's Schur factor, then its control stage runs.  The
+Every state the engine carries takes the same two-stage step in place,
+which one kernel (_Kernel, its constants built once per chunk) runs: it is
+multiplied by the plant's Schur factor, then its control stage runs; then
+core._normalize divides it by its trace.  An estimator is a state and the
+stage that steps it after the plant (for truth, the plant and none).  The
 matrix control stages run only on the columns where they are nonzero:
 _Packed.update_active unpacks those columns into (k, n, n) matrices and
 packs the stage's products back, symmetrized, so no other state is
@@ -72,8 +75,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, UnrecoverableStateError, _kraus_diagonal, _kraus_rows, _rowsum
-from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
+from .core import DEGENERACY_TOL, _kraus_diagonal, _kraus_rows, _normalize, _rowsum
+from .dynamics import CONTROL_RATE_MAX, ControlSetup, MeasurementSetup, feedback_gain
 from .filters import _averaged_control, _bands, _population_update, laplacian_matrix
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
 
@@ -144,7 +147,7 @@ class CampaignConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.setups()
+        ctrl = self.setups()[1]
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.trajectories < 1:
@@ -153,6 +156,8 @@ class CampaignConfig:
             raise ValueError("record_stride must be >= 1")
         if not 0.0 < self.dt < np.inf:  # a NaN fails too
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if ctrl.sigma_bar**2 * float(np.linalg.norm(ctrl.H.imag, 2)) ** 2 * self.dt > CONTROL_RATE_MAX:
+            raise ValueError(f"sigma_bar must satisfy sigma_bar^2 ||A||^2 dt <= {CONTROL_RATE_MAX:g}, got sigma_bar={ctrl.sigma_bar}, dt={self.dt}")
         steps = self.t_final / self.dt
         if not 1.0 - 1e-6 <= steps < np.inf:
             raise ValueError(f"t_final must be finite and positive, at least dt, got t_final={self.t_final}, dt={self.dt}")
@@ -322,15 +327,6 @@ def _rotate(mats: np.ndarray, x: np.ndarray, w: np.ndarray, basis: np.ndarray, w
     return out
 
 
-def _normalize(rho: np.ndarray, n: int, start: int, step: int) -> None:
-    """Divide every packed column by its trace in place; a nonpositive or non-finite trace is unrecoverable."""
-    tr = _rowsum(rho[:n])
-    if not (tr.min() > 0.0 and tr.max() < np.inf):  # a NaN fails both
-        bad = int(np.flatnonzero(~((tr > 0.0) & (tr < np.inf)))[0])
-        raise UnrecoverableStateError(f"trajectory {start + bad} has trace {tr[bad]!r} after step {step}")
-    rho /= tr
-
-
 class _Kernel:
     """One step of the scheme for a chunk of width packed states, its constants built once.
 
@@ -339,11 +335,11 @@ class _Kernel:
     diagonal, core._kraus_diagonal); measure, the plant's measurement stage
     (dy from rho and dW, then rho <- rho * factor); rotate, the control
     rotation of the columns with a nonzero angle; reduced and population,
-    each filter's update on the plant's factor under its own gain sigma.
-    The trace division is _normalize.  The matrix stages run per matrix (a
-    2D BLAS gemm over the batch would round differently at different
-    widths) in work arrays allocated once: as temporaries of a varying size
-    they cost about 16 page faults per step.
+    each filter's update in place on the plant's factor under its own gain
+    sigma.  The trace division is core._normalize.  The matrix stages run
+    per matrix (a 2D BLAS gemm over the batch would round differently at
+    different widths) in work arrays allocated once: as temporaries of a
+    varying size they cost about 16 page faults per step.
     """
 
     def __init__(self, meas: MeasurementSetup, ctrl: ControlSetup, dt: float, width: int):
@@ -378,8 +374,8 @@ class _Kernel:
         rho_hat *= factor
         self.pk.update_active(rho_hat, sigma * sigma * self.dt, _averaged_control, *self.averaged, self.work)
 
-    def population(self, p_hat: np.ndarray, factor: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return _population_update(p_hat, factor[: self.n], sigma * sigma * self.dt, self.delta, self.bands)
+    def population(self, p_hat: np.ndarray, factor: np.ndarray, sigma: np.ndarray) -> None:
+        _population_update(p_hat, factor[: self.n], sigma * sigma * self.dt, self.delta, self.bands)
 
 
 @dataclass(frozen=True)
@@ -418,19 +414,17 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     meas, ctrl = cfg.setups()
     n, target, dt = meas.dec.n, ctrl.target, cfg.dt
     need_b = ctrl.sigma_bar > 0.0
-    estimator = cfg.estimator
 
     m = stop - start
     kern = _Kernel(meas, ctrl, dt, m)
     p0 = np.eye(n)[target] if cfg.initial == "target" else np.full(n, 1.0 / n)
     rho = np.tile(kern.pk.pack(np.diag(p0)[None]), (1, m))
-    rho_hat = rho.copy() if estimator == "reduced_filter" else None
-    # the populations the gain reads: a view of rho or rho_hat, which are only
-    # updated in place, or the population filter's state, replaced every step
-    if estimator == "population_filter":
-        p_est = np.tile(p0[:, None], (1, m))
-    else:
-        p_est = (rho if rho_hat is None else rho_hat)[:n]
+    # the state whose rows [:n] the gain reads, and the stage that steps it after the plant
+    est, stage = rho, None
+    if cfg.estimator == "reduced_filter":
+        est, stage = rho.copy(), kern.reduced
+    elif cfg.estimator == "population_filter":
+        est, stage = np.tile(p0[:, None], (1, m)), kern.population
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
     gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
     gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
@@ -473,18 +467,15 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             # one contiguous pass; a strided multiply into the tile's columns costs more
             rows[:blen] *= sqdt
         for j in range(blen):
-            sigma_app = buffer.push(feedback_gain(p_est.T, ctrl))
+            sigma_app = buffer.push(feedback_gain(est[:n].T, ctrl))
             dv = sigma_app * db_rows[j] if need_b else zero_dv
 
             factor = kern.measure(rho, dw_rows[j])
             engaged += kern.rotate(rho, dv)
             _normalize(rho, n, start, step + 1)
-
-            if estimator == "reduced_filter":
-                kern.reduced(rho_hat, factor, sigma_app)
-                _normalize(rho_hat, n, start, step + 1)
-            elif estimator == "population_filter":
-                p_est = kern.population(p_est, factor, sigma_app)
+            if stage is not None:
+                stage(est, factor, sigma_app)
+                _normalize(est, n, start, step + 1, "estimate")
 
             step += 1
             if step % stride == 0:

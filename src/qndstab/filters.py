@@ -14,6 +14,9 @@ step (Rouchon and Ralph, Phys. Rev. A 91, 012118, 2015):
    (gain identically zero) both take exactly the plant's measurement
    stage, so the population filter is the reduced filter's diagonal.
 
+Both updates step their state in place and leave its trace division to
+core._normalize, which the engine applies to the plant too.
+
 The population filter is the cheapest usable estimator for the feedback
 law, since the gain depends on the state only through the populations.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralDecomposition, _kraus_diagonal, _kraus_rows, _rowsum
+from .core import SpectralDecomposition, _kraus_diagonal, _kraus_rows, _normalize
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 
 __all__ = [
@@ -117,47 +120,40 @@ def _band_sum(bands, p: np.ndarray) -> np.ndarray:
     return total
 
 
-def _population_update(p_hat: np.ndarray, factor: np.ndarray, s, delta: np.ndarray, bands) -> np.ndarray:
-    """Population filter step on batch-last populations p_hat, shape (d, m), with s = sigma^2 dt per column.
+def _population_update(p_hat: np.ndarray, factor: np.ndarray, s, delta: np.ndarray, bands) -> None:
+    """Unnormalized population filter step, in place, on batch-last populations p_hat, shape (d, m), with s = sigma^2 dt per column.
 
     The measurement stage multiplies p_hat by factor, the rows [:d] of the
     plant's Schur factor; the control stage is the averaged channel's
     diagonal to first order in s, p_k <- (1 + s Delta_kk / 2)^2 p_k +
-    s sum_{j != k} Delta_kj p_j; then each column is divided by its sum.
-    Where s = 0 the control stage is an exact identity, so it runs on every
-    column (a gather of the active ones costs more than it saves).  Every
-    term is nonnegative, so no clamp is needed.  The sums over the
-    eigenspace index (_band_sum over bands = _bands(delta), _rowsum) have a
-    fixed order, so a column's bits do not depend on the batch width.
+    s sum_{j != k} Delta_kj p_j.  The caller divides each column by its sum
+    (core._normalize), as for the reduced filter.  Where s = 0 the control
+    stage is an exact identity, so it runs on every column (a gather of the
+    active ones costs more than it saves).  Every term is nonnegative, so no
+    clamp is needed.  The sum over the eigenspace index (_band_sum over
+    bands = _bands(delta)) has a fixed order, so a column's bits do not
+    depend on the batch width.
     """
-    p = p_hat * factor
-    out = delta.diagonal()[:, None] * (0.5 * s)
-    out += 1.0
-    out *= out
-    out *= p
-    out += s * _band_sum(bands, p)
-    out /= _rowsum(out)
-    return out
+    p_hat *= factor
+    side = s * _band_sum(bands, p_hat)
+    p_hat *= (1.0 + delta.diagonal()[:, None] * (0.5 * s)) ** 2
+    p_hat += side
 
 
-def population_filter_step(
-    p_hat: np.ndarray,
-    meas: MeasurementSetup,
-    ctrl: ControlSetup,
-    delta: np.ndarray,
-    dY,
-    dt: float,
-) -> np.ndarray:
-    """d-dimensional population filter step, on p_hat of shape (d,) or (m, d).
+def population_filter_step(p_hat: np.ndarray, meas: MeasurementSetup, ctrl: ControlSetup, delta: np.ndarray, dY, dt: float) -> np.ndarray:
+    """d-dimensional population filter step, on p_hat of shape (d,) or (m, d), into a new array.
 
-    The campaign engine's update (_population_update) with the undelayed
-    sigma = feedback_gain(p_hat), on the Schur factor's diagonal
-    m_k^2 + (1 - eta) dt lambda_k^2 with m the Kraus diagonal (core._kraus_diagonal).
+    The campaign engine's update (_population_update) on a copy of p_hat with
+    the undelayed sigma = feedback_gain(p_hat), on the Schur factor's diagonal
+    m_k^2 + (1 - eta) dt lambda_k^2 with m the Kraus diagonal (core._kraus_diagonal),
+    then its trace division, core._normalize, which raises UnrecoverableStateError.
     """
     p_hat = np.asarray(p_hat, dtype=float)
     lam, eta = meas.dec.eigenvalues, meas.eta
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
     mvec = _kraus_diagonal(eta, dt, np.asarray(dY, dtype=float), _kraus_rows(lam, dt, 1))
     factor = mvec * mvec + ((1.0 - eta) * dt * (lam * lam))[:, None]
-    cols = _population_update(np.atleast_2d(p_hat).T, factor, sigma * sigma * dt, delta, _bands(delta))
+    cols = np.atleast_2d(p_hat).T.copy()
+    _population_update(cols, factor, sigma * sigma * dt, delta, _bands(delta))
+    _normalize(cols, len(cols), 0, 1, "estimate")
     return cols.T.reshape(p_hat.shape)

@@ -315,6 +315,10 @@ def test_cmd_run_bad_override_exits_2(tmp_path, capsys):
         ("run", {"sigma_bar": 1e155, "t_final": 1.0, "fit_window": [0.2, 0.8]}, [], "sigma_bar must be finite"),
         ("certify", {"sigma_bar": 1e155, "samples": 300}, [], "sigma_bar must be finite"),
         ("run", {"t_final": 1.0, "trajectories": 1000, "fit_window": [0.2, 0.8], "feedback_delay": 100000.0}, [], "feedback_delay must be at most t_final"),
+        ("run", {"sigma_bar": 1e100, "t_final": 1.0, "fit_window": [0.2, 0.8], "estimator": "population_filter"}, [], "sigma_bar must be"),
+        ("run", {"sigma_bar": 1e100, "t_final": 1.0, "fit_window": [0.2, 0.8], "estimator": "reduced_filter"}, [], "sigma_bar must be"),
+        ("certify", {"p_min": 0.9, "sigma_bar": 1e154, "samples": 300}, [], "sigma_bar must be"),
+        ("run", {"sigma_bar": 1e70, "t_final": 2e10, "dt": 1e10, "record_stride": 1, "fit_window": [0.0, 2e10]}, [], "sigma_bar must satisfy"),
     ],
 )
 def test_cmd_rule_violation_exits_2(tmp_path, capsys, verb, over, flags, needle):

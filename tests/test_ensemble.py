@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, _kraus_diagonal, populations, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _kraus_diagonal, _normalize, populations, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -308,7 +308,7 @@ def test_kraus_step_stays_positive_where_euler_fails():
     kern = ensemble._Kernel(meas, ctrl, dt, 1)
     kraus = kern.pk.pack(rho[None])
     kern.measure(kraus, np.array([dw]))
-    ensemble._normalize(kraus, 5, 0, 1)
+    _normalize(kraus, 5, 0, 1)
     kraus = kern.pk.unpack(kraus)[0]
     assert np.min(np.linalg.eigvalsh(kraus)) >= -1e-12
     assert abs(np.trace(kraus) - 1.0) <= 1e-12
@@ -319,9 +319,9 @@ def test_normalize_rejects_lost_trace():
     good = np.eye(2) / 2.0
     for bad in (np.zeros((2, 2)), -good, np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
         with pytest.raises(UnrecoverableStateError, match="trajectory 8 "):
-            ensemble._normalize(pk.pack(np.stack([good, bad])), 2, 7, 3)
+            _normalize(pk.pack(np.stack([good, bad])), 2, 7, 3)
     rho = pk.pack(np.stack([2.0 * good, 4.0 * good]))
-    ensemble._normalize(rho, 2, 0, 1)
+    _normalize(rho, 2, 0, 1)
     assert np.array_equal(pk.unpack(rho), np.stack([good, good]))
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from qndstab.core import dissipator, random_density_matrix
+from qndstab.core import UnrecoverableStateError, _normalize, dissipator, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain
-from qndstab.ensemble import _Kernel, _normalize, _Packed
+from qndstab.ensemble import _Kernel, _Packed
 from qndstab.filters import (
     _band_sum,
     _bands,
@@ -236,7 +236,7 @@ def test_population_filter_is_reduced_filter_diagonal(spin2_loose, spin2_delta, 
 
 
 def test_population_filter_step_is_engine_update(spin2_loose, spin2_delta):
-    """population_filter_step is the engine kernel's population update on its Kraus factor, bit for bit.
+    """population_filter_step is the engine kernel's population update on its Kraus factor and its trace division, bit for bit.
 
     The engine's factor comes from Kraus rows tiled to the chunk width,
     population_filter_step's from width-1 rows that broadcast; both give the
@@ -250,9 +250,22 @@ def test_population_filter_step_is_engine_update(spin2_loose, spin2_delta):
     assert 0 < np.count_nonzero(sigma) < len(p)
     dY, dt = rng.normal(scale=0.05, size=len(p)), 1e-3
     kern = _Kernel(meas, ctrl, dt, len(p))
-    engine = kern.population(np.ascontiguousarray(p.T), kern.factor(dY), sigma)
+    engine = np.ascontiguousarray(p.T)
+    kern.population(engine, kern.factor(dY), sigma)
+    _normalize(engine, 5, 0, 1, "estimate")
     out = population_filter_step(p, meas, ctrl, spin2_delta, dY=dY, dt=dt)
     assert out.tobytes() == engine.T.tobytes()
+
+
+def test_population_filter_step_raises_on_lost_trace(spin2_loose, spin2_delta):
+    """A record increment that leaves no finite positive sum raises, naming the estimate and its row, and leaves p_hat as it was."""
+    meas, ctrl = spin2_loose
+    p = np.full((3, 5), 0.2)
+    with pytest.raises(UnrecoverableStateError, match="estimate of trajectory 1 has trace nan after step 1"):
+        population_filter_step(p, meas, ctrl, spin2_delta, dY=np.array([0.0, np.nan, 0.0]), dt=1e-3)
+    with pytest.raises(UnrecoverableStateError, match="estimate of trajectory 0 has trace nan"):
+        population_filter_step(p[0], meas, ctrl, spin2_delta, dY=np.nan, dt=1e-3)
+    assert np.all(p == 0.2)
 
 
 @pytest.mark.parametrize("sigma_bar", [2.0, 20.0])
@@ -286,9 +299,9 @@ def test_population_filter_drops_only_second_order_gain_terms(spin2_loose, sigma
     dropped = (0.5 * sigma_bar**2 * dt) ** 2 * (measured @ off.T)
     assert np.min(dropped) > 1e-8
     expected = reduced - dropped
-    out = kern.population(np.ascontiguousarray(p.T), factor, sigma)
-    scale = np.sum(expected, axis=1, keepdims=True)
-    assert np.max(np.abs(out.T * scale - expected)) <= 1e-14
+    out = np.ascontiguousarray(p.T)
+    kern.population(out, factor, sigma)
+    assert np.max(np.abs(out.T - expected)) <= 1e-14
 
 
 def test_band_sum_equals_dense_sum(spin2_delta):

@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qndstab.core import _rowsum, populations, random_density_matrix
+from qndstab.core import _normalize, _rowsum, populations, random_density_matrix
 from qndstab.dynamics import control_setup, feedback_gain, measurement_setup
 from qndstab.spin import spin2_preset
-from qndstab.ensemble import _Kernel, _normalize
+from qndstab.ensemble import _Kernel
 from qndstab import lyapunov
 from qndstab.filters import laplacian_matrix
 from qndstab.lyapunov import (
