@@ -244,8 +244,13 @@ def _write_manifest(
 
 
 def _resolve_out(arg_out: str | None) -> str:
+    """The output directory, made when the artifacts are written; its nearest existing path must be a writable directory, else a config error."""
     out = arg_out or os.environ.get(ENV_OUT) or "qndstab_out"
-    os.makedirs(out, exist_ok=True)
+    head = os.path.abspath(out)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot use output directory: {out}: {head} is not a writable directory")
     return out
 
 
@@ -260,6 +265,7 @@ def _overrides(doc: dict, args) -> dict:
 
 def _emit_campaign(cfg: CampaignConfig, out_dir: str, prefix: str, command: str) -> EnsembleResult:
     result = run_ensemble(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     series = os.path.join(out_dir, f"{prefix}_series.csv")
     summary = os.path.join(out_dir, f"{prefix}_summary.csv")
     write_series_csv(result, series)
@@ -304,11 +310,12 @@ def _cmd_certify(args) -> int:
     except CertificationImpossibleError as exc:
         print(f"certify: {exc}", file=sys.stderr)
         return 2
+    out_dir = _resolve_out(args.out)
     try:
         report = certify_decay(meas, ctrl, weights, samples=doc["samples"], seed=doc["seed"])
     except ValueError as exc:
         raise ConfigError(f"invalid certification config: {exc}") from exc
-    out_dir = _resolve_out(args.out)
+    os.makedirs(out_dir, exist_ok=True)
     cert_path = os.path.join(out_dir, "certificate.csv")
     with open(cert_path, "w", newline="") as fh:
         fh.write(certificate_to_csv(report))

@@ -232,32 +232,34 @@ def _normalize(x: np.ndarray, n: int, start: int, step: int, state: str = "plant
     x /= tr
 
 
-def _kraus_rows(lvec: np.ndarray, dt: float, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constant rows of the Kraus diagonal for L = diag(lvec): l, l^2 and 1 - l^2 dt/2, each tiled to (n, width).
+class _SchurFactor:
+    """The Schur factor m_i m_j + (1 - eta) dt l_i l_j of record increments dy, at rows (i, j) (index arrays or slices), L = diag(lvec).
 
-    A row times a contiguous row is a cheaper numpy call than an (n, 1)
-    column broadcast against a (k,) vector, and gives the same products.
+    m is the diagonal of the Kraus operator of Rouchon and Ralph (Phys. Rev.
+    A 91, 012118, 2015), M = I - L^2 dt/2 + sqrt(eta) L dy + (eta/2) L^2 (dy^2 - dt),
+    each entry (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2 with x = sqrt(eta) dy.
+    Called on dy of shape (width,), or on any dy at width 1 (both give the
+    same products), it returns the factor's rows (i, j), one column per
+    increment.  Its constant rows l, l^2, 1 - l^2 dt/2 and the cross term
+    are tiled to width once: a row times a contiguous row is a cheaper numpy
+    call than an (n, 1) column broadcast against a (k,) vector.
     """
-    l2 = lvec * lvec
-    cols = np.stack([lvec, l2, 1.0 - 0.5 * dt * l2])
-    return tuple(np.repeat(cols[:, :, None], width, axis=2))
 
+    def __init__(self, lvec: np.ndarray, eta: float, dt: float, width: int, i, j):
+        l2 = lvec * lvec
+        cols = np.stack([lvec, l2, 1.0 - 0.5 * dt * l2])
+        self.lrow, self.l2row, self.c0row = np.repeat(cols[:, :, None], width, axis=2)
+        self.cross = np.repeat(((1.0 - eta) * dt * (lvec[i] * lvec[j]))[:, None], width, axis=1)
+        self.eta, self.dt, self.i, self.j = eta, dt, i, j
 
-def _kraus_diagonal(eta: float, dt: float, dy, rows) -> np.ndarray:
-    """Diagonal m of the Kraus operator M = I - L^2 dt/2 + sqrt(eta) L dy + (eta/2) L^2 (dy^2 - dt), L = diag(lvec).
-
-    This is the measurement step of Rouchon and Ralph (Phys. Rev. A 91,
-    012118, 2015); m has shape (n, k), one column per record increment in
-    dy, and rows is _kraus_rows(lvec, dt, width) at width k or 1 (both give
-    the same products).  Each entry is (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2
-    with x = sqrt(eta) dy.
-    """
-    lrow, l2row, c0row = rows
-    x = np.sqrt(eta) * dy
-    m = lrow * x
-    m += c0row
-    q = x * x
-    q -= eta * dt
-    q *= 0.5
-    m += l2row * q
-    return m
+    def __call__(self, dy) -> np.ndarray:
+        x = np.sqrt(self.eta) * dy
+        m = self.lrow * x
+        m += self.c0row
+        q = x * x
+        q -= self.eta * self.dt
+        q *= 0.5
+        m += self.l2row * q
+        factor = m[self.i] * m[self.j]
+        factor += self.cross
+        return factor

@@ -71,11 +71,13 @@ change the bits of any trajectory, and ensembles aggregate in index order.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERACY_TOL, _kraus_diagonal, _kraus_rows, _normalize, _rowsum
+from .core import DEGENERACY_TOL, _normalize, _rowsum, _SchurFactor
 from .dynamics import CONTROL_RATE_MAX, ControlSetup, MeasurementSetup, feedback_gain
 from .filters import _averaged_control, _bands, _population_update, laplacian_matrix
 from .spin import DEFAULT_EFFICIENCY, spin2_preset
@@ -209,28 +211,26 @@ def noise_generator(base_seed: int, index: int, stream: int) -> np.random.Genera
 
 
 class DelayedGainBuffer:
-    """Zero-order-hold ring buffer: push sigma(t), receive sigma(t - delay).
+    """Zero-order hold as a queue of steps = delay / dt gains: push sigma(t), receive sigma(t - delay).
 
-    Pre-history is zero, so the loop runs open loop for the first delay
-    interval.  delay = 0 degenerates to a pass-through.
+    The queue starts as steps references to one zeros array of width
+    entries, so the loop runs open loop for the first delay interval; at
+    delay 0 it is empty and push hands back what it was given.  The line
+    keeps each pushed array by reference, with no copy, so a caller must
+    not write into an array once pushed: the engine pushes a fresh
+    feedback_gain output on every step.
     """
 
     def __init__(self, delay: float, dt: float, width: int = 1):
         lag = delay / dt
-        if abs(lag - round(lag)) > 1e-6:
-            raise ValueError("delay must be an integer multiple of dt")
+        if lag < 0 or abs(lag - round(lag)) > 1e-6:
+            raise ValueError("delay must be a nonnegative integer multiple of dt")
         self.steps = int(round(lag))
-        self._buf = np.zeros((self.steps, width)) if self.steps else None
-        self._ptr = 0
+        self._line = deque([np.zeros(width)] * self.steps)
 
     def push(self, sigma: np.ndarray) -> np.ndarray:
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if self.steps == 0:
-            return sigma
-        out = self._buf[self._ptr].copy()
-        self._buf[self._ptr] = sigma
-        self._ptr = (self._ptr + 1) % self.steps
-        return out
+        self._line.append(np.atleast_1d(np.asarray(sigma, dtype=float)))
+        return self._line.popleft()
 
 
 class _Packed:
@@ -332,35 +332,27 @@ class _Kernel:
 
     Its stages, in the engine's order: factor, the packed Schur factor
     m m^T + (1 - eta) dt l l^T of record increments dy (m the Kraus
-    diagonal, core._kraus_diagonal); measure, the plant's measurement stage
-    (dy from rho and dW, then rho <- rho * factor); rotate, the control
-    rotation of the columns with a nonzero angle; reduced and population,
-    each filter's update in place on the plant's factor under its own gain
-    sigma.  The trace division is core._normalize.  The matrix stages run
+    diagonal), a core._SchurFactor on the packed (i, j); measure, the
+    plant's measurement stage (dy from rho and dW, then rho <- rho *
+    factor); rotate, the control rotation of the columns with a nonzero
+    angle; reduced and population, each filter's update in place on the
+    plant's factor under its own gain sigma.  The trace division is core._normalize.  The matrix stages run
     per matrix (a 2D BLAS gemm over the batch would round differently at
     different widths) in work arrays allocated once: as temporaries of a
     varying size they cost about 16 page faults per step.
     """
 
     def __init__(self, meas: MeasurementSetup, ctrl: ControlSetup, dt: float, width: int):
-        lvec, eta = meas.dec.eigenvalues, meas.eta
-        self.n, self.lvec, self.eta, self.dt = meas.dec.n, lvec, eta, dt
+        self.n, self.lvec, self.dt = meas.dec.n, meas.dec.eigenvalues, dt
         self.pk = pk = _Packed(self.n)
-        self.drift = 2.0 * np.sqrt(eta) * dt
-        self.rows = _kraus_rows(lvec, dt, width)
-        self.cross = np.repeat(((1.0 - eta) * dt * (lvec[pk.i] * lvec[pk.j]))[:, None], width, axis=1)
+        self.drift = 2.0 * np.sqrt(meas.eta) * dt
+        self.factor = _SchurFactor(self.lvec, meas.eta, dt, width, pk.i, pk.j)
         self.planes = _rotation_planes(ctrl.H)
         gen = ctrl.H.imag
         self.averaged = (gen, gen @ gen, np.ascontiguousarray(gen.T), np.eye(self.n))
         self.delta = laplacian_matrix(ctrl.H, meas.dec)
         self.bands = _bands(self.delta)
         self.work = np.empty((4, width, self.n, self.n))
-
-    def factor(self, dy: np.ndarray) -> np.ndarray:
-        mvec = _kraus_diagonal(self.eta, self.dt, dy, self.rows)
-        factor = mvec[self.pk.i] * mvec[self.pk.j]
-        factor += self.cross
-        return factor
 
     def measure(self, rho: np.ndarray, dw: np.ndarray) -> np.ndarray:
         factor = self.factor(self.drift * _rowsum(rho[: self.n], self.lvec) + dw)
@@ -413,7 +405,6 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     """
     meas, ctrl = cfg.setups()
     n, target, dt = meas.dec.n, ctrl.target, cfg.dt
-    need_b = ctrl.sigma_bar > 0.0
 
     m = stop - start
     kern = _Kernel(meas, ctrl, dt, m)
@@ -426,8 +417,9 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     elif cfg.estimator == "population_filter":
         est, stage = np.tile(p0[:, None], (1, m)), kern.population
     buffer = DelayedGainBuffer(cfg.feedback_delay, dt, width=m)
-    gens_w = [noise_generator(cfg.base_seed, i, 0) for i in range(start, stop)]
-    gens_b = [noise_generator(cfg.base_seed, i, 1) for i in range(start, stop)] if need_b else None
+    # the generators of each stream drawn: W, then B only where sigma_bar > 0
+    drawn = 2 if ctrl.sigma_bar > 0.0 else 1
+    streams = [[noise_generator(cfg.base_seed, i, s) for i in range(start, stop)] for s in range(drawn)]
 
     n_steps = cfg.n_steps
     stride = cfg.record_stride
@@ -438,13 +430,11 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     # depend on where the allocator puts the rotation's data-dependent arrays;
     # each trajectory's stream fills one row of a tile of NOISE_TILE
     # trajectories, which is transposed into the (block, m) rows while it is
-    # still in cache, so a step reads contiguous rows
+    # still in cache, so a step reads contiguous rows; at sigma_bar = 0 the B
+    # rows are never drawn and stay zero, so every control angle is zero
     width = min(NOISE_BLOCK, n_steps)
     tile = np.empty((min(m, NOISE_TILE), width))
-    dw_rows = np.empty((width, m))
-    db_rows = np.empty((width, m)) if need_b else None
-    streams = [(gens_w, dw_rows), (gens_b, db_rows)] if need_b else [(gens_w, dw_rows)]
-    zero_dv = np.zeros(m)  # the open loop's control angles, built once: update_active only reads them
+    dw_rows, db_rows = noise = np.zeros((2, width, m))
 
     wrong = [k for k in range(n) if k != target]
 
@@ -458,7 +448,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
     step = engaged = 0
     while step < n_steps:
         blen = min(NOISE_BLOCK, n_steps - step)
-        for gens, rows in streams:
+        for gens, rows in zip(streams, noise):
             for a in range(0, m, NOISE_TILE):
                 draws = tile[: min(NOISE_TILE, m - a), :blen]
                 for g, row in zip(gens[a : a + NOISE_TILE], draws):
@@ -468,7 +458,7 @@ def _integrate_chunk(cfg: CampaignConfig, start: int, stop: int):
             rows[:blen] *= sqdt
         for j in range(blen):
             sigma_app = buffer.push(feedback_gain(est[:n].T, ctrl))
-            dv = sigma_app * db_rows[j] if need_b else zero_dv
+            dv = sigma_app * db_rows[j]
 
             factor = kern.measure(rho, dw_rows[j])
             engaged += kern.rotate(rho, dv)
@@ -509,7 +499,8 @@ def run_ensemble(cfg: CampaignConfig) -> EnsembleResult:
         # imported here, so single-worker campaigns never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(bounds))) as pool:
+        # at most one process per processor: a pool forks all of its workers at once
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(bounds), os.cpu_count() or 1)) as pool:
             starts, stops = zip(*bounds)
             parts = list(pool.map(_integrate_chunk, [cfg] * len(bounds), starts, stops))
     else:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralDecomposition, _kraus_diagonal, _kraus_rows, _normalize
+from .core import SpectralDecomposition, _normalize, _SchurFactor
 from .dynamics import ControlSetup, MeasurementSetup, feedback_gain
 
 __all__ = [
@@ -56,23 +56,13 @@ def laplacian_matrix(H: np.ndarray, dec: SpectralDecomposition) -> np.ndarray:
 
 
 def graph_connected(delta: np.ndarray) -> bool:
-    """True iff the graph with edges {Delta_{k,k'} > CONNECTIVITY_TOL, k != k'} is connected."""
-    delta = np.asarray(delta)
-    d = delta.shape[-1]
-    if d == 1:
-        return True
-    adjacency = delta > CONNECTIVITY_TOL
-    np.fill_diagonal(adjacency, False)
-    seen = np.zeros(d, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        k = stack.pop()
-        for k2 in np.flatnonzero(adjacency[k]):
-            if not seen[k2]:
-                seen[k2] = True
-                stack.append(int(k2))
-    return bool(seen.all())
+    """True iff every vertex is reachable from vertex 0 along edges {Delta_{k,k'} > CONNECTIVITY_TOL} (connectivity, for a symmetric Delta).
+
+    Row 0 of (A + I)^(d-1), A the edge matrix, marks what d - 1 steps reach.
+    """
+    reach = np.asarray(delta) > CONNECTIVITY_TOL
+    np.fill_diagonal(reach, True)
+    return bool(np.linalg.matrix_power(reach, len(reach) - 1)[0].all())
 
 
 def _averaged_control(mats, s, gen, gen2, gen_t, eye, work) -> np.ndarray:
@@ -144,15 +134,15 @@ def population_filter_step(p_hat: np.ndarray, meas: MeasurementSetup, ctrl: Cont
     """d-dimensional population filter step, on p_hat of shape (d,) or (m, d), into a new array.
 
     The campaign engine's update (_population_update) on a copy of p_hat with
-    the undelayed sigma = feedback_gain(p_hat), on the Schur factor's diagonal
-    m_k^2 + (1 - eta) dt lambda_k^2 with m the Kraus diagonal (core._kraus_diagonal),
-    then its trace division, core._normalize, which raises UnrecoverableStateError.
+    the undelayed sigma = feedback_gain(p_hat), on the diagonal of the
+    plant's Schur factor, m_k^2 + (1 - eta) dt lambda_k^2 (core._SchurFactor
+    at (k, k)), then its trace division, core._normalize, which raises
+    UnrecoverableStateError.
     """
     p_hat = np.asarray(p_hat, dtype=float)
-    lam, eta = meas.dec.eigenvalues, meas.eta
+    diag = slice(None)  # rows (k, k), as views where an index array would copy
     sigma = np.asarray(feedback_gain(p_hat, ctrl))
-    mvec = _kraus_diagonal(eta, dt, np.asarray(dY, dtype=float), _kraus_rows(lam, dt, 1))
-    factor = mvec * mvec + ((1.0 - eta) * dt * (lam * lam))[:, None]
+    factor = _SchurFactor(meas.dec.eigenvalues, meas.eta, dt, 1, diag, diag)(np.asarray(dY, dtype=float))
     cols = np.atleast_2d(p_hat).T.copy()
     _population_update(cols, factor, sigma * sigma * dt, delta, _bands(delta))
     _normalize(cols, len(cols), 0, 1, "estimate")

@@ -267,6 +267,39 @@ def test_cmd_run_honors_env_out(tmp_path, monkeypatch):
     assert (env_dir / "run_summary.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "certify", "reproduce"])
+@pytest.mark.parametrize("where", ["file", "under_file", "env", "unwritable"])
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch, verb, where):
+    """An output path that cannot be a directory is a config error: one line naming it and exit 2, before any campaign or certificate runs.
+
+    The unwritable case fakes os.access, since a superuser may write anywhere.
+    """
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"under_file": taken / "sub", "unwritable": tmp_path / "new"}.get(where, taken)
+    if where == "unwritable":
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "run_ensemble", never)
+    monkeypatch.setattr(cli, "certify_decay", never)
+    argv = {
+        "run": ["run", "--config", _write_config(tmp_path, SMALL_CAMPAIGN, "run.json")],
+        "certify": ["certify", "--config", _write_config(tmp_path, {"p_min": 0.9, "samples": 60}, "certify.json")],
+        "reproduce": ["reproduce", "fig2"],
+    }[verb]
+    if where == "env":
+        monkeypatch.setenv("QNDSTAB_OUT", str(out))
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: cannot use output directory: ") and str(out) in err
+    assert err.count("\n") == 1
+
+
 def test_cmd_run_bad_config_exits_2(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, {"p_min": 0.2})
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "x")]) == 2

@@ -1,12 +1,14 @@
 """Campaign engine: noise layout, delay buffer, integrator, rate fits, CSV I/O."""
 
+import concurrent.futures
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qndstab import ensemble
-from qndstab.core import UnrecoverableStateError, _kraus_diagonal, _normalize, populations, unitary_conjugate
+from qndstab.core import UnrecoverableStateError, _normalize, populations, unitary_conjugate
 from qndstab.dynamics import control_setup, feedback_gain
 from qndstab.ensemble import (
     ESTIMATORS,
@@ -86,6 +88,8 @@ def test_delay_buffer_constant_after_warmup():
 def test_delay_buffer_rejects_fractional_delay():
     with pytest.raises(ValueError, match="multiple"):
         DelayedGainBuffer(1.5e-3, 1e-3)
+    with pytest.raises(ValueError, match="nonnegative"):  # a negative count would make an empty line, a pass-through
+        DelayedGainBuffer(-2e-3, 1e-3)
 
 
 # ------------------------------------------------------------- config rules
@@ -282,15 +286,17 @@ def test_engine_target_start_is_exact_fixed_point(monkeypatch):
 def test_schur_factor_rows_match_outer_product():
     """The kernel's packed factor holds m_i m_j + (1 - eta) dt l_i l_j at every (i, j), bit for bit.
 
-    The expected factor packs the full outer products, with m from a
-    width-1 kernel's Kraus rows, which broadcast against the increments.
+    The expected factor packs the full outer products, with the Kraus
+    diagonal m = (1 - l^2 dt/2 + l x) + (x^2 - eta dt)/2 l^2, x = sqrt(eta) dy,
+    in the kernel's order of operations.
     """
     rng = np.random.default_rng(23)
     for J in (0.5, 2.0, 4.0):
         meas, ctrl = spin2_preset(0.6, J=J, eta=0.7)
         lvec, dy, dt = meas.dec.eigenvalues, rng.normal(scale=0.05, size=7), 1e-3
         kern = ensemble._Kernel(meas, ctrl, dt, dy.size)
-        mvec = _kraus_diagonal(0.7, dt, dy, ensemble._Kernel(meas, ctrl, dt, 1).rows).T
+        x, l2 = np.sqrt(0.7) * dy[:, None], lvec * lvec
+        mvec = (lvec * x + (1.0 - 0.5 * dt * l2)) + l2 * (0.5 * (x * x - 0.7 * dt))
         full = mvec[:, :, None] * mvec[:, None, :] + (1.0 - 0.7) * dt * np.outer(lvec, lvec)
         assert kern.factor(dy).tobytes() == kern.pk.pack(full).tobytes(), J
 
@@ -382,6 +388,31 @@ def test_ensemble_chunked_workers_deterministic(monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK", 4)
     r3 = run_ensemble(_small_cfg(trajectories=7, workers=1))
     assert np.array_equal(r1.error_traces, r3.error_traces)
+
+
+def test_workers_capped_at_processor_count(monkeypatch):
+    """64 workers on 2 processors open a pool of 2 over the same 64 chunks; an in-process pool stands in, so no process starts."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = _small_cfg(trajectories=64, t_final=0.01, fit_window=(0.0, 0.01))
+    wide = run_ensemble(replace(cfg, workers=64))
+    assert opened == [2]
+    assert wide.error_traces.tobytes() == run_ensemble(cfg).error_traces.tobytes()
 
 
 def test_noise_tiles_and_block_edges_keep_every_trajectory():
